@@ -69,6 +69,10 @@ from repro.netlist.topo import (
 
 Hook = Callable[[str, Dict], None]
 
+#: ``(class_indices, shard_index, lane_bits)``: classes sharing one
+#: enumeration setup, counted from one simulation of one shard.
+ShardTask = Tuple[Tuple[int, ...], int, int]
+
 #: Default lanes-per-shard exponent: 2^16 lanes keep one shard's simulation
 #: comfortably in cache while amortizing task dispatch.
 DEFAULT_SHARD_LANE_BITS = 16
@@ -139,6 +143,33 @@ def merge_shard_counts(
     return keys, histogram
 
 
+def _unpack_classes(
+    classes: Dict[int, Dict], keys: np.ndarray, hist: np.ndarray
+) -> Dict[int, Dict]:
+    """Split a version-2 checkpoint's packed ``keys``/``hist`` per class."""
+    state: Dict[int, Dict] = {}
+    key_at = hist_at = 0
+    for ci in sorted(classes):
+        entry = classes[ci]
+        n_keys, n_rows = int(entry["n_keys"]), int(entry["n_rows"])
+        if n_keys < 0 or n_rows < 0:
+            raise CheckpointCorrupt(f"checkpoint class {ci}: negative sizes")
+        state[ci] = {
+            "done": set(entry["done"]),
+            "keys": keys[key_at:key_at + n_keys],
+            "histogram": hist[hist_at:hist_at + n_rows * n_keys].reshape(
+                n_rows, n_keys
+            ),
+        }
+        key_at += n_keys
+        hist_at += n_rows * n_keys
+    if (key_at, hist_at) != (keys.size, hist.size):
+        raise CheckpointCorrupt(
+            "checkpoint packed arrays do not match the class sizes"
+        )
+    return state
+
+
 # ------------------------------------------------------------ worker plumbing
 
 #: Analyzer owned by a worker process (set by the pool initializer).
@@ -155,15 +186,29 @@ def _init_exact_worker(payload: bytes) -> None:
 
 
 def _exact_shard_task(
-    task: Tuple[int, int, int]
-) -> Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
-    class_index, shard_index, lane_bits = task
+    task: ShardTask,
+) -> Tuple[Tuple[int, ...], int, List[Tuple[np.ndarray, ...]]]:
+    class_indices, shard_index, lane_bits = task
     analyzer = _WORKER_ANALYZER
-    probe_class = analyzer.probe_classes[class_index]
-    keys, rows, counts = analyzer.count_shard(
-        probe_class, shard_index=shard_index, shard_lane_bits=lane_bits
+    counts = analyzer.count_shard(
+        [analyzer.probe_classes[ci] for ci in class_indices],
+        shard_index=shard_index,
+        shard_lane_bits=lane_bits,
     )
-    return class_index, shard_index, keys, rows, counts
+    return class_indices, shard_index, counts
+
+
+def _not_done(
+    pending: List[ShardTask],
+    is_done: Callable[[int, int], bool],
+) -> List[ShardTask]:
+    """``pending`` without the class shards already merged."""
+    remaining = []
+    for class_indices, shard_index, lane_bits in pending:
+        todo = tuple(ci for ci in class_indices if not is_done(ci, shard_index))
+        if todo:
+            remaining.append((todo, shard_index, lane_bits))
+    return remaining
 
 
 # ------------------------------------------------------------ sharded engine
@@ -173,11 +218,13 @@ class ShardedExactAnalyzer:
     """Parallel, checkpointed exhaustive enumeration of probe classes.
 
     Wraps an :class:`ExactAnalyzer` and schedules each probe class's shard
-    plan across a process pool.  Exact-count merges commute, so results are
-    bit-identical to the serial analyzer for any worker count.  Checkpoints
-    use the campaign CRC container (:func:`pack_checkpoint`): per-class
-    merged histograms plus the set of completed shards, fingerprinted by
-    the netlist hash and analysis configuration.
+    plan across a process pool.  Classes with equal enumeration setups
+    share their stimulus, so one simulation per ``(setup, shard)`` counts
+    all of them.  Exact-count merges commute, so results are bit-identical
+    to the serial analyzer for any worker count.  Checkpoints use the
+    campaign CRC container (:func:`pack_checkpoint`): per-class merged
+    histograms plus the set of completed shards, fingerprinted by the
+    netlist hash and analysis configuration.
     """
 
     def __init__(
@@ -226,21 +273,29 @@ class ShardedExactAnalyzer:
     def _save_checkpoint(
         self, path: str, state: Dict[int, Dict], fingerprint: str
     ) -> None:
+        """Write ``state`` in the packed layout (version 2).
+
+        Three members whatever the class count: ``meta`` (per-class
+        ``done``, ``n_keys``, ``n_rows``), ``keys`` (every class's keys)
+        and ``hist`` (every class's flattened histogram), both
+        concatenated in ascending class order.
+        """
         from repro.leakage.campaign import pack_checkpoint
 
+        order = sorted(state)
         meta = {
-            "version": 1,
+            "version": 2,
             "kind": "exact-shards",
             "fingerprint": fingerprint,
             "classes": {
-                str(ci): {"done": sorted(entry["done"])}
-                for ci, entry in state.items()
+                str(ci): {
+                    "done": sorted(state[ci]["done"]),
+                    "n_keys": int(state[ci]["keys"].size),
+                    "n_rows": int(state[ci]["histogram"].shape[0]),
+                }
+                for ci in order
             },
         }
-        arrays = {}
-        for ci, entry in state.items():
-            arrays[f"keys_{ci}"] = entry["keys"]
-            arrays[f"hist_{ci}"] = entry["histogram"]
         buffer = io.BytesIO()
         np.savez(
             buffer,
@@ -248,7 +303,13 @@ class ShardedExactAnalyzer:
                 json.dumps(meta, sort_keys=True).encode("utf-8"),
                 dtype=np.uint8,
             ),
-            **arrays,
+            keys=np.concatenate(
+                [np.zeros(0, np.uint64)] + [state[ci]["keys"] for ci in order]
+            ),
+            hist=np.concatenate(
+                [np.zeros(0, np.int64)]
+                + [state[ci]["histogram"].ravel() for ci in order]
+            ),
         )
         blob = pack_checkpoint(buffer.getvalue())
         tmp = path + ".tmp"
@@ -261,30 +322,10 @@ class ShardedExactAnalyzer:
     def _load_checkpoint(
         self, path: str, fingerprint: str, hook: Optional[Hook]
     ) -> Dict[int, Dict]:
-        from repro.leakage.campaign import unpack_checkpoint
-
         if not os.path.exists(path):
             return {}
         try:
-            with open(path, "rb") as handle:
-                blob = handle.read()
-            payload = unpack_checkpoint(blob, path)
-            with np.load(io.BytesIO(payload)) as data:
-                meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-                if meta.get("fingerprint") != fingerprint:
-                    raise CheckpointError(
-                        f"checkpoint {path} was written by a differently-"
-                        "configured exact analysis; refusing to resume"
-                    )
-                state: Dict[int, Dict] = {}
-                for key, entry in meta.get("classes", {}).items():
-                    ci = int(key)
-                    state[ci] = {
-                        "done": set(entry["done"]),
-                        "keys": np.array(data[f"keys_{ci}"]),
-                        "histogram": np.array(data[f"hist_{ci}"]),
-                    }
-                return state
+            return self._read_checkpoint(path, fingerprint)
         except CheckpointCorrupt:
             quarantine = path + ".corrupt"
             os.replace(path, quarantine)
@@ -294,6 +335,100 @@ class ShardedExactAnalyzer:
                     {"path": path, "quarantined": quarantine},
                 )
             return {}
+
+    def _read_checkpoint(self, path: str, fingerprint: str) -> Dict[int, Dict]:
+        """Parse and validate a version 1 or 2 checkpoint.
+
+        A fingerprint or version mismatch raises :class:`CheckpointError`.
+        Anything else wrong -- container, zip, meta, a missing member, or
+        counts this analysis cannot have produced -- raises
+        :class:`CheckpointCorrupt`.
+        """
+        from repro.leakage.campaign import unpack_checkpoint
+
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        payload = unpack_checkpoint(blob, path)
+        try:
+            with np.load(io.BytesIO(payload)) as data:
+                meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+                if meta.get("fingerprint") != fingerprint:
+                    raise CheckpointError(
+                        f"checkpoint {path} was written by a differently-"
+                        "configured exact analysis; refusing to resume"
+                    )
+                classes = {
+                    int(key): entry for key, entry in meta["classes"].items()
+                }
+                if meta.get("version") == 1:
+                    state = {
+                        ci: {
+                            "done": set(entry["done"]),
+                            "keys": np.array(data[f"keys_{ci}"]),
+                            "histogram": np.array(data[f"hist_{ci}"]),
+                        }
+                        for ci, entry in classes.items()
+                    }
+                elif meta.get("version") == 2:
+                    state = _unpack_classes(
+                        classes, np.array(data["keys"]), np.array(data["hist"])
+                    )
+                else:
+                    raise CheckpointError(
+                        f"checkpoint {path} has version "
+                        f"{meta.get('version')!r}, expected 1 or 2"
+                    )
+            for ci, entry in state.items():
+                self._check_entry(ci, entry)
+        except CheckpointError:
+            raise
+        except Exception as exc:  # zip/JSON/key/shape errors -> corrupt file
+            raise CheckpointCorrupt(
+                f"could not parse checkpoint {path!r}: {exc}"
+            ) from exc
+        return state
+
+    def _check_entry(self, ci: int, entry: Dict) -> None:
+        """Reject a loaded class whose counts this analysis cannot produce."""
+        all_classes = self.analyzer.probe_classes
+        if not 0 <= ci < len(all_classes):
+            raise CheckpointCorrupt(f"checkpoint names unknown class {ci}")
+        try:
+            setup = self.analyzer.enumeration_setup(all_classes[ci])
+        except ExactAnalysisInfeasible as exc:
+            raise CheckpointCorrupt(
+                f"checkpoint holds counts of infeasible class {ci}"
+            ) from exc
+        plan = ShardPlan.plan(setup.total_bits, self.shard_lane_bits)
+        keys, histogram, done = entry["keys"], entry["histogram"], entry["done"]
+        problem = None
+        if keys.dtype != np.uint64 or keys.ndim != 1 or (
+            keys[1:] <= keys[:-1]
+        ).any():
+            problem = "keys are not strictly ascending uint64"
+        elif histogram.dtype != np.int64 or histogram.shape != (
+            1 << setup.n_secret_bits,
+            keys.size,
+        ):
+            problem = f"histogram of shape {histogram.shape}"
+        elif (histogram < 0).any():
+            problem = "negative counts"
+        elif not all(
+            isinstance(si, int) and 0 <= si < plan.n_shards for si in done
+        ):
+            problem = f"done shards outside range({plan.n_shards})"
+        else:
+            total = int(histogram.sum())
+            if len(done) == plan.n_shards:
+                if total != setup.n_valid_assignments:
+                    problem = (
+                        f"complete with {total} counts, expected "
+                        f"{setup.n_valid_assignments}"
+                    )
+            elif total > len(done) * plan.lanes_per_shard:
+                problem = f"{total} counts from {len(done)} shards"
+        if problem is not None:
+            raise CheckpointCorrupt(f"checkpoint class {ci}: {problem}")
 
     # ------------------------------------------------------------- analysis
 
@@ -311,17 +446,20 @@ class ShardedExactAnalyzer:
         """Run the sharded exact sweep.
 
         ``checkpoint`` names a container file written every
-        ``checkpoint_every`` shard merges and at every class completion;
-        with ``resume=True`` a matching checkpoint's completed shards are
-        not recomputed.  ``should_stop`` is polled at shard boundaries; a
+        ``checkpoint_every`` class-shard merges and at the end; with
+        ``resume=True`` a matching checkpoint's completed class shards are
+        not recomputed.  ``should_stop`` is polled between shard tasks; a
         stop saves the checkpoint and returns a
         ``status="truncated:cancelled"`` report covering the classes that
-        finished.  ``dispatch`` replaces the execution backend entirely
-        (the service's fleet-distributed path): called as
-        ``dispatch(pending, merge, should_stop) -> stopped`` with the same
-        ``(class_index, shard_index, lane_bits)`` task tuples the process
-        pool would run -- shard-count merging commutes, so any completion
-        order yields identical final histograms.
+        finished.  A shard task is ``(class_indices, shard_index,
+        lane_bits)``: the not-yet-done classes of one enumeration setup,
+        counted from one simulation of one shard.  ``dispatch`` replaces
+        the execution backend entirely (the service's fleet-distributed
+        path): called as ``dispatch(pending, merge, should_stop) ->
+        stopped`` with the task tuples the process pool would run, and
+        ``merge(class_index, shard_index, keys, rows, counts)`` per class
+        -- shard-count merging commutes, so any completion order yields
+        identical final histograms.
         """
         analyzer = self.analyzer
         all_classes = analyzer.probe_classes
@@ -337,18 +475,11 @@ class ShardedExactAnalyzer:
             fixed_secret=fixed_secret,
         )
 
-        fingerprint = self._fingerprint(fixed_secret)
-        state: Dict[int, Dict] = {}
-        if checkpoint and resume:
-            state = self._load_checkpoint(checkpoint, fingerprint, hook)
-
         setups: Dict[int, EnumerationSetup] = {}
         plans: Dict[int, ShardPlan] = {}
-        tasks: List[Tuple[int, int]] = []
         for ci in selected:
-            probe_class = all_classes[ci]
             try:
-                setup = analyzer.enumeration_setup(probe_class)
+                setup = analyzer.enumeration_setup(all_classes[ci])
             except ExactAnalysisInfeasible as exc:
                 entry = analyzer.infeasible_entry(exc)
                 report.infeasible.append(entry)
@@ -356,7 +487,19 @@ class ShardedExactAnalyzer:
                 continue
             setups[ci] = setup
             plans[ci] = ShardPlan.plan(setup.total_bits, self.shard_lane_bits)
-            entry = state.setdefault(
+        for probe_class in analyzer.wide_classes:
+            entry = analyzer.wide_class_entry(probe_class)
+            report.infeasible.append(entry)
+            self._emit(hook, "probe_infeasible", dict(entry))
+
+        fingerprint = self._fingerprint(fixed_secret)
+        state: Dict[int, Dict] = {}
+        if checkpoint and resume:
+            state = self._load_checkpoint(checkpoint, fingerprint, hook)
+
+        groups: Dict[Tuple, List[int]] = {}
+        for ci, setup in setups.items():
+            state.setdefault(
                 ci,
                 {
                     "done": set(),
@@ -366,22 +509,27 @@ class ShardedExactAnalyzer:
                     ),
                 },
             )
-            tasks.extend(
-                (ci, si)
-                for si in range(plans[ci].n_shards)
-                if si not in entry["done"]
-            )
-        for probe_class in analyzer.wide_classes:
-            entry = analyzer.wide_class_entry(probe_class)
-            report.infeasible.append(entry)
-            self._emit(hook, "probe_infeasible", dict(entry))
+            groups.setdefault(setup.key, []).append(ci)
+
+        def is_done(ci: int, si: int) -> bool:
+            return si in state[ci]["done"]
+
+        tasks = _not_done(
+            [
+                (tuple(members), si, plans[members[0]].lane_bits)
+                for members in groups.values()
+                for si in range(plans[members[0]].n_shards)
+            ],
+            is_done,
+        )
 
         self._emit(
             hook,
             "certify_start",
             {
                 "n_probe_classes": len(setups),
-                "n_shards": len(tasks),
+                "n_shards": sum(len(task[0]) for task in tasks),
+                "n_tasks": len(tasks),
                 "n_infeasible": len(report.infeasible),
                 "workers": workers,
                 "resumed_shards": sum(
@@ -419,12 +567,11 @@ class ShardedExactAnalyzer:
         if tasks:
             stopped = self._run_tasks(
                 tasks,
-                plans,
                 workers,
                 merge,
                 hook,
                 should_stop,
-                is_done=lambda ci, si: si in state[ci]["done"],
+                is_done=is_done,
                 dispatch=dispatch,
             )
 
@@ -462,8 +609,7 @@ class ShardedExactAnalyzer:
 
     def _run_tasks(
         self,
-        tasks: List[Tuple[int, int]],
-        plans: Dict[int, ShardPlan],
+        pending: List[ShardTask],
         workers: int,
         merge: Callable,
         hook: Optional[Hook],
@@ -472,12 +618,13 @@ class ShardedExactAnalyzer:
         dispatch: Optional[Callable] = None,
     ) -> bool:
         """Execute shard tasks, in a pool or serially.  True when stopped."""
-        pending = [(ci, si, plans[ci].lane_bits) for ci, si in tasks]
         if dispatch is not None:
             return bool(dispatch(pending, merge, should_stop))
         if workers > 1 and len(pending) > 1:
             try:
-                return self._run_pool(pending, workers, merge, should_stop)
+                return self._run_pool(
+                    pending, workers, merge, should_stop, is_done
+                )
             except (OSError, ValueError, pickle.PicklingError) as exc:
                 self._emit(
                     hook,
@@ -498,17 +645,16 @@ class ShardedExactAnalyzer:
                         "remaining shards serially",
                     },
                 )
-                pending = [
-                    task for task in pending if not is_done(task[0], task[1])
-                ]
+            pending = _not_done(pending, is_done)
         return self._run_serial(pending, merge, should_stop)
 
     def _run_pool(
         self,
-        pending: List[Tuple[int, int, int]],
+        pending: List[ShardTask],
         workers: int,
         merge: Callable,
         should_stop: Optional[Callable[[], bool]],
+        is_done: Callable[[int, int], bool],
     ) -> bool:
         import multiprocessing
 
@@ -525,7 +671,6 @@ class ShardedExactAnalyzer:
                 self.analyzer.engine,
             )
         )
-        merged: Set[Tuple[int, int]] = set()
         stopped = False
         with ProcessPoolExecutor(
             max_workers=workers,
@@ -533,14 +678,12 @@ class ShardedExactAnalyzer:
             initializer=_init_exact_worker,
             initargs=(payload,),
         ) as pool:
-            futures = {
-                pool.submit(_exact_shard_task, task): task for task in pending
-            }
+            futures = [pool.submit(_exact_shard_task, task) for task in pending]
             try:
                 for future in as_completed(futures):
-                    ci, si, keys, rows, counts = future.result()
-                    merge(ci, si, keys, rows, counts)
-                    merged.add((ci, si))
+                    class_indices, si, counts = future.result()
+                    for ci, (keys, rows, table) in zip(class_indices, counts):
+                        merge(ci, si, keys, rows, table)
                     if should_stop is not None and should_stop():
                         stopped = True
                         break
@@ -550,26 +693,26 @@ class ShardedExactAnalyzer:
                         future.cancel()
                     pool.shutdown(wait=False, cancel_futures=True)
         if not stopped:
-            remainder = [
-                task for task in pending if (task[0], task[1]) not in merged
-            ]
+            remainder = _not_done(pending, is_done)
             if remainder:  # pool died mid-run without raising at submit
                 return self._run_serial(remainder, merge, should_stop)
         return stopped
 
     def _run_serial(
         self,
-        pending: List[Tuple[int, int, int]],
+        pending: List[ShardTask],
         merge: Callable,
         should_stop: Optional[Callable[[], bool]],
     ) -> bool:
         analyzer = self.analyzer
-        for ci, si, lane_bits in pending:
-            probe_class = analyzer.probe_classes[ci]
-            keys, rows, counts = analyzer.count_shard(
-                probe_class, shard_index=si, shard_lane_bits=lane_bits
+        for class_indices, si, lane_bits in pending:
+            counts = analyzer.count_shard(
+                [analyzer.probe_classes[ci] for ci in class_indices],
+                shard_index=si,
+                shard_lane_bits=lane_bits,
             )
-            merge(ci, si, keys, rows, counts)
+            for ci, (keys, rows, table) in zip(class_indices, counts):
+                merge(ci, si, keys, rows, table)
             if should_stop is not None and should_stop():
                 return True
         return False

@@ -39,7 +39,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro import engines as engine_registry
-from repro.errors import ExactAnalysisInfeasible
+from repro.errors import ExactAnalysisInfeasible, SimulationError
+from repro.leakage import gtest
 from repro.leakage.dut import DesignUnderTest
 from repro.leakage.model import ProbingModel
 from repro.leakage.probes import ProbeClass, extract_probe_classes
@@ -50,18 +51,21 @@ from repro.netlist.topo import transitive_input_support
 Var = Tuple[object, int]  # (role key, age)
 
 
+#: In-word enumeration words: bit ``L`` of entry ``i`` is ``(L >> i) & 1``.
+_IN_WORD_PATTERNS = (
+    0xAAAAAAAAAAAAAAAA,
+    0xCCCCCCCCCCCCCCCC,
+    0xF0F0F0F0F0F0F0F0,
+    0xFF00FF00FF00FF00,
+    0xFFFF0000FFFF0000,
+    0xFFFFFFFF00000000,
+)
+
+
 def _enum_pattern(index: int, n_words: int) -> np.ndarray:
     """Word array where lane L carries bit ``(L >> index) & 1``."""
     if index < 6:
-        span = 1 << index
-        base = np.uint64(0)
-        lane_bits = np.arange(64, dtype=np.uint64)
-        mask_bits = ((lane_bits >> np.uint64(index)) & np.uint64(1)).astype(
-            np.uint64
-        )
-        for position in range(64):
-            base |= mask_bits[position] << np.uint64(position)
-        return np.full(n_words, base, dtype=np.uint64)
+        return np.full(n_words, _IN_WORD_PATTERNS[index], dtype=np.uint64)
     word_index = np.arange(n_words, dtype=np.uint64)
     selected = (word_index >> np.uint64(index - 6)) & np.uint64(1)
     full = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -82,6 +86,34 @@ def _shard_pattern(
     if (shard_index >> (index - shard_lane_bits)) & 1:
         return np.full(n_words, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
     return np.zeros(n_words, dtype=np.uint64)
+
+
+def _count_lanes(
+    keys: np.ndarray, rows: np.ndarray, width: int, n_secret_bits: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(keys, rows, counts)`` table of per-lane observations.
+
+    ``keys`` holds each lane's ``width``-bit observation and ``rows`` its
+    secret row (below ``2^n_secret_bits``).  Returns the ascending
+    ``uint64`` keys seen, the ascending occupied rows and their
+    ``(len(rows), len(keys))`` ``int64`` counts.  A table of at most
+    :data:`~repro.leakage.gtest.DENSE_KEY_LIMIT` cells is one
+    ``np.bincount`` over ``(row << width) | key``; a wider one sorts.
+    Both give the same triple.
+    """
+    n_cells = 1 << (width + n_secret_bits)
+    if n_cells <= gtest.DENSE_KEY_LIMIT:
+        cells = np.bincount(
+            (rows << width) | keys, minlength=n_cells
+        ).reshape(1 << n_secret_bits, 1 << width)
+        occupied = np.flatnonzero(cells.any(axis=1))
+        seen = np.flatnonzero(cells.any(axis=0))
+        return seen.astype(np.uint64), occupied, cells[np.ix_(occupied, seen)]
+    unique_keys, inverse = np.unique(keys, return_inverse=True)
+    occupied, row_pos = np.unique(rows, return_inverse=True)
+    counts = np.zeros((occupied.size, unique_keys.size), dtype=np.int64)
+    np.add.at(counts, (row_pos, inverse), 1)
+    return unique_keys.astype(np.uint64), occupied, counts
 
 
 @dataclass(frozen=True)
@@ -260,6 +292,27 @@ class EnumerationSetup:
         """Total enumeration bits (``k + u``)."""
         return self.n_free_bits + self.n_secret_bits
 
+    @property
+    def n_valid_assignments(self) -> int:
+        """Assignments whose enumerated non-zero bytes are all non-zero.
+
+        Exactly the number of counts a complete histogram holds:
+        ``2^(k + u - 8g) * 255^g`` for ``g`` enumerated non-zero bytes.
+        """
+        g = len(self.nonzero_groups)
+        return (1 << (self.total_bits - 8 * g)) * 255**g
+
+    @property
+    def key(self) -> Tuple:
+        """Hashable identity: classes with equal keys share one stimulus."""
+        return (
+            tuple(self.free_vars),
+            tuple(self.used_secret_bits),
+            tuple(self.share_groups),
+            tuple(self.nonzero_groups),
+            self.max_age,
+        )
+
 
 class ExactAnalyzer:
     """Exhaustive per-secret distribution analysis of probe classes."""
@@ -287,6 +340,7 @@ class ExactAnalyzer:
             dut.netlist, model, max_support_bits=40
         )
         self._roles = self._build_role_map()
+        self._setups: Dict[ProbeClass, EnumerationSetup] = {}
 
     def _on_degrade(self, from_info, to_info, exc) -> None:
         """Record one engine degradation rung permanently (provenance)."""
@@ -378,22 +432,26 @@ class ExactAnalyzer:
 
         Raises :class:`ExactAnalysisInfeasible` -- carrying the probe name,
         its required bit count and the configured budget -- when the class
-        exceeds ``max_enum_bits``.
+        exceeds ``max_enum_bits``.  The setup is computed once per class
+        and memoized, so every shard of a sweep reuses it.
         """
-        (
-            free_vars,
-            used_secret_bits,
-            share_groups,
-            nonzero_groups,
-            max_age,
-        ) = self._collect_variables(probe_class)
-        setup = EnumerationSetup(
-            free_vars=free_vars,
-            used_secret_bits=used_secret_bits,
-            share_groups=share_groups,
-            nonzero_groups=nonzero_groups,
-            max_age=max_age,
-        )
+        setup = self._setups.get(probe_class)
+        if setup is None:
+            (
+                free_vars,
+                used_secret_bits,
+                share_groups,
+                nonzero_groups,
+                max_age,
+            ) = self._collect_variables(probe_class)
+            setup = EnumerationSetup(
+                free_vars=free_vars,
+                used_secret_bits=used_secret_bits,
+                share_groups=share_groups,
+                nonzero_groups=nonzero_groups,
+                max_age=max_age,
+            )
+            self._setups[probe_class] = setup
         if setup.total_bits > self.max_enum_bits:
             probe = probe_class.member_names(self.dut.netlist)
             raise ExactAnalysisInfeasible(
@@ -407,22 +465,27 @@ class ExactAnalyzer:
 
     def count_shard(
         self,
-        probe_class: ProbeClass,
+        probe_classes: Sequence[ProbeClass],
         shard_index: int = 0,
         shard_lane_bits: Optional[int] = None,
         setup: Optional[EnumerationSetup] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Exact observation counts over one shard of the assignment space.
+    ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Exact observation counts of probe classes over one shard.
 
-        With ``shard_lane_bits=None`` the single shard covers the whole
-        space (the serial path).  Returns ``(keys, rows, counts)``: the
-        sorted unique observation keys seen on *valid* lanes, the occupied
-        secret rows, and the ``(len(rows), len(keys))`` count matrix.
-        Counts from all shards of a class merge -- by key union and
-        elementwise addition -- to exactly the single-shot histogram.
+        The classes must share one enumeration setup (``setup``, or the
+        first class's): the stimulus depends only on it and the shard, so
+        one simulation recording the union of their supports and cycles
+        serves them all.  With ``shard_lane_bits=None`` the single shard
+        covers the whole space (the serial path).  Returns one ``(keys,
+        rows, counts)`` triple per class, in order: the sorted unique
+        observation keys seen on *valid* lanes, the occupied secret rows,
+        and the ``(len(rows), len(keys))`` count matrix.  Counts from all
+        shards of a class merge -- by key union and elementwise addition --
+        to exactly the single-shot histogram.
         """
+        probe_classes = list(probe_classes)
         if setup is None:
-            setup = self.enumeration_setup(probe_class)
+            setup = self.enumeration_setup(probe_classes[0])
         free_vars = setup.free_vars
         used_secret_bits = setup.used_secret_bits
         share_groups = setup.share_groups
@@ -505,56 +568,61 @@ class ExactAnalyzer:
                         )
             return values
 
+        record_nets = sorted(
+            {net for probe_class in probe_classes for net in probe_class.support}
+        )
         simulator, _ = engine_registry.build_simulator(
             self.engine, netlist, n_lanes,
-            record_nets=probe_class.support,
+            record_nets=record_nets,
             on_degrade=self._on_degrade,
         )
-        record_cycles = {
-            observe_cycle - back for back in probe_class.cycles_back
-        }
         trace = simulator.run(
             stimulus,
             n_cycles,
-            record_nets=probe_class.support,
-            record_cycles=record_cycles,
+            record_nets=record_nets,
+            record_cycles={
+                observe_cycle - back
+                for probe_class in probe_classes
+                for back in probe_class.cycles_back
+            },
         )
 
         # Validity: enumerated non-zero bytes must not be zero.
-        valid = np.ones(n_lanes, dtype=bool)
-        for bus_index, age in nonzero_groups:
-            any_bit = zeros.copy()
-            for bit in range(8):
-                any_bit = any_bit | patterns[
-                    var_index[(("nonzero", bus_index, bit), age)]
-                ]
-            valid &= unpack_lanes(any_bit, n_lanes).astype(bool)
-
-        keys = np.zeros(n_lanes, dtype=np.uint64)
-        position = 0
-        for back in probe_class.cycles_back:
-            cycle = observe_cycle - back
-            for net in probe_class.support:
-                bits = unpack_lanes(trace.words(cycle, net), n_lanes)
-                keys |= bits.astype(np.uint64) << np.uint64(position)
-                position += 1
+        valid = None
+        if nonzero_groups:
+            all_nonzero = ~zeros
+            for bus_index, age in nonzero_groups:
+                any_bit = zeros.copy()
+                for bit in range(8):
+                    any_bit |= patterns[
+                        var_index[(("nonzero", bus_index, bit), age)]
+                    ]
+                all_nonzero &= any_bit
+            valid = unpack_lanes(all_nonzero, n_lanes).astype(bool)
 
         # Per-lane secret row: bits k..k+u-1 of the global assignment index.
-        base = shard_index << lane_bits
-        global_index = np.uint64(base) + np.arange(n_lanes, dtype=np.uint64)
-        lane_rows = (
-            (global_index >> np.uint64(k)) & np.uint64((1 << u) - 1)
-        ).astype(np.int64)
+        global_index = (shard_index << lane_bits) + np.arange(
+            n_lanes, dtype=np.int64
+        )
+        lane_rows = (global_index >> k) & ((1 << u) - 1)
+        if valid is not None:
+            lane_rows = lane_rows[valid]
 
-        keys_valid = keys[valid]
-        rows_valid = lane_rows[valid]
-        unique_keys, inverse = np.unique(keys_valid, return_inverse=True)
-        occupied = np.unique(rows_valid)
-        counts = np.zeros((occupied.size, unique_keys.size), dtype=np.int64)
-        if keys_valid.size:
-            row_pos = np.searchsorted(occupied, rows_valid)
-            np.add.at(counts, (row_pos, inverse), 1)
-        return unique_keys, occupied, counts
+        results = []
+        for probe_class in probe_classes:
+            width = probe_class.observation_bits
+            keys = np.zeros(n_lanes, dtype=np.min_scalar_type((1 << width) - 1))
+            position = 0
+            for back in probe_class.cycles_back:
+                cycle = observe_cycle - back
+                for net in probe_class.support:
+                    bits = unpack_lanes(trace.words(cycle, net), n_lanes)
+                    keys |= bits.astype(keys.dtype, copy=False) << position
+                    position += 1
+            if valid is not None:
+                keys = keys[valid]
+            results.append(_count_lanes(keys, lane_rows, width, u))
+        return results
 
     def finalize(
         self,
@@ -567,9 +635,19 @@ class ExactAnalyzer:
 
         The same code runs on the serial single-shot histogram and on the
         merged shard counts, so sharded and serial sweeps are bit-identical
-        by construction.
+        by construction.  A histogram not holding exactly one count per
+        valid assignment (:attr:`EnumerationSetup.n_valid_assignments`)
+        -- a lost or doubled shard merge -- raises
+        :class:`SimulationError` instead of becoming a verdict.
         """
         netlist = self.dut.netlist
+        total = int(histogram.sum())
+        if total != setup.n_valid_assignments:
+            raise SimulationError(
+                f"exact histogram of {probe_class.member_names(netlist)} "
+                f"holds {total} counts, expected "
+                f"{setup.n_valid_assignments}"
+            )
         used_secret_bits = setup.used_secret_bits
         distinct = (
             int(np.unique(histogram, axis=0).shape[0])
@@ -601,8 +679,8 @@ class ExactAnalyzer:
     ) -> ExactProbeResult:
         """Exactly analyze one probe class; raises if infeasible."""
         setup = self.enumeration_setup(probe_class)
-        unique_keys, occupied, counts = self.count_shard(
-            probe_class, setup=setup
+        [(unique_keys, occupied, counts)] = self.count_shard(
+            [probe_class], setup=setup
         )
         n_secrets = 1 << setup.n_secret_bits
         histogram = np.zeros(

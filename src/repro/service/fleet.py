@@ -6,9 +6,10 @@ the determinism contract:
 
 * the **coordinator** (:class:`FleetCoordinator`) holds a lease-based work
   queue of *work items* -- either a contiguous slice of a campaign chunk's
-  sampling blocks, or one ``(probe class, shard)`` of an exact enumeration
-  plan.  Workers pull items over HTTP (``POST /v1/fleet/lease``), renew
-  them with heartbeats, and stream back serialized
+  sampling blocks, or one shard of an exact enumeration plan for the
+  probe classes sharing one enumeration setup.  Workers pull items over
+  HTTP (``POST /v1/fleet/lease``), renew them with heartbeats, and
+  stream back serialized
   :class:`~repro.leakage.evaluator.HistogramAccumulator` state (or exact
   shard counts).  A lease that is neither completed nor renewed within
   ``lease_seconds`` expires and its item is reissued -- a SIGKILLed worker
@@ -594,6 +595,10 @@ class FleetExecutor:
         self.coordinator.release_job(self.job_id)
 
 
+#: Per-class arrays of an ``exact_shard`` result, named ``<name>_<class>``.
+_SHARD_ARRAYS = ("keys", "rows", "counts")
+
+
 def fleet_exact_dispatch(
     coordinator: FleetCoordinator,
     job_id: str,
@@ -601,35 +606,41 @@ def fleet_exact_dispatch(
 ):
     """A ``dispatch`` hook for :class:`ShardedExactAnalyzer` fleet runs.
 
-    Replaces the analyzer's process pool: each pending ``(class, shard,
-    lane_bits)`` task becomes a leased work item, and ``merge`` fires in
-    completion order as workers stream counts back (sorted-union merging
-    commutes, so the final histograms -- and the report bytes -- match the
-    serial sweep exactly).
+    Replaces the analyzer's process pool: each pending ``(class_indices,
+    shard, lane_bits)`` task becomes one leased work item -- one
+    simulation counting every listed class -- and ``merge`` fires per
+    class in completion order as workers stream counts back (sorted-union
+    merging commutes, so the final histograms -- and the report bytes --
+    match the serial sweep exactly).
     """
 
     def dispatch(pending, merge, stop) -> bool:
         payloads = [
             {
                 "kind": "exact_shard",
-                "class_index": int(ci),
+                "class_indices": [int(ci) for ci in class_indices],
                 "shard_index": int(si),
                 "lane_bits": int(lane_bits),
             }
-            for ci, si, lane_bits in pending
+            for class_indices, si, lane_bits in pending
         ]
         ids = coordinator.submit_items(job_id, payloads)
+        tasks = dict(zip(ids, payloads))
 
         def merge_result(item_id: str, result: Dict) -> None:
             arrays = result["arrays"]
-            meta = result["meta"]
-            merge(
-                int(meta["class_index"]),
-                int(meta["shard_index"]),
-                arrays["keys"],
-                arrays["rows"],
-                arrays["counts"],
-            )
+            task = tasks[item_id]
+            try:
+                counts = [
+                    [arrays[f"{name}_{ci}"] for name in _SHARD_ARRAYS]
+                    for ci in task["class_indices"]
+                ]
+            except KeyError as exc:
+                raise ServiceError(
+                    f"work item {item_id} returned no shard counts {exc}"
+                ) from exc
+            for ci, triple in zip(task["class_indices"], counts):
+                merge(ci, task["shard_index"], *triple)
 
         effective_stop = stop if stop is not None else should_stop
         try:

@@ -241,20 +241,23 @@ class FleetWorker:
             }
         if kind == "exact_shard":
             analyzer = self._analyzer_for(spec)
-            class_index = int(payload["class_index"])
-            probe_class = analyzer.probe_classes[class_index]
-            keys, rows, counts = analyzer.count_shard(
-                probe_class,
-                shard_index=int(payload["shard_index"]),
+            class_indices = [int(ci) for ci in payload["class_indices"]]
+            shard_index = int(payload["shard_index"])
+            counts = analyzer.count_shard(
+                [analyzer.probe_classes[ci] for ci in class_indices],
+                shard_index=shard_index,
                 shard_lane_bits=int(payload["lane_bits"]),
             )
+            arrays = {}
+            for ci, (keys, rows, table) in zip(class_indices, counts):
+                arrays[f"keys_{ci}"] = keys
+                arrays[f"rows_{ci}"] = rows
+                arrays[f"counts_{ci}"] = table
             return {
-                "npz": encode_arrays(
-                    {"keys": keys, "rows": rows, "counts": counts}
-                ),
+                "npz": encode_arrays(arrays),
                 "meta": {
-                    "class_index": class_index,
-                    "shard_index": int(payload["shard_index"]),
+                    "class_indices": class_indices,
+                    "shard_index": shard_index,
                 },
             }
         raise ServiceError(f"unknown work item kind {kind!r}")
