@@ -29,9 +29,10 @@ import-light (:mod:`repro.spec` imports it for validation).
 
 from __future__ import annotations
 
+import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "EngineError",
@@ -199,6 +200,104 @@ def build_simulator(
             if on_degrade is not None:
                 on_degrade(info, ladder[i + 1], exc)
     raise EngineError(f"empty degradation ladder for {name!r}")
+
+
+def _plan_ready(stimulus) -> bool:
+    """True when a stimulus is a plan the kernel can execute.
+
+    The plan must expose a fresh PCG64 snapshot (``rng_state`` raises
+    once the python interpreter has consumed from the stream, or when
+    the generator is not PCG64).
+    """
+    from repro.errors import SimulationError
+
+    rng_state = getattr(stimulus, "rng_state", None)
+    if rng_state is None:
+        return False
+    try:
+        rng_state()
+    except SimulationError:
+        return False
+    return True
+
+
+class EngineOwner:
+    """Engine choice and degradation provenance of an evaluator.
+
+    The sampled, periodic and exact evaluators each own a simulation
+    engine.  This base is the one copy of what they do with it: validate
+    the name, walk the degradation ladder (warn, and record
+    ``engine_<to>``), decide whether the in-kernel pipeline can count a
+    block, and record every fall-back to a bit-identical slower path in
+    :attr:`degradations`, which their reports carry as provenance.
+    """
+
+    def _init_engine(self, engine: str) -> None:
+        """Validate ``engine`` (raises :class:`EngineError`) and adopt it."""
+        get_engine(engine)
+        self.engine = engine
+        #: graceful-degradation provenance: one ``{"kind", "detail"}``
+        #: entry per fall-back taken, copied into the reports.
+        self.degradations: List[Dict[str, str]] = []
+
+    def _degrade(self, kind: str, failure: str, exc, path: str) -> None:
+        """Record one fall-back to the bit-identical ``path``."""
+        self.degradations.append(
+            {
+                "kind": kind,
+                "detail": (
+                    f"{failure} ({exc}); continuing on the bit-identical "
+                    f"{path}"
+                ),
+            }
+        )
+
+    def _on_degrade(self, from_info, to_info, exc) -> None:
+        """:func:`build_simulator` callback: degrade permanently."""
+        self.engine = to_info.name
+        self._degrade(
+            f"engine_{to_info.name}",
+            f"{from_info.name} engine unavailable", exc,
+            f"{to_info.name} engine",
+        )
+        warnings.warn(
+            f"{from_info.name} simulation engine failed ({exc}); "
+            f"degrading to the {to_info.name} engine with identical "
+            "results",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+
+    def _pipeline_ready(
+        self, specs: Sequence, record_nets, plans: Sequence = ()
+    ) -> bool:
+        """True when the in-kernel pipeline can count ``specs``.
+
+        It needs an engine offering the pipeline with its toolchain
+        present, an explicit record-net list (sliced cones), count tables
+        that fit the dense path and stimulus ``plans`` the kernel can
+        execute.
+        """
+        if record_nets is None or not get_engine(self.engine).pipeline:
+            return False
+        from repro.leakage.gtest import DENSE_KEY_LIMIT
+
+        if any(spec.n_bins > DENSE_KEY_LIMIT for spec in specs):
+            return False
+        if not all(_plan_ready(plan) for plan in plans):
+            return False
+        try:
+            from repro.netlist.native import pipeline_available
+        except ImportError:
+            return False
+        return pipeline_available()
+
+    def _pipeline_failed(self, exc) -> None:
+        """Record that the in-kernel pipeline fell back to python."""
+        self._degrade(
+            "pipeline_python", "in-kernel pipeline failed", exc,
+            "python extraction path",
+        )
 
 
 # --------------------------------------------------------------- factories

@@ -37,7 +37,6 @@ behaviour degrades measurably once expected counts drop toward ~10).
 from __future__ import annotations
 
 import itertools
-import warnings
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -71,6 +70,114 @@ def _mix_hash(keys: np.ndarray) -> np.ndarray:
     keys *= np.uint64(0x94D049BB133111EB)
     keys ^= keys >> np.uint64(31)
     return keys
+
+
+def _check_hash_bits(hash_bits: int) -> None:
+    """Reject a bucket width the key arithmetic cannot honour."""
+    if not (isinstance(hash_bits, int) and 1 <= hash_bits <= 64):
+        raise SimulationError(
+            f"hash_bits must be an integer from 1 to 64, got {hash_bits!r}"
+        )
+
+
+def _table_shape(
+    observation_bits: int, hash_bits: Optional[int]
+) -> Tuple[bool, int]:
+    """The bucketing rule: ``(hashed, n_bins)`` of an observation.
+
+    An observation wider than ``hash_bits`` bits is hashed into
+    ``2^hash_bits`` bins; a narrower one is its own bin index.
+    ``hash_bits=None`` never hashes.
+    """
+    hashed = hash_bits is not None and observation_bits > hash_bits
+    return hashed, 1 << (hash_bits if hashed else observation_bits)
+
+
+def _bucket(keys: np.ndarray, hashed: bool, n_bins: int) -> np.ndarray:
+    """Bin index of raw observation keys in a ``(hashed, n_bins)`` table.
+
+    Hashed keys keep the top ``log2(n_bins)`` bits of :func:`_mix_hash`
+    -- what ``repro_extract`` computes in C; unhashed keys are bins.
+    """
+    if not hashed:
+        return keys
+    return _mix_hash(keys) >> np.uint64(65 - n_bins.bit_length())
+
+
+def _count_spec(
+    probe_class: ProbeClass,
+    cycles: Sequence[int],
+    hash_bits: Optional[int],
+):
+    """The observation of a probe class at ``cycles`` as a CountSpec.
+
+    The one place the observation-key layout is written: a key's bits,
+    from position 0 up, are the support nets at ``t - back`` for each
+    ``back`` in ``cycles_back`` (``for back in cycles_back: for net in
+    support``).  Each observation cycle ``t`` is one segment, and
+    :func:`_table_shape` decides the bucketing.
+    """
+    from repro.netlist.native import CountSpec
+
+    sources = [
+        (back, net)
+        for back in probe_class.cycles_back
+        for net in probe_class.support
+    ]
+    segments = tuple(
+        tuple(
+            (t - back, net, position)
+            for position, (back, net) in enumerate(sources)
+        )
+        for t in cycles
+    )
+    return CountSpec(
+        segments, *_table_shape(probe_class.observation_bits, hash_bits)
+    )
+
+
+def _observe(
+    trace: Trace,
+    spec,
+    bit_cache: Optional[Dict[Tuple[int, int], np.ndarray]] = None,
+    hamming: bool = False,
+    raw: bool = False,
+    dtype: type = np.uint64,
+) -> np.ndarray:
+    """Numpy executor of a CountSpec: each lane's bin, segment by segment.
+
+    ``numpy.bincount`` of the result is the count table the C executor
+    (``repro_extract``) returns for the same spec.  ``bit_cache`` (keyed
+    by ``(cycle, net)``) shares unpacked lane bits across specs: probe
+    supports overlap heavily, so each recorded net is unpacked once per
+    trace.  ``hamming`` sums the bits instead of placing them (the
+    Hamming-weight observation; its specs are unhashed).  ``raw`` returns
+    the keys before bucketing, for callers that bucket them later or
+    combine them first.  ``dtype`` is the key dtype, uint64 unless an
+    unhashed spec's keys fit a narrower one (the cache then holds bits of
+    that dtype).
+    """
+    if bit_cache is None:
+        bit_cache = {}
+    n_lanes = trace.n_lanes
+    word = np.dtype(dtype).type
+    segments = []
+    for segment in spec.segments:
+        key = np.zeros(n_lanes, dtype=dtype)
+        for cycle, net, position in segment:
+            bits = bit_cache.get((cycle, net))
+            if bits is None:
+                bits = unpack_lanes(
+                    trace.words(cycle, net), n_lanes
+                ).astype(dtype, copy=False)
+                bit_cache[(cycle, net)] = bits
+            if hamming:
+                key += bits
+            else:
+                key |= bits << word(position)
+        segments.append(key)
+    keys = np.concatenate(segments)
+    return keys if raw else _bucket(keys, spec.hashed, spec.n_bins)
 
 
 def _capacity(size: int) -> int:
@@ -295,7 +402,7 @@ class HistogramAccumulator:
         return acc
 
 
-class LeakageEvaluator:
+class LeakageEvaluator(engine_registry.EngineOwner):
     """Fixed-vs-random evaluation of a design under a probing model."""
 
     def __init__(
@@ -318,8 +425,15 @@ class LeakageEvaluator:
             raise SimulationError(
                 "block_lanes must be a positive multiple of 64"
             )
+        _check_hash_bits(hash_bits)
+        # Any engine registered in repro.engines; all are bit-identical
+        # (see tests/test_cross_engine.py), so the choice only trades
+        # wall-clock.  Construction failures walk the registry's
+        # degradation ladder (native -> compiled -> bitsliced) and are
+        # recorded in :attr:`degradations`, which campaigns merge into
+        # :attr:`LeakageReport.degradations`.
         try:
-            engine_registry.get_engine(engine)
+            self._init_engine(engine)
         except engine_registry.EngineError as exc:
             raise SimulationError(str(exc)) from None
         self.dut = dut
@@ -328,12 +442,6 @@ class LeakageEvaluator:
         self.max_support_bits = max_support_bits
         self.hash_bits = hash_bits
         self.block_lanes = block_lanes
-        # Any engine registered in repro.engines; all are bit-identical
-        # (see tests/test_cross_engine.py), so the choice only trades
-        # wall-clock.  Construction failures walk the registry's
-        # degradation ladder (native -> compiled -> bitsliced) and are
-        # recorded in :attr:`degradations`.
-        self.engine = engine
         # Cone slicing restricts each simulated block to the sequential
         # fan-in cone of the currently-active probe supports (see
         # repro.netlist.slice).  The cone is closed under fan-in, so sliced
@@ -349,10 +457,6 @@ class LeakageEvaluator:
         #: default) costs nothing; campaigns install a plane under chaos
         #: and it rides the evaluator pickle into worker processes.
         self.fault_plane = None
-        #: graceful-degradation provenance: ladder steps this evaluator
-        #: took (compiled kernel -> bitsliced reference), merged into
-        #: :attr:`LeakageReport.degradations` by campaigns.
-        self.degradations: List[Dict[str, str]] = []
         #: cumulative seconds per evaluation stage across every block this
         #: evaluator processed; campaigns snapshot it at chunk boundaries
         #: to attribute wall-clock (stimulus is folded into simulate on
@@ -364,6 +468,13 @@ class LeakageEvaluator:
         self.probe_classes, self.skipped_classes = extract_probe_classes(
             dut.netlist, model, max_support_bits=max_support_bits
         )
+
+    @property
+    def _bucket_bits(self) -> Optional[int]:
+        """Width observations hash into: ``hash_bits``, or None (never)
+        for Hamming weights, which take at most ``observation_bits + 1``
+        values."""
+        return None if self.observation == "hamming" else self.hash_bits
 
     # ------------------------------------------------------------ scheduling
 
@@ -433,27 +544,6 @@ class LeakageEvaluator:
         the designs were named or constructed.
         """
         return netlist_content_hash(self.dut.netlist)
-
-    def _on_degrade(self, from_info, to_info, exc) -> None:
-        """Record one rung of the engine degradation ladder permanently."""
-        self.engine = to_info.name
-        self.degradations.append(
-            {
-                "kind": f"engine_{to_info.name}",
-                "detail": (
-                    f"{from_info.name} engine unavailable ({exc}); "
-                    f"continuing on the bit-identical {to_info.name} "
-                    "engine"
-                ),
-            }
-        )
-        warnings.warn(
-            f"{from_info.name} simulation engine failed ({exc}); "
-            f"degrading to the {to_info.name} engine with identical "
-            "results",
-            RuntimeWarning,
-            stacklevel=4,
-        )
 
     def _make_simulator(
         self,
@@ -570,57 +660,6 @@ class LeakageEvaluator:
             "stats": slice_stats(self.dut.netlist, roots).to_dict(),
         }
 
-    # --------------------------------------------------------- key extraction
-
-    def _raw_keys(
-        self,
-        trace: Trace,
-        probe_class: ProbeClass,
-        eval_cycles: List[int],
-        bit_cache: Optional[Dict[Tuple[int, int], np.ndarray]] = None,
-    ) -> np.ndarray:
-        """Integer-encode the probe observation per lane per window.
-
-        ``bit_cache`` (keyed by ``(cycle, net)``) shares the unpacked,
-        uint64-widened per-lane bits of a stable net across every probe
-        class that observes it -- probe supports overlap heavily, so batched
-        evaluation unpacks each recorded net once per block instead of once
-        per class.
-        """
-        n_lanes = trace.n_lanes
-        hamming = self.observation == "hamming"
-        keys_per_window = []
-        for t in eval_cycles:
-            key = np.zeros(n_lanes, dtype=np.uint64)
-            position = 0
-            for back in probe_class.cycles_back:
-                cycle = t - back
-                for net in probe_class.support:
-                    wide = (
-                        None if bit_cache is None
-                        else bit_cache.get((cycle, net))
-                    )
-                    if wide is None:
-                        wide = unpack_lanes(
-                            trace.words(cycle, net), n_lanes
-                        ).astype(np.uint64)
-                        if bit_cache is not None:
-                            bit_cache[(cycle, net)] = wide
-                    if hamming:
-                        key += wide
-                    else:
-                        key |= wide << np.uint64(position)
-                        position += 1
-            keys_per_window.append(key)
-        return np.concatenate(keys_per_window)
-
-    def _bucket(self, keys: np.ndarray, observation_bits: int) -> np.ndarray:
-        if self.observation == "hamming":
-            return keys  # at most observation_bits + 1 categories
-        if observation_bits > self.hash_bits:
-            return _mix_hash(keys) >> np.uint64(64 - self.hash_bits)
-        return keys
-
     # --------------------------------------------------- unified entry point
 
     def accumulate(
@@ -636,20 +675,15 @@ class LeakageEvaluator:
         pairs: Sequence[Tuple[int, int]] = (),
         pair_offsets: Sequence[int] = (0,),
         blocks: Optional[Iterable[int]] = None,
-        batched: bool = True,
     ) -> None:
         """Accumulate observations for any probe selection into ``acc``.
 
-        The single public accumulation entry point (the former
-        ``accumulate_first_order`` / ``accumulate_batched`` pair was
-        removed after its deprecation cycle).  Per block both groups are
-        simulated a
-        single time, and all first-order classes (table ids ``c<i>``) plus
-        all probe-pair tables (``p<i>:<j>:<delta>``, indices into the
-        evaluator's own probe classes) are evaluated against the same
-        recorded trace.  Raw per-class observation keys are computed once
-        per (class, offset) and reused across every pair that touches the
-        class.
+        Per block both groups are simulated a single time, and all
+        first-order classes (table ids ``c<i>``) plus all probe-pair
+        tables (``p<i>:<j>:<delta>``, indices into the evaluator's own
+        probe classes) are evaluated against the same recorded trace.
+        Raw per-class observation keys are computed once per (class,
+        offset) and reused across every pair that touches the class.
 
         Probe selection, in precedence order:
 
@@ -672,10 +706,7 @@ class LeakageEvaluator:
         running the modes separately.  A non-zero offset lengthens the
         warm-up margin for the whole batch, which shifts the first-order
         observation cycles relative to a dedicated margin-0 run (same
-        distribution, different samples).  ``batched=False`` disables
-        shared-trace batching and processes each probe set in its own pass
-        over the blocks -- same tables, one simulation per probe set; it
-        exists to measure exactly what batching saves.
+        distribution, different samples).
         """
         if spec is not None:
             fixed_secret = spec.fixed_secret
@@ -706,41 +737,6 @@ class LeakageEvaluator:
             )
             class_indices = list(range(len(classes)))
         pairs = list(pairs)
-        if not batched:
-            blocks = (
-                list(blocks)
-                if blocks is not None
-                else list(range(self.block_count(n_lanes)))
-            )
-            for index, probe_class in zip(class_indices, classes):
-                self._accumulate_batch(
-                    acc, fixed_secret, n_lanes, n_windows,
-                    [probe_class], [index], [], pair_offsets, blocks,
-                )
-            for pair in pairs:
-                self._accumulate_batch(
-                    acc, fixed_secret, n_lanes, n_windows,
-                    [], [], [pair], pair_offsets, blocks,
-                )
-            return
-        self._accumulate_batch(
-            acc, fixed_secret, n_lanes, n_windows,
-            classes, class_indices, pairs, pair_offsets, blocks,
-        )
-
-    def _accumulate_batch(
-        self,
-        acc: HistogramAccumulator,
-        fixed_secret: int,
-        n_lanes: int,
-        n_windows: int,
-        classes: Sequence[ProbeClass],
-        class_indices: Sequence[int],
-        pairs: Sequence[Tuple[int, int]],
-        pair_offsets: Sequence[int],
-        blocks: Optional[Iterable[int]],
-    ) -> None:
-        """Shared-trace core: one simulation per block, all probe sets."""
         if pairs:
             offsets, eval_cycles, n_cycles, record_cycles = (
                 self._pair_schedule(n_windows, pair_offsets)
@@ -749,7 +745,6 @@ class LeakageEvaluator:
             offsets = []
             eval_cycles, n_cycles = self._schedule(n_windows)
             record_cycles = self._record_cycles(eval_cycles)
-        all_classes = self.probe_classes
         keep_nets = None
         record_nets = None
         if self.slice_cones:
@@ -763,49 +758,50 @@ class LeakageEvaluator:
         if blocks is None:
             blocks = range(self.block_count(n_lanes))
         stage = self.stage_seconds
+        hamming = self.observation == "hamming"
+        # One CountSpec per observed (probe class, offset): first-order
+        # tables observe offset 0, and the second class of a pair sits
+        # ``delta`` cycles earlier.
+        all_classes = self.probe_classes
+        observed = (
+            {(probe_class, 0) for probe_class in classes}
+            | {(all_classes[i], 0) for i, _ in pairs}
+            | {(all_classes[j], delta) for _, j in pairs for delta in offsets}
+        )
+        specs = {
+            (probe_class, delta): _count_spec(
+                probe_class,
+                [t - delta for t in eval_cycles],
+                self._bucket_bits,
+            )
+            for probe_class, delta in observed
+        }
+        class_specs = [specs[(probe_class, 0)] for probe_class in classes]
         # In-kernel pipeline fast path: whole block (stimulus, simulate,
         # extract, histogram) in C, folding ready-made count tables into
         # ``acc`` -- bit-identical to the python path below (same tables;
-        # see tests/test_native_pipeline.py).  Applies to first-order
-        # tuple observations on sliced cones under the native engine;
-        # anything else (pairs, hamming, very wide hash_bits, missing
-        # toolchain) runs the python path, and a mid-campaign failure
-        # degrades per evaluator, re-running the failed block in python.
+        # see tests/test_native_pipeline.py).  The kernel counts tuple
+        # observations only; pairs and Hamming weights run the python
+        # path, and a mid-campaign failure degrades per evaluator,
+        # re-running the failed block in python.
         use_pipeline = (
             not pairs
-            and bool(classes)
-            and self.observation == "tuple"
-            and self.hash_bits <= 16
-            and record_nets is not None
-            and self._pipeline_supported()
+            and not hamming
+            and self._pipeline_ready(class_specs, record_nets)
         )
-        pipeline_tests = None
         pipeline_sims: Dict[int, object] = {}
         for block in blocks:
             lane_count = self._block_lane_count(n_lanes, block)
             if use_pipeline:
                 try:
-                    if pipeline_tests is None:
-                        pipeline_tests = self._count_specs(
-                            classes, eval_cycles
-                        )
                     self._pipeline_block(
                         acc, fixed_secret, lane_count, block, n_cycles,
                         record_cycles, keep_nets, record_nets,
-                        class_indices, pipeline_tests, pipeline_sims,
+                        class_indices, class_specs, pipeline_sims,
                     )
                     continue
                 except SimulationError as exc:
-                    self.degradations.append(
-                        {
-                            "kind": "pipeline_python",
-                            "detail": (
-                                f"in-kernel pipeline failed ({exc}); "
-                                "continuing on the bit-identical python "
-                                "extraction path"
-                            ),
-                        }
-                    )
+                    self._pipeline_failed(exc)
                     use_pipeline = False
             t0 = perf_counter()
             trace_fixed, trace_random = self._simulate_block(
@@ -813,36 +809,35 @@ class LeakageEvaluator:
                 keep_nets=keep_nets, record_nets=record_nets,
             )
             stage["simulate"] += perf_counter() - t0
-            # Per-group memoization shared by every probe set this block:
+            # Per-group memoization shared by every table this block:
             # raw keys per (class, offset), unpacked bits per (cycle, net).
             raw_fixed: Dict[Tuple[ProbeClass, int], np.ndarray] = {}
             raw_random: Dict[Tuple[ProbeClass, int], np.ndarray] = {}
             bits_fixed: Dict[Tuple[int, int], np.ndarray] = {}
             bits_random: Dict[Tuple[int, int], np.ndarray] = {}
 
-            def raw(group_cache, bit_cache, trace, probe_class, delta):
+            def raw(memo, bit_cache, trace, probe_class, delta):
                 key = (probe_class, delta)
-                if key not in group_cache:
-                    cycles = (
-                        [t - delta for t in eval_cycles]
-                        if delta
-                        else eval_cycles
-                    )
+                keys = memo.get(key)
+                if keys is None:
                     t0 = perf_counter()
-                    group_cache[key] = self._raw_keys(
-                        trace, probe_class, cycles, bit_cache=bit_cache
+                    keys = _observe(
+                        trace, specs[key], bit_cache, hamming, raw=True
                     )
+                    memo[key] = keys
                     stage["extract"] += perf_counter() - t0
-                return group_cache[key]
+                return keys
 
-            for index, probe_class in zip(class_indices, classes):
-                keys_fixed = self._bucket(
+            for index, probe_class, spec in zip(
+                class_indices, classes, class_specs
+            ):
+                keys_fixed = _bucket(
                     raw(raw_fixed, bits_fixed, trace_fixed, probe_class, 0),
-                    probe_class.observation_bits,
+                    spec.hashed, spec.n_bins,
                 )
-                keys_random = self._bucket(
+                keys_random = _bucket(
                     raw(raw_random, bits_random, trace_random, probe_class, 0),
-                    probe_class.observation_bits,
+                    spec.hashed, spec.n_bins,
                 )
                 t0 = perf_counter()
                 acc.add(f"c{index}", keys_fixed, HistogramAccumulator.GROUP_FIXED)
@@ -881,47 +876,6 @@ class LeakageEvaluator:
 
     # ------------------------------------------------------ in-kernel blocks
 
-    def _pipeline_supported(self) -> bool:
-        """True when the in-kernel pipeline can run for this evaluator."""
-        if self.engine != "native":
-            return False
-        try:
-            from repro.netlist.native import pipeline_available
-        except ImportError:
-            return False
-        return pipeline_available()
-
-    def _count_specs(self, classes, eval_cycles):
-        """One in-kernel CountSpec per probe class.
-
-        Bit positions follow :meth:`_raw_keys` exactly (``for back in
-        cycles_back: for net in support``); observation windows become
-        segments of one count table (the histogram of a concatenation is
-        the sum of per-window histograms); hashing mirrors
-        :meth:`_bucket`'s ``observation_bits > hash_bits`` rule.
-        """
-        from repro.netlist.native import CountSpec
-
-        specs = []
-        for probe_class in classes:
-            segments = []
-            for t in eval_cycles:
-                bits = []
-                position = 0
-                for back in probe_class.cycles_back:
-                    for net in probe_class.support:
-                        bits.append((t - back, net, position))
-                        position += 1
-                segments.append(tuple(bits))
-            hashed = probe_class.observation_bits > self.hash_bits
-            key_bits = (
-                self.hash_bits if hashed else probe_class.observation_bits
-            )
-            specs.append(
-                CountSpec(tuple(segments), hashed, 1 << key_bits)
-            )
-        return specs
-
     def _pipeline_block(
         self,
         acc: HistogramAccumulator,
@@ -933,7 +887,7 @@ class LeakageEvaluator:
         keep_nets: Sequence[int],
         record_nets: Sequence[int],
         class_indices: Sequence[int],
-        tests,
+        specs,
         sims: Dict[int, object],
     ) -> None:
         """One sampling block entirely in the native kernel.
@@ -980,7 +934,7 @@ class LeakageEvaluator:
         ):
             counts, timings = sim.run_pipeline(
                 plan, n_cycles, record_nets, record_cycles,
-                tests, self.hash_bits,
+                specs, self.hash_bits,
             )
             for name, seconds in timings.items():
                 stage[name] += seconds
@@ -1204,7 +1158,8 @@ class LeakageEvaluator:
         bits_a: int,
         bits_b: int,
     ) -> np.ndarray:
-        """Joint observation key of two probes, bucketed as needed."""
+        """Joint observation key of two probes' raw keys, bucketed by
+        the rule of :func:`_table_shape` on the joint width."""
         total_bits = bits_a + bits_b
         if total_bits <= 63:
             joint = keys_a | (keys_b << np.uint64(bits_a))
@@ -1214,7 +1169,7 @@ class LeakageEvaluator:
             joint = _mix_hash(keys_a) ^ (
                 _mix_hash(keys_b ^ np.uint64(0xA5A5A5A5A5A5A5A5))
             )
-        return self._bucket(joint, total_bits)
+        return _bucket(joint, *_table_shape(total_bits, self._bucket_bits))
 
     # -------------------------------------------------------------- helpers
 

@@ -42,6 +42,7 @@ from repro import engines as engine_registry
 from repro.errors import ExactAnalysisInfeasible, SimulationError
 from repro.leakage import gtest
 from repro.leakage.dut import DesignUnderTest
+from repro.leakage.evaluator import _count_spec, _observe
 from repro.leakage.model import ProbingModel
 from repro.leakage.probes import ProbeClass, extract_probe_classes
 from repro.leakage.report import SCHEMA_VERSION
@@ -314,7 +315,7 @@ class EnumerationSetup:
         )
 
 
-class ExactAnalyzer:
+class ExactAnalyzer(engine_registry.EngineOwner):
     """Exhaustive per-secret distribution analysis of probe classes."""
 
     def __init__(
@@ -332,29 +333,12 @@ class ExactAnalyzer:
         # Simulation engine for shard enumeration, resolved through
         # repro.engines; every registered engine is bit-identical, so
         # shard counts (and hence certificates) never depend on it.
-        engine_registry.get_engine(engine)
-        self.engine = engine
-        #: degradation-ladder steps taken while building shard simulators.
-        self.degradations: List[Dict[str, str]] = []
+        self._init_engine(engine)
         self.probe_classes, self.wide_classes = extract_probe_classes(
             dut.netlist, model, max_support_bits=40
         )
         self._roles = self._build_role_map()
         self._setups: Dict[ProbeClass, EnumerationSetup] = {}
-
-    def _on_degrade(self, from_info, to_info, exc) -> None:
-        """Record one engine degradation rung permanently (provenance)."""
-        self.engine = to_info.name
-        self.degradations.append(
-            {
-                "kind": f"engine_{to_info.name}",
-                "detail": (
-                    f"{from_info.name} engine unavailable ({exc}); "
-                    f"continuing on the bit-identical {to_info.name} "
-                    "engine"
-                ),
-            }
-        )
 
     # ------------------------------------------------------------- role map
 
@@ -609,19 +593,19 @@ class ExactAnalyzer:
             lane_rows = lane_rows[valid]
 
         results = []
+        # Unhashed keys on the narrowest dtype; one bit cache per dtype.
+        bit_caches: Dict[np.dtype, Dict] = {}
         for probe_class in probe_classes:
-            width = probe_class.observation_bits
-            keys = np.zeros(n_lanes, dtype=np.min_scalar_type((1 << width) - 1))
-            position = 0
-            for back in probe_class.cycles_back:
-                cycle = observe_cycle - back
-                for net in probe_class.support:
-                    bits = unpack_lanes(trace.words(cycle, net), n_lanes)
-                    keys |= bits.astype(keys.dtype, copy=False) << position
-                    position += 1
+            spec = _count_spec(probe_class, [observe_cycle], None)
+            dtype = np.min_scalar_type(spec.n_bins - 1)
+            keys = _observe(
+                trace, spec, bit_caches.setdefault(dtype, {}), dtype=dtype
+            )
             if valid is not None:
                 keys = keys[valid]
-            results.append(_count_lanes(keys, lane_rows, width, u))
+            results.append(
+                _count_lanes(keys, lane_rows, probe_class.observation_bits, u)
+            )
         return results
 
     def finalize(

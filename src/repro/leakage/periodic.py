@@ -28,22 +28,22 @@ import numpy as np
 
 from repro import engines as engine_registry
 from repro.errors import SimulationError
-from repro.leakage.evaluator import _mix_hash
+from repro.leakage.evaluator import _check_hash_bits, _count_spec, _observe
 from repro.leakage.gtest import (
     DEFAULT_THRESHOLD,
     g_test_batch,
     g_test_counts_batch,
 )
 from repro.leakage.model import ProbingModel
-from repro.leakage.probes import ProbeClass, extract_probe_classes
+from repro.leakage.probes import extract_probe_classes
 from repro.leakage.report import LeakageReport, ProbeResult
 from repro.netlist.core import Netlist
-from repro.netlist.simulate import Trace, unpack_lanes
+from repro.netlist.simulate import Trace
 
 Stimulus = Callable[[int], Dict[int, np.ndarray]]
 
 
-class PeriodicLeakageEvaluator:
+class PeriodicLeakageEvaluator(engine_registry.EngineOwner):
     """Fixed-vs-random test for designs driven by a periodic protocol."""
 
     def __init__(
@@ -58,6 +58,7 @@ class PeriodicLeakageEvaluator:
         control_schedule: Optional[Mapping[int, Sequence[int]]] = None,
         engine: str = engine_registry.DEFAULT_ENGINE,
     ):
+        _check_hash_bits(hash_bits)
         self.netlist = netlist
         self.period = period
         self.model = model
@@ -66,10 +67,7 @@ class PeriodicLeakageEvaluator:
         # repro.engines with the standard degradation ladder; the
         # scheduled-cone path has its own dispatch machinery and ignores
         # it.  All engines are bit-identical.
-        engine_registry.get_engine(engine)
-        self.engine = engine
-        #: degradation-ladder steps taken while building simulators.
-        self.degradations: List[Dict[str, str]] = []
+        self._init_engine(engine)
         # Simulate only the fan-in cone of the probe supports
         # (bit-identical; see repro.netlist.slice).  A recirculating core
         # defeats the static cone -- its state registers feed themselves,
@@ -100,20 +98,6 @@ class PeriodicLeakageEvaluator:
             max_support_bits=max_support_bits,
         )
 
-    def _on_degrade(self, from_info, to_info, exc) -> None:
-        """Record one engine degradation rung permanently (provenance)."""
-        self.engine = to_info.name
-        self.degradations.append(
-            {
-                "kind": f"engine_{to_info.name}",
-                "detail": (
-                    f"{from_info.name} engine unavailable ({exc}); "
-                    f"continuing on the bit-identical {to_info.name} "
-                    "engine"
-                ),
-            }
-        )
-
     def evaluate(
         self,
         stimulus_fixed: Stimulus,
@@ -130,18 +114,31 @@ class PeriodicLeakageEvaluator:
         Samples per test = ``n_lanes * n_periods`` (periods are independent
         because each consumes fresh inputs and randomness).  ``phases`` are
         cycle offsets within a period (e.g. the cycles during which a
-        particular pipeline stage processes round-1 data).
+        particular pipeline stage processes round-1 data).  The report's
+        ``degradations`` list every fall-back this evaluator has taken
+        (provenance, left out of the default JSON).
         """
-        max_back = max(self.model.cycles_back)
-        observe_cycles: List[int] = []
-        record: set = set()
-        for period_index in range(warmup_periods, warmup_periods + n_periods):
-            for phase in phases:
-                t = period_index * self.period + phase
-                observe_cycles.append(t)
-                for back in self.model.cycles_back:
-                    record.add(t - back)
+        periods = range(warmup_periods, warmup_periods + n_periods)
+        phase_cycles = {
+            phase: [p * self.period + phase for p in periods]
+            for phase in phases
+        }
+        observe_cycles = [t for ts in phase_cycles.values() for t in ts]
+        record = {
+            t - back for t in observe_cycles for back in self.model.cycles_back
+        }
         n_cycles = max(observe_cycles) + 1
+        labels = [
+            (probe_class, phase)
+            for probe_class in self.probe_classes
+            for phase in phases
+        ]
+        # One CountSpec per (probe class, phase) test; periods are its
+        # segments.  Both groups and both executors count the same specs.
+        specs = [
+            _count_spec(probe_class, phase_cycles[phase], self.hash_bits)
+            for probe_class, phase in labels
+        ]
 
         keep_nets = None
         record_nets = None
@@ -165,16 +162,12 @@ class PeriodicLeakageEvaluator:
         # the dense bincount path, and the cones were sliced (so the
         # record-net list is explicit).  It is bit-identical to the
         # python path; anything missing degrades gracefully below.
-        pipeline_ready = (
-            record_nets is not None
-            and self.hash_bits <= 16
-            and self._plan_ready(stimulus_fixed)
-            and self._plan_ready(stimulus_random)
+        pipeline_ready = self._pipeline_ready(
+            specs, record_nets, (stimulus_fixed, stimulus_random)
         )
         traces: List[Trace] = []
-        pipeline_sim = None
-        pipeline_scheduled = False
-        if keep_nets is not None and self.control_schedule is not None:
+        scheduled = keep_nets is not None and self.control_schedule is not None
+        if scheduled:
             from repro.netlist.slice import ScheduledSimulator
 
             schedule = {
@@ -197,24 +190,16 @@ class PeriodicLeakageEvaluator:
                     )
                     sched_engine = "native"
                 except (ImportError, SimulationError) as exc:
-                    self.degradations.append(
-                        {
-                            "kind": "scheduled_python",
-                            "detail": (
-                                f"native scheduled kernel unavailable "
-                                f"({exc}); continuing on the "
-                                "bit-identical python scheduled path"
-                            ),
-                        }
+                    self._degrade(
+                        "scheduled_python",
+                        "native scheduled kernel unavailable", exc,
+                        "python scheduled path",
                     )
             if simulator is None:
                 simulator = ScheduledSimulator(
                     self.netlist, n_lanes, keep_nets,
                     record, n_cycles, schedule,
                 )
-            if sched_engine == "native" and pipeline_ready:
-                pipeline_sim = simulator
-                pipeline_scheduled = True
 
             def trace_runner(stimulus):
                 return simulator.run(stimulus)
@@ -232,12 +217,6 @@ class PeriodicLeakageEvaluator:
                 record_nets=record_nets,
                 on_degrade=self._on_degrade,
             )
-            if (
-                info.name == "native"
-                and pipeline_ready
-                and hasattr(simulator, "run_pipeline")
-            ):
-                pipeline_sim = simulator
 
             def trace_runner(stimulus):
                 return simulator.run(
@@ -266,26 +245,21 @@ class PeriodicLeakageEvaluator:
                 pc.member_names(self.netlist) for pc in self.skipped_classes
             ],
         )
-        labels = [
-            (probe_class, phase)
-            for probe_class in self.probe_classes
-            for phase in phases
-        ]
 
         outcomes = None
-        if pipeline_sim is not None:
+        # Only the native simulators (static or scheduled) offer it.
+        if pipeline_ready and hasattr(simulator, "run_pipeline"):
             try:
-                tests = self._count_specs(labels, warmup_periods, n_periods)
                 group_counts = []
                 for plan in (stimulus_fixed, stimulus_random):
-                    if pipeline_scheduled:
-                        counts, timings = pipeline_sim.run_pipeline(
-                            plan, record_nets, tests, self.hash_bits
+                    if scheduled:
+                        counts, timings = simulator.run_pipeline(
+                            plan, record_nets, specs, self.hash_bits
                         )
                     else:
-                        counts, timings = pipeline_sim.run_pipeline(
+                        counts, timings = simulator.run_pipeline(
                             plan, n_cycles, record_nets, record,
-                            tests, self.hash_bits,
+                            specs, self.hash_bits,
                         )
                     group_counts.append(counts)
                     for name, seconds in timings.items():
@@ -297,16 +271,7 @@ class PeriodicLeakageEvaluator:
                 stage["histogram"] += perf_counter() - t0
                 self.last_slice_info["pipeline"] = True
             except SimulationError as exc:
-                self.degradations.append(
-                    {
-                        "kind": "pipeline_python",
-                        "detail": (
-                            f"in-kernel pipeline failed ({exc}); "
-                            "continuing on the bit-identical python "
-                            "extraction path"
-                        ),
-                    }
-                )
+                self._pipeline_failed(exc)
                 outcomes = None
 
         if outcomes is None:
@@ -327,21 +292,11 @@ class PeriodicLeakageEvaluator:
                 # and freed before the next is built (thousands of
                 # tests at thousands of lanes would otherwise pin
                 # 100s of MB).
-                for probe_class, phase in labels:
-                    cycles = [
-                        (warmup_periods + k) * self.period + phase
-                        for k in range(n_periods)
-                    ]
+                for spec in specs:
                     t0 = perf_counter()
                     pair = (
-                        self._keys(
-                            trace_fixed, probe_class, cycles,
-                            bit_cache_fixed,
-                        ),
-                        self._keys(
-                            trace_random, probe_class, cycles,
-                            bit_cache_random,
-                        ),
+                        self._keys(trace_fixed, spec, bit_cache_fixed),
+                        self._keys(trace_random, spec, bit_cache_random),
                     )
                     stage["extract"] += perf_counter() - t0
                     yield pair
@@ -369,82 +324,9 @@ class PeriodicLeakageEvaluator:
                     leaking=outcome.is_leaking(threshold),
                 )
             )
+        report.degradations = list(self.degradations)
         return report
 
-    @staticmethod
-    def _plan_ready(stimulus: Stimulus) -> bool:
-        """True when the stimulus is a plan the kernel can execute.
-
-        The plan must expose a fresh PCG64 snapshot (``rng_state``
-        raises once the python interpreter has consumed from the
-        stream, or when the generator is not PCG64).
-        """
-        rng_state = getattr(stimulus, "rng_state", None)
-        if rng_state is None:
-            return False
-        try:
-            rng_state()
-        except Exception:
-            return False
-        return True
-
-    def _count_specs(self, labels, warmup_periods: int, n_periods: int):
-        """One CountSpec per (probe class, phase) test.
-
-        Bit positions follow :meth:`_keys` exactly (``for back in
-        cycles_back: for net in support``), periods become segments of
-        the same count table (the histogram of a concatenation is the
-        sum of per-segment histograms), and hashing mirrors the
-        ``observation_bits > hash_bits`` rule.
-        """
-        from repro.netlist.native import CountSpec
-
-        specs = []
-        for probe_class, phase in labels:
-            segments = []
-            for k in range(n_periods):
-                t = (warmup_periods + k) * self.period + phase
-                bits = []
-                position = 0
-                for back in probe_class.cycles_back:
-                    for net in probe_class.support:
-                        bits.append((t - back, net, position))
-                        position += 1
-                segments.append(tuple(bits))
-            hashed = probe_class.observation_bits > self.hash_bits
-            key_bits = (
-                self.hash_bits if hashed else probe_class.observation_bits
-            )
-            specs.append(
-                CountSpec(tuple(segments), hashed, 1 << key_bits)
-            )
-        return specs
-
-    def _keys(
-        self,
-        trace: Trace,
-        probe_class: ProbeClass,
-        cycles: List[int],
-        bit_cache: Optional[Dict] = None,
-    ) -> np.ndarray:
-        if bit_cache is None:
-            bit_cache = {}
-        segments = []
-        for t in cycles:
-            key = np.zeros(trace.n_lanes, dtype=np.uint64)
-            position = 0
-            for back in probe_class.cycles_back:
-                for net in probe_class.support:
-                    bits = bit_cache.get((t - back, net))
-                    if bits is None:
-                        bits = unpack_lanes(
-                            trace.words(t - back, net), trace.n_lanes
-                        ).astype(np.uint64)
-                        bit_cache[(t - back, net)] = bits
-                    key |= bits << np.uint64(position)
-                    position += 1
-            segments.append(key)
-        keys = np.concatenate(segments)
-        if probe_class.observation_bits > self.hash_bits:
-            keys = _mix_hash(keys) >> np.uint64(64 - self.hash_bits)
-        return keys
+    def _keys(self, trace: Trace, spec, bit_cache: Dict) -> np.ndarray:
+        """One test's bucketed keys on ``trace`` (the numpy executor)."""
+        return _observe(trace, spec, bit_cache)

@@ -1462,15 +1462,22 @@ def pipeline_available() -> bool:
 
 
 class CountSpec(NamedTuple):
-    """One histogram test for the fused extraction kernel.
+    """What one histogram test observes: the only description of it.
 
     ``segments`` is a tuple of key segments; each segment is a tuple of
     ``(cycle, net, position)`` bit sources OR'ed into the per-lane key
     (``key |= bit << position``), and every segment's keys accumulate
     into the same count table (the histogram of a concatenation is the
-    sum of per-segment histograms).  ``hashed`` applies the SplitMix64
-    bucketing of ``repro.leakage.evaluator._mix_hash``; ``n_bins`` is
-    the dense table width (``1 << key_bits``).
+    sum of per-segment histograms).  ``hashed`` buckets each key into
+    the top ``log2(n_bins)`` bits of the SplitMix64 mix
+    ``repro.leakage.evaluator._mix_hash``; ``n_bins`` is the dense table
+    width (``1 << key_bits``).
+
+    Specs of probe observations come from one builder,
+    ``repro.leakage.evaluator._count_spec`` (key layout and bucketing
+    rule), and have two bit-identical executors: this module's
+    ``repro_extract`` (via ``run_pipeline``) and the numpy
+    ``repro.leakage.evaluator._observe``.
     """
 
     segments: tuple

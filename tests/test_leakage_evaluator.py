@@ -1,12 +1,18 @@
 """Tests for the Monte-Carlo fixed-vs-random evaluator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core.kronecker import build_kronecker_delta
 from repro.core.optimizations import RandomnessScheme
 from repro.errors import SimulationError
-from repro.leakage.evaluator import LeakageEvaluator, _mix_hash
+from repro.leakage.evaluator import (
+    HistogramAccumulator,
+    LeakageEvaluator,
+    _mix_hash,
+)
 from repro.leakage.model import ProbingModel
 
 N_SIMS = 30_000  # leaks under test are enormous; modest N suffices
@@ -159,3 +165,76 @@ class TestHashing:
             fixed_secret=1, n_simulations=4_000, probe_classes=[wide]
         )
         assert report.results[0].dof < 1 << 10
+
+    @pytest.mark.parametrize("hash_bits", [0, -3, 65, 10.0])
+    def test_hash_bits_outside_1_to_64_rejected(
+        self, kronecker_eq6, hash_bits
+    ):
+        """A zero or negative width used to shift every hashed key to
+        bin 0 -- a false PASS on the leaky eq6 design -- and 65 raised
+        an untyped OverflowError mid-run."""
+        with pytest.raises(SimulationError, match="hash_bits"):
+            LeakageEvaluator(kronecker_eq6.dut, hash_bits=hash_bits)
+
+    @pytest.mark.parametrize("hash_bits", [1, 64])
+    def test_hash_bits_range_is_inclusive(self, kronecker_eq6, hash_bits):
+        evaluator = LeakageEvaluator(kronecker_eq6.dut, hash_bits=hash_bits)
+        report = evaluator.evaluate(fixed_secret=0, n_simulations=2_000)
+        assert all(r.dof < 1 << hash_bits for r in report.results)
+
+
+def _digest(report) -> str:
+    return hashlib.sha256(report.to_json(top=None).encode()).hexdigest()
+
+
+class TestHammingReportPin:
+    """Byte pins of Hamming-weight reports (kronecker/eq6).
+
+    The weights are sums of the observed bits and are never bucketed,
+    not even above ``hash_bits``.  The tuple pin next to them checks the
+    bucketing of first-order and pair tables at the same small width.
+    """
+
+    def test_first_order_bytes(self, kronecker_eq6):
+        report = LeakageEvaluator(
+            kronecker_eq6.dut, seed=3, observation="hamming"
+        ).evaluate(fixed_secret=0, n_simulations=8_000)
+        assert _digest(report) == (
+            "df77541f02d0ab0575ba361af9dead837d7e318e18fbdb5e58e4e8a3e3e0a6fa"
+        )
+
+    @pytest.mark.parametrize(
+        "observation, digest",
+        [
+            (
+                "hamming",
+                "f3e199183c5d4e1d50e735d1a3bd2de2"
+                "fc553335ff74b5dfc78bbe04a54b858f",
+            ),
+            (
+                "tuple",
+                "95e849b694952621ccc52ab252a26f5d"
+                "7f120a95f2e8022e1838ba4d926b6b1b",
+            ),
+        ],
+    )
+    def test_batched_pairs_bytes_at_four_hash_bits(
+        self, kronecker_eq6, observation, digest
+    ):
+        evaluator = LeakageEvaluator(
+            kronecker_eq6.dut, ProbingModel.GLITCH_TRANSITION, seed=3,
+            observation=observation, hash_bits=4,
+        )
+        assert max(
+            pc.observation_bits for pc in evaluator.probe_classes
+        ) > 4
+        acc = HistogramAccumulator()
+        pairs = evaluator.select_pairs(12, 1)
+        n_lanes = evaluator.n_lanes_for(6_000, 2)
+        evaluator.accumulate(
+            acc, 0, n_lanes, 2, pairs=pairs, pair_offsets=(0, 1)
+        )
+        report = evaluator.batched_report(
+            acc, 0, n_lanes * 2, pairs, (0, 1)
+        )
+        assert _digest(report) == digest

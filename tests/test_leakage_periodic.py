@@ -9,6 +9,7 @@ from repro.core.aes_core import (
     build_masked_aes_core,
 )
 from repro.core.optimizations import RandomnessScheme
+from repro.errors import SimulationError
 from repro.leakage.model import ProbingModel
 from repro.leakage.periodic import PeriodicLeakageEvaluator
 
@@ -75,3 +76,21 @@ class TestFullCoreLeakage:
         assert any("@phase4" in r.probe_names for r in report.results)
         # every probe class evaluated once per phase
         assert len(report.results) % 2 == 0
+
+
+class TestConfiguration:
+    @pytest.mark.parametrize("hash_bits", [0, -3, 65, 10.0])
+    def test_hash_bits_outside_1_to_64_rejected(
+        self, kronecker_eq6, hash_bits
+    ):
+        with pytest.raises(SimulationError, match="hash_bits"):
+            PeriodicLeakageEvaluator(
+                kronecker_eq6.dut.netlist, 4, hash_bits=hash_bits
+            )
+
+    @pytest.mark.parametrize("hash_bits", [1, 64])
+    def test_hash_bits_range_is_inclusive(self, kronecker_eq6, hash_bits):
+        evaluator = PeriodicLeakageEvaluator(
+            kronecker_eq6.dut.netlist, 4, hash_bits=hash_bits
+        )
+        assert evaluator.hash_bits == hash_bits

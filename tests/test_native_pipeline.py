@@ -7,8 +7,9 @@ Every stage claims bit-compatibility with the Python path it replaces:
 * stimulus plans executed in C consume the PCG64 stream exactly as the
   Python interpreter does (``repro.leakage.stimplan``);
 * the extraction kernel's three dispatch paths (popcount histogram,
-  64x64 transpose, fused scalar) all produce ``numpy.bincount`` of the
-  Python path's observation keys;
+  64x64 transpose, fused scalar) and the evaluators' numpy executor of
+  the same :class:`CountSpec` all produce ``numpy.bincount`` of the
+  reference observation keys;
 * dense count tables fold into :class:`HistogramAccumulator` exactly
   like raw key arrays, and ``g_test_counts_batch`` is bit-identical to
   ``g_test_batch`` on equal tables.
@@ -18,6 +19,8 @@ byte-identical across the engine ladder, so they are tested here
 directly, plus end-to-end through the periodic evaluator and a
 checkpoint/resume campaign with the pipeline active.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from repro.leakage.evaluator import (
     HistogramAccumulator,
     LeakageEvaluator,
     _mix_hash,
+    _observe,
 )
 from repro.leakage.gtest import g_test_batch, g_test_counts_batch
 from repro.leakage.model import ProbingModel
@@ -77,6 +81,12 @@ def _python_counts(trace, n_lanes, spec, hash_bits):
             keys = _mix_hash(keys) >> np.uint64(64 - hash_bits)
         total += np.bincount(keys.astype(np.int64), minlength=spec.n_bins)
     return total
+
+
+def _executor_counts(trace, spec):
+    """The evaluators' numpy executor of ``spec``, histogrammed."""
+    keys = _observe(trace, spec, {})
+    return np.bincount(keys.astype(np.int64), minlength=spec.n_bins)
 
 
 def _input_plan(inputs, n_lanes, seed):
@@ -209,74 +219,110 @@ class TestInKernelStimulus:
 # ------------------------------------- in-kernel extraction + histogram
 
 
-@needs_pipeline
-class TestInKernelExtraction:
-    """run_pipeline counts == bincount of the Python path's keys.
+def _specs(sources, hash_bits):
+    """Specs hitting all three extraction dispatch paths.
 
-    The specs are built to hit all three extraction dispatch paths:
-    narrow contiguous (popcount histogram), wide contiguous (64x64
-    transpose), non-contiguous positions and hashed keys (fused
-    scalar), plus multi-segment accumulation.
+    Narrow contiguous (popcount histogram), wide contiguous (64x64
+    transpose), non-contiguous positions and hashed keys (fused scalar),
+    plus multi-segment accumulation.
+    """
+    specs = []
+    narrow = sources[: min(3, len(sources))]
+    segments = (
+        tuple(
+            (cycle, net, position)
+            for position, (cycle, net) in enumerate(narrow)
+        ),
+        tuple(
+            (cycle, net, position)
+            for position, (cycle, net) in enumerate(reversed(narrow))
+        ),
+    )
+    specs.append(CountSpec(segments, False, 1 << len(narrow)))
+    if len(sources) >= 8:
+        wide = sources[: min(12, len(sources))]
+        specs.append(
+            CountSpec(
+                (
+                    tuple(
+                        (cycle, net, position)
+                        for position, (cycle, net) in enumerate(wide)
+                    ),
+                ),
+                False,
+                1 << len(wide),
+            )
+        )
+        specs.append(
+            CountSpec(
+                (
+                    tuple(
+                        (cycle, net, position)
+                        for position, (cycle, net) in enumerate(wide)
+                    ),
+                ),
+                True,
+                1 << hash_bits,
+            )
+        )
+    if len(sources) >= 2:
+        gappy = sources[: min(4, len(sources))]
+        positions = [0] + [i + 2 for i in range(1, len(gappy))]
+        specs.append(
+            CountSpec(
+                (
+                    tuple(
+                        (cycle, net, position)
+                        for (cycle, net), position in zip(
+                            gappy, positions
+                        )
+                    ),
+                ),
+                False,
+                1 << (positions[-1] + 1),
+            )
+        )
+    return specs
+
+
+class TestNumpyExecutor:
+    """The evaluators' numpy executor == the independent reference.
+
+    Runs without a C toolchain; the in-kernel tests below add
+    ``repro_extract`` as the third executor of the same specs.
     """
 
-    def _specs(self, sources, hash_bits):
-        specs = []
-        narrow = sources[: min(3, len(sources))]
-        segments = (
-            tuple(
-                (cycle, net, position)
-                for position, (cycle, net) in enumerate(narrow)
-            ),
-            tuple(
-                (cycle, net, position)
-                for position, (cycle, net) in enumerate(reversed(narrow))
-            ),
+    @settings(deadline=None, max_examples=10)
+    @given(
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        n_lanes=st.sampled_from([64, 100, 192]),
+    )
+    def test_executor_matches_reference_counts(self, data, seed, n_lanes):
+        nl, inputs, nets = data.draw(random_circuits())
+        record = sorted(set(nets))
+        n_cycles = data.draw(st.integers(2, 5))
+        record_cycles = list(range(n_cycles))
+        hash_bits = 6
+        specs = _specs(
+            [(cycle, net) for cycle in record_cycles for net in record],
+            hash_bits,
         )
-        specs.append(CountSpec(segments, False, 1 << len(narrow)))
-        if len(sources) >= 8:
-            wide = sources[: min(12, len(sources))]
-            specs.append(
-                CountSpec(
-                    (
-                        tuple(
-                            (cycle, net, position)
-                            for position, (cycle, net) in enumerate(wide)
-                        ),
-                    ),
-                    False,
-                    1 << len(wide),
-                )
-            )
-            specs.append(
-                CountSpec(
-                    (
-                        tuple(
-                            (cycle, net, position)
-                            for position, (cycle, net) in enumerate(wide)
-                        ),
-                    ),
-                    True,
-                    1 << hash_bits,
-                )
-            )
-        if len(sources) >= 2:
-            gappy = sources[: min(4, len(sources))]
-            positions = [0] + [i + 2 for i in range(1, len(gappy))]
-            specs.append(
-                CountSpec(
-                    (
-                        tuple(
-                            (cycle, net, position)
-                            for (cycle, net), position in zip(
-                                gappy, positions
-                            )
-                        ),
-                    ),
-                    False,
-                    1 << (positions[-1] + 1),
-                )
-            )
-        return specs
+        trace = CompiledSimulator(nl, n_lanes, keep_nets=record).run(
+            _input_plan(inputs, n_lanes, seed), n_cycles,
+            record_nets=record, record_cycles=record_cycles,
+        )
+        for spec in specs:
+            assert np.array_equal(
+                _executor_counts(trace, spec),
+                _python_counts(trace, n_lanes, spec, hash_bits),
+            ), spec
+
+
+@needs_pipeline
+class TestInKernelExtraction:
+    """run_pipeline counts == bincount of the reference keys == the
+    numpy executor's counts, on specs from :func:`_specs`."""
 
     @settings(deadline=None, max_examples=8)
     @given(
@@ -295,7 +341,7 @@ class TestInKernelExtraction:
         sources = [
             (cycle, net) for cycle in record_cycles for net in record
         ]
-        specs = self._specs(sources, hash_bits)
+        specs = _specs(sources, hash_bits)
 
         # same program, two executors, one PCG64 stream each
         native_plan = _input_plan(inputs, n_lanes, seed)
@@ -316,6 +362,7 @@ class TestInKernelExtraction:
         for spec, table in zip(specs, counts):
             expected = _python_counts(trace, n_lanes, spec, hash_bits)
             assert np.array_equal(table, expected), spec
+            assert np.array_equal(_executor_counts(trace, spec), expected)
             assert int(table.sum()) == n_lanes * len(spec.segments)
 
     @settings(deadline=None, max_examples=6)
@@ -333,7 +380,7 @@ class TestInKernelExtraction:
         sources = [
             (cycle, net) for cycle in record_cycles for net in roots
         ]
-        specs = self._specs(sources, hash_bits)
+        specs = _specs(sources, hash_bits)
 
         native_plan = _input_plan(inputs, n_lanes, seed)
         python_plan = _input_plan(inputs, n_lanes, seed)
@@ -349,6 +396,7 @@ class TestInKernelExtraction:
         for spec, table in zip(specs, counts):
             expected = _python_counts(trace, n_lanes, spec, hash_bits)
             assert np.array_equal(table, expected), spec
+            assert np.array_equal(_executor_counts(trace, spec), expected)
 
     def test_too_wide_segment_raises_not_garbage(self):
         """Keys beyond 64 bits have no dense table; the kernel reports
@@ -463,7 +511,7 @@ class TestEvaluatorPipelineIdentity:
         )
         native = evaluator.evaluate(fixed_secret=0, n_simulations=6000)
         _assert_identical_reports(compiled, native)
-        assert evaluator._pipeline_supported()
+        assert evaluator._pipeline_ready(specs=(), record_nets=())
         assert not any(
             d["kind"] == "pipeline_python" for d in evaluator.degradations
         )
@@ -607,7 +655,7 @@ class TestPipelineDegradation:
         evaluator = LeakageEvaluator(
             kronecker_eq6.dut, seed=11, engine="native"
         )
-        assert not evaluator._pipeline_supported()
+        assert not evaluator._pipeline_ready(specs=(), record_nets=())
         with pytest.warns(RuntimeWarning, match="native"):
             degraded = evaluator.evaluate(fixed_secret=0, n_simulations=6000)
         assert evaluator.stage_seconds["stimulus"] == 0.0
@@ -635,3 +683,36 @@ class TestPipelineDegradation:
             core, harness, probes, "compiled", scheduled=True
         )
         _assert_identical_reports(reference, degraded)
+
+    @pytest.mark.parametrize(
+        "scheduled, kind",
+        [(False, "engine_compiled"), (True, "scheduled_python")],
+    )
+    def test_periodic_report_carries_degradations(
+        self, aes_core_setup, monkeypatch, scheduled, kind
+    ):
+        """The fall-back a periodic run took is its report's provenance:
+        present in ``to_dict(provenance=True)`` and the summary, absent
+        from the default JSON bytes."""
+        core, harness, probes = aes_core_setup
+        monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
+        warns = (
+            contextlib.nullcontext() if scheduled
+            else pytest.warns(RuntimeWarning, match="native")
+        )
+        with warns:
+            evaluator, degraded = _periodic_report(
+                core, harness, probes, "native", scheduled=scheduled
+            )
+        assert kind in [d["kind"] for d in degraded.degradations]
+        assert degraded.degradations == evaluator.degradations
+        assert (
+            degraded.to_dict(provenance=True)["degradations"]
+            == evaluator.degradations
+        )
+        assert f"degraded:     {kind} -- " in degraded.format_summary()
+        _, reference = _periodic_report(
+            core, harness, probes, "compiled", scheduled=scheduled
+        )
+        assert reference.degradations == []
+        assert degraded.to_json(top=None) == reference.to_json(top=None)
