@@ -49,6 +49,7 @@ import os
 import struct
 import tempfile
 import time
+import zipfile
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -68,13 +69,37 @@ from repro.leakage.gtest import DEFAULT_THRESHOLD
 from repro.leakage.parallel import ParallelExecutor, effective_workers
 from repro.leakage.report import LeakageReport
 
-#: Checkpoint format version; bumped on incompatible layout changes.  The
-#: CRC container below is transparent to this version: the NPZ payload
-#: layout is unchanged, and bare legacy NPZ files still load.
-CHECKPOINT_VERSION = 1
+#: Checkpoint format version; bumped on incompatible layout changes.
+#: Version 2 stores the tables as the three packed arrays of
+#: :meth:`HistogramAccumulator.state_arrays`; version 1 (two NPZ members
+#: per table) still loads.  The CRC container below is transparent to
+#: the version, and bare legacy NPZ files still load.
+CHECKPOINT_VERSION = 2
 
 #: Leading magic of the checkpoint integrity container.
 CHECKPOINT_MAGIC = b"RPCKPT01"
+
+
+def _write_npz(file, members: Dict[str, Tuple[type, tuple, list]]) -> None:
+    """An uncompressed NPZ, as ``np.savez`` writes, from member chunks.
+
+    ``members`` maps each array name to ``(dtype, shape, chunks)``: the
+    array is the concatenation of its chunks (see
+    :meth:`HistogramAccumulator.state_members`).  Each chunk is written
+    straight from its buffer, so the packed arrays never exist whole.
+    """
+    with zipfile.ZipFile(file, "w", zipfile.ZIP_STORED, True) as archive:
+        for name, (dtype, shape, chunks) in members.items():
+            header = {
+                "descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
+                "fortran_order": False,
+                "shape": shape,
+            }
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as out:
+                np.lib.format.write_array_header_1_0(out, header)
+                for chunk in chunks:
+                    chunk = np.ascontiguousarray(chunk, dtype=dtype)
+                    out.write(memoryview(chunk).cast("B"))
 
 
 def pack_checkpoint(payload: bytes) -> bytes:
@@ -762,7 +787,7 @@ class EvaluationCampaign:
         kill at any instant leaves at least one intact generation on disk
         -- resume falls back one generation and stays bit-identical.
         """
-        ids, arrays = self.accumulator.state_arrays()
+        ids, members = self.accumulator.state_members()
         meta = {
             "version": CHECKPOINT_VERSION,
             "fingerprint": self.fingerprint(),
@@ -772,15 +797,17 @@ class EvaluationCampaign:
         }
         if self.scheduler is not None:
             meta["adaptive"] = self.scheduler.to_state()
+        meta_bytes = np.frombuffer(json.dumps(meta).encode("utf-8"), np.uint8)
+        members["meta"] = (np.uint8, meta_bytes.shape, [meta_bytes])
+        # The tables stream into the NPZ, which is packed in place, and
+        # each intermediate is dropped once consumed, so at most two
+        # serialized copies of the tables exist at once.
         buffer = io.BytesIO()
-        np.savez(
-            buffer,
-            meta=np.frombuffer(
-                json.dumps(meta).encode("utf-8"), dtype=np.uint8
-            ),
-            **arrays,
-        )
-        blob = pack_checkpoint(buffer.getvalue())
+        _write_npz(buffer, members)
+        del members
+        with buffer.getbuffer() as payload:
+            blob = pack_checkpoint(payload)
+        del buffer
         directory = os.path.dirname(os.path.abspath(path)) or "."
 
         def write_attempt() -> str:
@@ -902,10 +929,10 @@ class EvaluationCampaign:
         try:
             with np.load(io.BytesIO(payload)) as data:
                 meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-                if meta.get("version") != CHECKPOINT_VERSION:
+                if meta.get("version") not in (1, CHECKPOINT_VERSION):
                     raise CheckpointError(
                         f"checkpoint {path!r} has version "
-                        f"{meta.get('version')!r}, expected "
+                        f"{meta.get('version')!r}, expected 1 or "
                         f"{CHECKPOINT_VERSION}"
                     )
                 if meta["fingerprint"] != self.fingerprint():

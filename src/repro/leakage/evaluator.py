@@ -38,7 +38,15 @@ from __future__ import annotations
 
 import itertools
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -59,6 +67,16 @@ from repro.netlist.simulate import Trace, unpack_lanes
 #: invariant under any chunking of blocks -- changing this constant changes
 #: the sampled stimulus and therefore the concrete tables.
 BLOCK_LANES = 4096
+
+#: Widest unhashed key :class:`_CountPlan` counts by popcount.  The minterm
+#: tree holds ``2^bits`` words per plane word, so wider keys are cheaper
+#: as per-lane keys.
+POPCOUNT_MAX_BITS = 4
+
+#: Key elements (specs x segments x lanes, or tree words) per pass of
+#: :class:`_CountPlan`, which bounds its scratch arrays to a few MiB
+#: whatever the spec count.
+PASS_ELEMENTS = 1 << 20
 
 
 def _mix_hash(keys: np.ndarray) -> np.ndarray:
@@ -144,10 +162,12 @@ def _observe(
     raw: bool = False,
     dtype: type = np.uint64,
 ) -> np.ndarray:
-    """Numpy executor of a CountSpec: each lane's bin, segment by segment.
+    """Single-spec numpy executor: each lane's bin, segment by segment.
 
     ``numpy.bincount`` of the result is the count table the C executor
-    (``repro_extract``) returns for the same spec.  ``bit_cache`` (keyed
+    (``repro_extract``) and the batched :class:`_CountPlan` return for
+    the same spec; pair tables, exact shards and wide tables use it
+    because they need the keys themselves.  ``bit_cache`` (keyed
     by ``(cycle, net)``) shares unpacked lane bits across specs: probe
     supports overlap heavily, so each recorded net is unpacked once per
     trace.  ``hamming`` sums the bits instead of placing them (the
@@ -178,6 +198,193 @@ def _observe(
         segments.append(key)
     keys = np.concatenate(segments)
     return keys if raw else _bucket(keys, spec.hashed, spec.n_bins)
+
+
+def _key_dtype(bits: int) -> type:
+    """Narrowest unsigned dtype holding ``bits``-bit keys."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if bits <= np.iinfo(dtype).bits:
+            return dtype
+    return np.uint64
+
+
+class _SpecGroup(NamedTuple):
+    """Specs of one shape that :class:`_CountPlan` counts together."""
+
+    popcount: bool
+    hashed: bool
+    #: row width, and where the group's rows start in the count vector.
+    width: int
+    base: int
+    #: ``(specs, segments, bits)`` plane rows and bit positions.
+    rows: np.ndarray
+    positions: np.ndarray
+    dtype: type
+
+
+class _CountPlan:
+    """Batched numpy executor of a list of CountSpecs.
+
+    :meth:`count` adds every spec's count row -- ``numpy.bincount`` of
+    :func:`_observe` -- into one flat vector, spec ``i`` at
+    ``bounds[i]``, in a few array operations per trace: the numpy twin
+    of ``repro_extract``.  The plan is built once per spec list: the
+    distinct ``(cycle, net)`` planes, and groups of specs with equal key
+    width, segment count, hashing and row width, each counted in one of
+    two ways:
+
+    * unhashed keys of at most :data:`POPCOUNT_MAX_BITS` bits at
+      positions ``0..k-1``: a minterm tree over the packed words (per
+      key bit, ``m & ~b`` and ``m & b``, unused lanes masked off) whose
+      leaf popcounts are the bins -- ``repro_extract``'s popcount path;
+    * everything else: per-lane keys of the whole group, shift-OR'ed in
+      the narrowest dtype (summed for ``hamming``), bucketed by
+      :func:`_bucket`, then one offset ``bincount``.
+
+    Groups run in passes of at most :data:`PASS_ELEMENTS` elements.
+    Rows are ``n_bins`` wide, except that an unhashed Hamming row is
+    ``bits + 1`` wide.  Keys must lie below ``n_bins``, as for
+    ``repro_extract``.
+    """
+
+    def __init__(self, specs: Sequence, hamming: bool = False):
+        planes: Dict[Tuple[int, int], int] = {}
+        # shape -> [(spec index, plane rows, bit positions)]; rows of a
+        # segment shorter than the longest are -1 (the zero plane).
+        members: Dict[tuple, list] = {}
+        for index, spec in enumerate(specs):
+            n_bits = max(map(len, spec.segments), default=0)
+            rows = [
+                [planes.setdefault((c, n), len(planes)) for c, n, _ in seg]
+                + [-1] * (n_bits - len(seg))
+                for seg in spec.segments
+            ]
+            positions = [
+                [p for _, _, p in seg] + [0] * (n_bits - len(seg))
+                for seg in spec.segments
+            ]
+            popcount = (
+                not (hamming or spec.hashed)
+                and n_bits <= POPCOUNT_MAX_BITS
+                and spec.n_bins >= 1 << n_bits
+                and all(p == list(range(n_bits)) for p in positions)
+            )
+            width = (
+                n_bits + 1 if hamming and not spec.hashed else spec.n_bins
+            )
+            key_bits = n_bits.bit_length() if hamming else 1 + max(
+                (max(p, default=0) for p in positions), default=0
+            )
+            shape = (popcount, n_bits, len(spec.segments), spec.hashed,
+                     width, key_bits)
+            members.setdefault(shape, []).append((index, rows, positions))
+        self.hamming = hamming
+        #: distinct ``(cycle, net)`` planes, in stacking order.
+        self.planes = list(planes)
+        #: ``(start, stop)`` of each spec's row in the count vector.
+        self.bounds: List[Tuple[int, int]] = [(0, 0)] * len(specs)
+        #: length of the count vector.
+        self.size = 0
+        groups = []
+        for shape, entries in members.items():
+            popcount, n_bits, n_segments, hashed, width, key_bits = shape
+            rows, positions = (
+                np.array([entry[k] for entry in entries], np.intp).reshape(
+                    len(entries), n_segments, n_bits
+                )
+                for k in (1, 2)
+            )
+            rows[rows < 0] = len(self.planes)
+            for offset, (index, _, _) in enumerate(entries):
+                start = self.size + offset * width
+                self.bounds[index] = (start, start + width)
+            groups.append(_SpecGroup(
+                popcount, hashed, width, self.size, rows, positions,
+                _key_dtype(key_bits),
+            ))
+            self.size += len(entries) * width
+        # Lane-key groups read the unpacked bits of their planes only:
+        # their rows index ``self._lane_planes``.
+        self._lane_planes = np.unique(np.concatenate(
+            [g.rows.ravel() for g in groups if not g.popcount]
+            + [np.zeros(0, np.intp)]
+        ))
+        self._groups = [
+            g if g.popcount
+            else g._replace(rows=np.searchsorted(self._lane_planes, g.rows))
+            for g in groups
+        ]
+
+    def count(
+        self, trace: Trace, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Add ``trace``'s count rows into ``out`` (a new vector if None)."""
+        if out is None:
+            out = np.zeros(self.size, dtype=np.int64)
+        n_lanes = trace.n_lanes
+        n_words = (n_lanes + 63) // 64
+        # One (planes, words) stack; its last row is the zero plane.
+        words = np.zeros((len(self.planes) + 1, n_words), np.uint64)
+        for row, (cycle, net) in enumerate(self.planes):
+            words[row] = trace.words(cycle, net)
+        bits = np.unpackbits(
+            words[self._lane_planes].view(np.uint8), axis=1,
+            count=n_lanes, bitorder="little",
+        )
+        lanemask = np.full(n_words, ~np.uint64(0))
+        if n_lanes % 64:
+            lanemask[-1] = (np.uint64(1) << np.uint64(n_lanes % 64)) - 1
+        for group in self._groups:
+            stop = group.base + len(group.rows) * group.width
+            table = out[group.base:stop].reshape(-1, group.width)
+            if group.popcount:
+                _popcount_rows(words, lanemask, group, table)
+            else:
+                _lane_key_rows(bits, n_lanes, group, self.hamming, table)
+        return out
+
+
+def _popcount_rows(words, lanemask, group: _SpecGroup, table) -> None:
+    """Minterm-tree counts of a popcount group into its table rows."""
+    n_specs, n_segments, n_bits = group.rows.shape
+    n_words = lanemask.size
+    words_per_spec = n_segments * n_words << n_bits
+    step = max(1, PASS_ELEMENTS // max(1, words_per_spec))
+    for start in range(0, n_specs, step):
+        rows = group.rows[start: start + step]
+        tree = np.broadcast_to(lanemask, (1,) + rows.shape[:2] + (n_words,))
+        for e in range(n_bits):
+            plane = words[rows[:, :, e]]
+            tree = np.concatenate([tree & ~plane, tree & plane])
+        counts = np.bitwise_count(tree).sum(axis=(2, 3), dtype=np.int64)
+        table[start: start + step, : 1 << n_bits] += counts.T
+
+
+def _lane_key_rows(
+    bits, n_lanes: int, group: _SpecGroup, hamming: bool, table
+) -> None:
+    """Per-lane keys of a lane-key group, bincounted into its table rows."""
+    n_specs, n_segments, n_bits = group.rows.shape
+    step = max(1, PASS_ELEMENTS // max(1, n_segments * n_lanes))
+    for start in range(0, n_specs, step):
+        stop = min(start + step, n_specs)
+        keys = np.zeros((stop - start, n_segments, n_lanes), group.dtype)
+        for e in range(n_bits):
+            plane = bits[group.rows[start:stop, :, e]]
+            if hamming:
+                keys += plane
+            else:
+                shift = group.positions[start:stop, :, e, None]
+                keys |= plane.astype(group.dtype, copy=False) << shift.astype(
+                    group.dtype
+                )
+        if group.hashed:
+            keys = _bucket(keys.astype(np.uint64), True, group.width)
+        offsets = np.arange(stop - start)[:, None, None] * group.width
+        flat = np.add(keys, offsets, dtype=np.intp, casting="unsafe")
+        table[start:stop] += np.bincount(
+            flat.ravel(), minlength=(stop - start) * group.width
+        ).reshape(-1, group.width)
 
 
 def _capacity(size: int) -> int:
@@ -340,21 +547,52 @@ class HistogramAccumulator:
 
     # -------------------------------------------------------- serialization
 
-    def state_arrays(self) -> Tuple[List[str], Dict[str, np.ndarray]]:
-        """Table ids plus numpy arrays for NPZ checkpointing.
+    def state_members(
+        self,
+    ) -> Tuple[List[str], Dict[str, Tuple[type, tuple, List[np.ndarray]]]]:
+        """The packed state layout as ``name -> (dtype, shape, chunks)``.
 
-        Table ``i`` (in :meth:`table_ids` order) is ``t{i}_keys``, its
-        occupied ``uint64`` keys ascending, and ``t{i}_counts``, their
-        ``(2, n)`` int64 fixed/random counts.
+        Concatenating a member's chunks gives the array of
+        :meth:`state_arrays`.  The chunks are per-table slices, so the
+        checkpoint streams the tables into its NPZ without ever holding
+        the packed arrays whole.
         """
         ids = self.table_ids()
-        arrays: Dict[str, np.ndarray] = {}
-        for i, table_id in enumerate(ids):
-            keys, fixed, random_ = self.counts(table_id)
-            arrays[f"t{i}_keys"] = keys
-            arrays[f"t{i}_counts"] = np.stack(
-                [fixed.astype(np.int64), random_.astype(np.int64)]
-            )
+        tables = []
+        for table_id in ids:
+            keys, counts = self._tables[table_id]
+            cells = np.flatnonzero(counts.any(axis=0))
+            tables.append((
+                cells.astype(np.uint64) if keys is None else keys[cells],
+                counts[:, cells],
+            ))
+        n_keys = np.asarray([k.size for k, _ in tables], dtype=np.int64)
+        size = int(n_keys.sum())
+        return ids, {
+            "keys": (np.uint64, (size,), [k for k, _ in tables]),
+            "counts": (
+                np.int64,
+                (2, size),
+                [c[row] for row in (0, 1) for _, c in tables],
+            ),
+            "n_keys": (np.int64, (len(ids),), [n_keys]),
+        }
+
+    def state_arrays(self) -> Tuple[List[str], Dict[str, np.ndarray]]:
+        """Table ids plus the packed numpy arrays of the tables.
+
+        The occupied cells of every table, in :meth:`table_ids` order:
+        ``keys`` (``uint64``, ascending within a table), ``counts`` (their
+        ``(2, n)`` int64 fixed/random counts) and ``n_keys`` (the cell
+        count of each table, int64).  Checkpoints since version 2, process
+        pool results and fleet ``blocks`` results all carry this layout.
+        """
+        ids, members = self.state_members()
+        arrays = {}
+        for name, (dtype, shape, chunks) in members.items():
+            arrays[name] = np.empty(shape, dtype=dtype)
+            if chunks:
+                np.concatenate(chunks, out=arrays[name].reshape(-1))
         return ids, arrays
 
     @classmethod
@@ -363,21 +601,38 @@ class HistogramAccumulator:
     ) -> "HistogramAccumulator":
         """Rebuild an accumulator from :meth:`state_arrays` output.
 
-        Raises :class:`SimulationError` unless every table is well formed:
+        Reads the packed layout and the version-1 layout (table ``i`` as
+        ``t{i}_keys`` and ``t{i}_counts``).  Raises
+        :class:`SimulationError` unless every table is well formed:
         non-negative integer keys strictly ascending, non-negative integer
-        counts of shape ``(2, len(keys))``, no table id twice.
+        counts of shape ``(2, len(keys))``, no table id twice -- and, for
+        the packed layout, one non-negative ``n_keys`` entry per table
+        adding up to the number of keys and count columns.
         """
         if len(set(ids)) != len(ids):
             raise SimulationError("accumulator state repeats a table id")
+        try:
+            if "n_keys" in arrays:
+                tables = _packed_tables(
+                    len(ids),
+                    np.asarray(arrays["keys"]),
+                    np.asarray(arrays["counts"]),
+                    np.asarray(arrays["n_keys"]),
+                )
+            else:
+                tables = [
+                    (
+                        np.asarray(arrays[f"t{i}_keys"]),
+                        np.asarray(arrays[f"t{i}_counts"]),
+                    )
+                    for i in range(len(ids))
+                ]
+        except KeyError as exc:
+            raise SimulationError(
+                f"accumulator state lacks array {exc}"
+            ) from None
         acc = cls()
-        for i, table_id in enumerate(ids):
-            try:
-                keys = np.asarray(arrays[f"t{i}_keys"])
-                counts = np.asarray(arrays[f"t{i}_counts"])
-            except KeyError as exc:
-                raise SimulationError(
-                    f"accumulator state lacks array {exc}"
-                ) from None
+        for table_id, (keys, counts) in zip(ids, tables):
             if (
                 keys.ndim != 1
                 or keys.dtype.kind not in "iu"
@@ -400,6 +655,39 @@ class HistogramAccumulator:
                 table_id, keys.astype(np.uint64), counts.astype(np.int64)
             )
         return acc
+
+
+def _packed_tables(
+    n_tables: int, keys: np.ndarray, counts: np.ndarray, n_keys: np.ndarray
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per-table ``(keys, counts)`` slices of the packed state arrays.
+
+    Raises :class:`SimulationError` unless ``n_keys`` has one
+    non-negative integer entry per table and the entries add up to the
+    number of keys and of count columns.
+    """
+    if (
+        n_keys.ndim != 1
+        or n_keys.dtype.kind not in "iu"
+        or n_keys.size != n_tables
+        or (n_keys.size and int(n_keys.min()) < 0)
+    ):
+        raise SimulationError(
+            f"n_keys of shape {n_keys.shape} ({n_keys.dtype}) does not "
+            f"size {n_tables} tables"
+        )
+    size = int(n_keys.sum())
+    if keys.shape != (size,) or counts.ndim != 2 or counts.shape[1] != size:
+        raise SimulationError(
+            f"{size} table cells do not match keys of shape {keys.shape} "
+            f"and counts of shape {counts.shape}"
+        )
+    ends = np.cumsum(n_keys).tolist()
+    starts = [0] + ends[:-1]
+    return [
+        (keys[start:end], counts[:, start:end])
+        for start, end in zip(starts, ends)
+    ]
 
 
 class LeakageEvaluator(engine_registry.EngineOwner):
@@ -682,7 +970,9 @@ class LeakageEvaluator(engine_registry.EngineOwner):
         first-order classes (table ids ``c<i>``) plus all probe-pair
         tables (``p<i>:<j>:<delta>``, indices into the evaluator's own
         probe classes) are evaluated against the same recorded trace.
-        Raw per-class observation keys are computed once per (class,
+        First-order tables count through one batched :class:`_CountPlan`
+        into one array folded into ``acc`` once per call; raw per-class
+        observation keys for pair tables are computed once per (class,
         offset) and reused across every pair that touches the class.
 
         Probe selection, in precedence order:
@@ -789,6 +1079,19 @@ class LeakageEvaluator(engine_registry.EngineOwner):
             and not hamming
             and self._pipeline_ready(class_specs, record_nets)
         )
+        # Python path: the first-order tables count through one batched
+        # plan into a (2, plan.size) array folded into ``acc`` once per
+        # call; tables too wide for dense rows keep _observe + add.
+        dense = [
+            k for k, spec in enumerate(class_specs)
+            if spec.n_bins <= gtest.DENSE_KEY_LIMIT
+        ]
+        wide = [
+            k for k, spec in enumerate(class_specs)
+            if spec.n_bins > gtest.DENSE_KEY_LIMIT
+        ]
+        plan = None
+        totals = None
         pipeline_sims: Dict[int, object] = {}
         for block in blocks:
             lane_count = self._block_lane_count(n_lanes, block)
@@ -809,8 +1112,18 @@ class LeakageEvaluator(engine_registry.EngineOwner):
                 keep_nets=keep_nets, record_nets=record_nets,
             )
             stage["simulate"] += perf_counter() - t0
-            # Per-group memoization shared by every table this block:
-            # raw keys per (class, offset), unpacked bits per (cycle, net).
+            t0 = perf_counter()
+            if plan is None:
+                plan = _CountPlan([class_specs[k] for k in dense], hamming)
+                totals = np.zeros((2, plan.size), dtype=np.int64)
+            plan.count(trace_fixed, totals[HistogramAccumulator.GROUP_FIXED])
+            plan.count(
+                trace_random, totals[HistogramAccumulator.GROUP_RANDOM]
+            )
+            stage["extract"] += perf_counter() - t0
+            # Per-group memoization this block: unpacked bits per
+            # (cycle, net) for the wide and pair tables, raw keys per
+            # (class, offset) for the pair tables.
             raw_fixed: Dict[Tuple[ProbeClass, int], np.ndarray] = {}
             raw_random: Dict[Tuple[ProbeClass, int], np.ndarray] = {}
             bits_fixed: Dict[Tuple[int, int], np.ndarray] = {}
@@ -828,21 +1141,20 @@ class LeakageEvaluator(engine_registry.EngineOwner):
                     stage["extract"] += perf_counter() - t0
                 return keys
 
-            for index, probe_class, spec in zip(
-                class_indices, classes, class_specs
-            ):
-                keys_fixed = _bucket(
-                    raw(raw_fixed, bits_fixed, trace_fixed, probe_class, 0),
-                    spec.hashed, spec.n_bins,
-                )
-                keys_random = _bucket(
-                    raw(raw_random, bits_random, trace_random, probe_class, 0),
-                    spec.hashed, spec.n_bins,
-                )
-                t0 = perf_counter()
-                acc.add(f"c{index}", keys_fixed, HistogramAccumulator.GROUP_FIXED)
-                acc.add(f"c{index}", keys_random, HistogramAccumulator.GROUP_RANDOM)
-                stage["histogram"] += perf_counter() - t0
+            for k in wide:
+                table_id = f"c{class_indices[k]}"
+                for group, trace, bit_cache in (
+                    (HistogramAccumulator.GROUP_FIXED, trace_fixed,
+                     bits_fixed),
+                    (HistogramAccumulator.GROUP_RANDOM, trace_random,
+                     bits_random),
+                ):
+                    t0 = perf_counter()
+                    keys = _observe(trace, class_specs[k], bit_cache, hamming)
+                    t1 = perf_counter()
+                    acc.add(table_id, keys, group)
+                    stage["extract"] += t1 - t0
+                    stage["histogram"] += perf_counter() - t1
 
             for i, j in pairs:
                 bits_i = all_classes[i].observation_bits
@@ -873,6 +1185,15 @@ class LeakageEvaluator(engine_registry.EngineOwner):
                         table_id, keys_random, HistogramAccumulator.GROUP_RANDOM
                     )
                     stage["histogram"] += perf_counter() - t0
+        if totals is not None:
+            t0 = perf_counter()
+            for k, (start, stop) in zip(dense, plan.bounds):
+                # A table no lane reached stays absent, as with add().
+                if totals[:, start:stop].any():
+                    acc._fold(
+                        f"c{class_indices[k]}", None, totals[:, start:stop]
+                    )
+            stage["histogram"] += perf_counter() - t0
 
     # ------------------------------------------------------ in-kernel blocks
 

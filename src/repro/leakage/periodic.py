@@ -28,10 +28,16 @@ import numpy as np
 
 from repro import engines as engine_registry
 from repro.errors import SimulationError
-from repro.leakage.evaluator import _check_hash_bits, _count_spec, _observe
+from repro.leakage.evaluator import (
+    _check_hash_bits,
+    _count_spec,
+    _CountPlan,
+    _observe,
+)
 from repro.leakage.gtest import (
     DEFAULT_THRESHOLD,
-    g_test_batch,
+    DENSE_KEY_LIMIT,
+    _histogram_counts,
     g_test_counts_batch,
 )
 from repro.leakage.model import ProbingModel
@@ -280,32 +286,32 @@ class PeriodicLeakageEvaluator(engine_registry.EngineOwner):
                 traces.append(trace_runner(stimulus))
                 stage["simulate"] += perf_counter() - t0
             trace_fixed, trace_random = traces
-            # Unpacked bit-planes are shared across probe classes
-            # (supports overlap heavily), and the chi-square p-value
-            # pass is batched over all (probe class, phase) tests at
-            # once -- both are exact (see g_test_batch).
-            bit_cache_fixed: Dict = {}
-            bit_cache_random: Dict = {}
-
-            def key_pairs():
-                # Generator: each pair of key arrays is histogrammed
-                # and freed before the next is built (thousands of
-                # tests at thousands of lanes would otherwise pin
-                # 100s of MB).
-                for spec in specs:
-                    t0 = perf_counter()
-                    pair = (
-                        self._keys(trace_fixed, spec, bit_cache_fixed),
-                        self._keys(trace_random, spec, bit_cache_random),
-                    )
-                    stage["extract"] += perf_counter() - t0
-                    yield pair
-
+            # Every dense table of both groups comes from one batched
+            # count plan; tables too wide for dense rows histogram their
+            # keys.  Either way the G-test sees the same contingency
+            # tables as the pipeline's, so the statistics are identical.
             t0 = perf_counter()
-            outcomes = g_test_batch(key_pairs())
-            stage["histogram"] += (
-                perf_counter() - t0 - stage["extract"]
-            )
+            dense = [
+                i for i, spec in enumerate(specs)
+                if spec.n_bins <= DENSE_KEY_LIMIT
+            ]
+            plan = _CountPlan([specs[i] for i in dense])
+            rows_fixed = self._keys(trace_fixed, plan)
+            rows_random = self._keys(trace_random, plan)
+            tables: List = [None] * len(specs)
+            for i, (start, stop) in zip(dense, plan.bounds):
+                tables[i] = (rows_fixed[start:stop], rows_random[start:stop])
+            bit_caches = ({}, {})
+            for i, spec in enumerate(specs):
+                if tables[i] is None:
+                    tables[i] = _histogram_counts(*(
+                        _observe(trace, spec, bit_cache)
+                        for trace, bit_cache in zip(traces, bit_caches)
+                    ))
+            stage["extract"] += perf_counter() - t0
+            t0 = perf_counter()
+            outcomes = g_test_counts_batch(tables)
+            stage["histogram"] += perf_counter() - t0
 
         for (probe_class, phase), outcome in zip(labels, outcomes):
             report.results.append(
@@ -327,6 +333,6 @@ class PeriodicLeakageEvaluator(engine_registry.EngineOwner):
         report.degradations = list(self.degradations)
         return report
 
-    def _keys(self, trace: Trace, spec, bit_cache: Dict) -> np.ndarray:
-        """One test's bucketed keys on ``trace`` (the numpy executor)."""
-        return _observe(trace, spec, bit_cache)
+    def _keys(self, trace: Trace, plan: _CountPlan) -> np.ndarray:
+        """The count vector of ``plan``'s tables on one trace."""
+        return plan.count(trace)

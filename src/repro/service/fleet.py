@@ -55,7 +55,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import FleetInterrupted, ServiceError, SimulationError
-from repro.leakage.evaluator import HistogramAccumulator
+from repro.leakage.evaluator import BLOCK_LANES, HistogramAccumulator
 from repro.leakage.parallel import shard_blocks
 
 #: Default seconds a lease stays valid without a heartbeat.
@@ -532,6 +532,7 @@ class FleetExecutor:
     ):
         self.coordinator = coordinator
         self.job_id = job_id
+        self.spec_dict = spec_dict
         self.should_stop = should_stop
         coordinator.register_job(job_id, spec_dict)
 
@@ -555,6 +556,14 @@ class FleetExecutor:
         block_list = list(blocks)
         if not block_list:
             return
+        if class_indices is None:
+            # Every probe class, as a worker selects them: results are
+            # checked against an explicit list.
+            from repro.service.runner import evaluator_for
+            from repro.spec import EvaluationSpec
+
+            spec = EvaluationSpec.from_dict(self.spec_dict)
+            class_indices = range(len(evaluator_for(spec).probe_classes))
         slices = shard_blocks(
             block_list, self.coordinator.suggest_shards(len(block_list))
         )
@@ -565,11 +574,7 @@ class FleetExecutor:
                 "n_lanes": n_lanes,
                 "n_windows": n_windows,
                 "blocks": [int(b) for b in chunk_slice],
-                "class_indices": (
-                    [int(i) for i in class_indices]
-                    if class_indices is not None
-                    else None
-                ),
+                "class_indices": [int(i) for i in class_indices],
                 "pairs": [[int(a), int(b)] for a, b in pairs],
                 "pair_offsets": [int(o) for o in pair_offsets],
             }
@@ -577,22 +582,76 @@ class FleetExecutor:
         ]
         ids = self.coordinator.submit_items(self.job_id, payloads)
         results = self.coordinator.wait(ids, should_stop=self.should_stop)
-        for item_id in ids:
-            arrays = results[item_id]["arrays"]
-            meta = results[item_id]["meta"]
-            try:
-                state = HistogramAccumulator.from_state(
-                    list(meta.get("table_ids", [])), arrays
-                )
-            except SimulationError as exc:
-                raise ServiceError(
-                    f"work item {item_id} returned malformed tables: {exc}"
-                ) from exc
-            acc.merge(state)
+        for item_id, payload in zip(ids, payloads):
+            acc.merge(_checked_tables(item_id, payload, results[item_id]))
 
     def close(self) -> None:
         """Drop any in-flight items for this job (idempotent)."""
         self.coordinator.release_job(self.job_id)
+
+
+def _checked_tables(
+    item_id: str, payload: Dict, result: Dict
+) -> HistogramAccumulator:
+    """The tables of a ``blocks`` result, checked against its work item.
+
+    Raises :class:`ServiceError` unless the result holds exactly the
+    tables the item asked for (``c<i>`` per class index,
+    ``p<i>:<j>:<delta>`` per pair and offset) in the packed layout of
+    :meth:`HistogramAccumulator.state_arrays`, each counting every lane
+    and window of the item's blocks once per group.  A short or partial
+    result would otherwise merge silently while the campaign reports
+    the full sample budget.
+    """
+
+    def malformed(reason) -> ServiceError:
+        return ServiceError(
+            f"work item {item_id} returned malformed tables: {reason}"
+        )
+
+    arrays = result["arrays"]
+    ids = list(result["meta"].get("table_ids", []))
+    offsets = sorted(set(payload["pair_offsets"]))
+    requested = sorted(
+        [f"c{i}" for i in payload["class_indices"]]
+        + [f"p{i}:{j}:{d}" for i, j in payload["pairs"] for d in offsets]
+    )
+    if sorted(ids) != requested:
+        missing = sorted(set(requested) - set(ids))
+        unexpected = sorted(set(ids) - set(requested))
+        raise malformed(
+            f"{len(ids)} tables for {len(requested)} requested (missing "
+            f"{missing[:3]}, unexpected {unexpected[:3]})"
+        )
+    try:
+        state = HistogramAccumulator.from_state(ids, arrays)
+    except SimulationError as exc:
+        raise malformed(exc) from exc
+    if not ids:
+        return state
+    if "n_keys" not in arrays:
+        raise malformed("tables are not in the packed layout")
+    n_keys = arrays["n_keys"]
+    occupied = n_keys > 0
+    totals = np.zeros((2, len(ids)), dtype=np.int64)
+    if occupied.any():
+        starts = (np.cumsum(n_keys) - n_keys)[occupied]
+        totals[:, occupied] = np.add.reduceat(
+            arrays["counts"], starts, axis=1
+        )
+    lanes = sum(
+        min(BLOCK_LANES, int(payload["n_lanes"]) - block * BLOCK_LANES)
+        for block in payload["blocks"]
+    )
+    expected = lanes * int(payload["n_windows"])
+    short = np.flatnonzero((totals != expected).any(axis=0))
+    if short.size:
+        index = int(short[0])
+        raise malformed(
+            f"table {ids[index]!r} counts {totals[:, index].tolist()} "
+            f"observations per group, expected {expected}"
+        )
+    return state
 
 
 #: Per-class arrays of an ``exact_shard`` result, named ``<name>_<class>``.

@@ -215,16 +215,13 @@ class FleetWorker:
         if kind == "blocks":
             evaluator = self._evaluator_for(spec)
             acc = HistogramAccumulator()
-            class_indices = payload.get("class_indices")
             evaluator.accumulate(
                 acc,
                 int(payload["fixed_secret"]),
                 int(payload["n_lanes"]),
                 int(payload["n_windows"]),
-                class_indices=(
-                    tuple(int(i) for i in class_indices)
-                    if class_indices is not None
-                    else None
+                class_indices=tuple(
+                    int(i) for i in payload["class_indices"]
                 ),
                 pairs=tuple(
                     (int(a), int(b)) for a, b in payload.get("pairs", [])

@@ -237,6 +237,117 @@ class TestCoordinatorProtocol:
             coord.submit_items("ghost", [{"kind": "blocks"}])
 
 
+def _drop_table(ids, arrays, table_id):
+    """Packed state arrays without one table."""
+    index = ids.index(table_id)
+    n_keys = arrays["n_keys"]
+    start = int(n_keys[:index].sum())
+    stop = start + int(n_keys[index])
+    return ids[:index] + ids[index + 1:], {
+        "keys": np.delete(arrays["keys"], np.s_[start:stop]),
+        "counts": np.delete(arrays["counts"], np.s_[start:stop], axis=1),
+        "n_keys": np.delete(n_keys, index),
+    }
+
+
+class TestBlocksResultValidation:
+    """A ``blocks`` result merges only if it holds exactly the requested
+    tables, each counting every lane and window of its blocks once per
+    group; anything else is a ServiceError, never a short table under
+    the full sample budget."""
+
+    def _accumulate(self, tamper, pairs=(), pair_offsets=(0,)):
+        coord = FleetCoordinator(lease_seconds=5.0)
+        deadline = time.monotonic() + 30
+        executor = FleetExecutor(
+            coord, "j1", dict(SMALL_SPEC),
+            should_stop=lambda: time.monotonic() > deadline,
+        )
+        worker = FleetWorker(LocalTransport(coord), worker_id="w1")
+
+        def answer():
+            work = None
+            while work is None:
+                work = coord.lease("w1")
+                time.sleep(0.01)
+            body = worker.execute_item(work)
+            ids, arrays = tamper(
+                list(body["meta"]["table_ids"]), decode_arrays(body["npz"])
+            )
+            coord.complete(
+                work["lease_id"], "w1",
+                {"npz": encode_arrays(arrays), "meta": {"table_ids": ids}},
+            )
+
+        threading.Thread(target=answer, daemon=True).start()
+        acc = HistogramAccumulator()
+        executor.accumulate(
+            acc, 0, 6_000, 2, [1], class_indices=[0, 1, 2],
+            pairs=pairs, pair_offsets=pair_offsets,
+        )
+        return acc
+
+    def test_honest_result_merges(self):
+        acc = self._accumulate(lambda ids, arrays: (ids, arrays))
+        assert acc.table_ids() == ["c0", "c1", "c2"]
+        # block 1 of 6,000 lanes holds 1,904 lanes, two windows each
+        for table_id in acc.table_ids():
+            _, fixed, random_ = acc.counts(table_id)
+            assert fixed.sum() == random_.sum() == 2 * 1_904
+
+    def test_result_with_only_c0_rejected(self):
+        """c0 alone with 5+5 counts: c1 and c2 missing, c0 short."""
+
+        def only_c0(ids, arrays):
+            return ["c0"], {
+                "keys": np.array([0], dtype=np.uint64),
+                "counts": np.array([[5], [5]], dtype=np.int64),
+                "n_keys": np.array([1], dtype=np.int64),
+            }
+
+        with pytest.raises(ServiceError, match="missing \\['c1', 'c2'\\]"):
+            self._accumulate(only_c0)
+
+    def test_result_without_tables_rejected(self):
+        with pytest.raises(ServiceError, match="0 tables for 3"):
+            self._accumulate(lambda ids, arrays: ([], {}))
+
+    def test_short_table_rejected(self):
+        def short(ids, arrays):
+            arrays["counts"][1, -1] -= 1
+            return ids, arrays
+
+        with pytest.raises(ServiceError, match="'c2' counts"):
+            self._accumulate(short)
+
+    def test_missing_pair_offset_rejected(self):
+        with pytest.raises(ServiceError, match="missing \\['p0:2:1'\\]"):
+            self._accumulate(
+                lambda ids, arrays: _drop_table(ids, arrays, "p0:2:1"),
+                pairs=[(0, 2)], pair_offsets=(1, 0),
+            )
+
+    def test_unrequested_table_rejected(self):
+        with pytest.raises(ServiceError, match="unexpected \\['c9'\\]"):
+            self._accumulate(lambda ids, arrays: (ids + ["c9"], arrays))
+
+    def test_version_1_layout_rejected(self):
+        def version_1(ids, arrays):
+            ends = np.cumsum(arrays["n_keys"])
+            starts = ends - arrays["n_keys"]
+            return ids, {
+                name: array
+                for i, (a, b) in enumerate(zip(starts, ends))
+                for name, array in (
+                    (f"t{i}_keys", arrays["keys"][a:b]),
+                    (f"t{i}_counts", arrays["counts"][:, a:b]),
+                )
+            }
+
+        with pytest.raises(ServiceError, match="packed layout"):
+            self._accumulate(version_1)
+
+
 class TestFleetBitIdentity:
     def test_campaign_identical_across_worker_counts(self):
         golden = _serial_report_bytes(SMALL_SPEC)

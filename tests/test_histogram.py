@@ -4,7 +4,7 @@ Every table operation is checked against a ``collections.Counter`` oracle:
 ``add``, ``add_counts`` and ``merge`` over dense keys, wide keys (at or
 above ``DENSE_KEY_LIMIT``) and tables that cross the limit mid-run; merge
 algebra and aliasing; and the ``state_arrays``/``from_state`` checkpoint
-layout, which must stay readable across versions.
+layout -- packed since version 2 -- whose version-1 form stays readable.
 """
 
 from collections import Counter
@@ -233,7 +233,8 @@ class TestState:
             assert np.array_equal(arrays_again[name], arrays[name])
 
     def test_layout_golden(self):
-        """The checkpoint and fleet wire layout (CHECKPOINT_VERSION 1)."""
+        """The checkpoint and wire layout (CHECKPOINT_VERSION 2): three
+        packed arrays in table-id order."""
         acc = HistogramAccumulator()
         acc.add("c1", np.array([3, 3, 7], dtype=np.uint64), FIXED)
         acc.add("c0", np.array([1], dtype=np.uint64), RANDOM)
@@ -241,20 +242,56 @@ class TestState:
         acc.add("p0:1:0", np.array([5], dtype=np.uint64), RANDOM)
         ids, arrays = acc.state_arrays()
         assert ids == ["c0", "c1", "p0:1:0"]
-        assert sorted(arrays) == [
-            "t0_counts", "t0_keys",
-            "t1_counts", "t1_keys",
-            "t2_counts", "t2_keys",
+        assert sorted(arrays) == ["counts", "keys", "n_keys"]
+        assert arrays["keys"].dtype == np.uint64
+        assert arrays["counts"].dtype == np.int64
+        assert arrays["n_keys"].dtype == np.int64
+        assert arrays["n_keys"].tolist() == [1, 2, 2]
+        assert arrays["keys"].tolist() == [1, 3, 7, 5, 70_000]
+        assert arrays["counts"].tolist() == [
+            [0, 2, 1, 1, 1],
+            [1, 0, 0, 1, 0],
         ]
-        for i in range(3):
-            assert arrays[f"t{i}_keys"].dtype == np.uint64
-            assert arrays[f"t{i}_counts"].dtype == np.int64
-        assert arrays["t0_keys"].tolist() == [1]
-        assert arrays["t0_counts"].tolist() == [[0], [1]]
-        assert arrays["t1_keys"].tolist() == [3, 7]
-        assert arrays["t1_counts"].tolist() == [[2, 1], [0, 0]]
-        assert arrays["t2_keys"].tolist() == [5, 70_000]
-        assert arrays["t2_counts"].tolist() == [[1, 1], [1, 0]]
+
+    @settings(deadline=None, max_examples=40)
+    @given(ops=ops_strategy)
+    def test_members_concatenate_to_the_arrays(self, ops):
+        """state_members() is the chunked form of state_arrays()."""
+        acc = _build(ops)
+        ids, arrays = acc.state_arrays()
+        member_ids, members = acc.state_members()
+        assert member_ids == ids
+        assert members.keys() == arrays.keys()
+        for name, (dtype, shape, chunks) in members.items():
+            joined = np.concatenate(
+                [np.zeros(0, dtype)] + [np.asarray(c, dtype) for c in chunks]
+            ).reshape(shape)
+            assert joined.dtype == arrays[name].dtype
+            assert np.array_equal(joined, arrays[name])
+
+    def test_reads_version_1_layout(self):
+        """The per-table ``t{i}_keys``/``t{i}_counts`` layout of
+        CHECKPOINT_VERSION 1 loads to the same tables as version 2."""
+        acc = HistogramAccumulator()
+        acc.add("c1", np.array([3, 3, 7], dtype=np.uint64), FIXED)
+        acc.add("c0", np.array([1], dtype=np.uint64), RANDOM)
+        acc.add("p0:1:0", np.array([70_000, 5], dtype=np.uint64), FIXED)
+        ids, arrays = acc.state_arrays()
+        v1 = {}
+        for i, (start, stop) in enumerate(
+            zip(
+                np.cumsum(arrays["n_keys"]) - arrays["n_keys"],
+                np.cumsum(arrays["n_keys"]),
+            )
+        ):
+            v1[f"t{i}_keys"] = arrays["keys"][start:stop]
+            v1[f"t{i}_counts"] = arrays["counts"][:, start:stop]
+        restored = HistogramAccumulator.from_state(ids, v1)
+        assert _snapshot(restored) == _snapshot(acc)
+        ids_again, packed = restored.state_arrays()
+        assert ids_again == ids
+        for name in arrays:
+            assert np.array_equal(packed[name], arrays[name])
 
     def test_reads_state_written_by_the_dict_tables(self):
         """State arrays in the layout every earlier version wrote."""
@@ -317,3 +354,89 @@ class TestState:
         arrays["t1_counts"] = arrays["t0_counts"]
         with pytest.raises(SimulationError):
             HistogramAccumulator.from_state(["c0", "c0"], arrays)
+
+
+def _packed(**changes):
+    """Packed state of tables c0 = {1, 4}, c1 = {} and c2 = {2, 9, 70000}."""
+    arrays = {
+        "keys": np.array([1, 4, 2, 9, 70_000], dtype=np.uint64),
+        "counts": np.array(
+            [[1, 0, 2, 0, 1], [3, 1, 0, 5, 1]], dtype=np.int64
+        ),
+        "n_keys": np.array([2, 0, 3], dtype=np.int64),
+    }
+    arrays.update(changes)
+    return ["c0", "c1", "c2"], {
+        name: array for name, array in arrays.items() if array is not None
+    }
+
+
+class TestPackedState:
+    def test_reads_packed_tables(self):
+        acc = HistogramAccumulator.from_state(*_packed())
+        assert _snapshot(acc) == {
+            "c0": ([1, 4], [1.0, 0.0], [3.0, 1.0]),
+            "c1": ([], [], []),
+            "c2": ([2, 9, 70_000], [2.0, 0.0, 1.0], [0.0, 5.0, 1.0]),
+        }
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            # n_keys adds up to more cells than there are keys
+            ({"n_keys": np.array([2, 0, 4])}, "table cells"),
+            # one n_keys entry too few
+            ({"n_keys": np.array([2, 3])}, "tables"),
+            # a negative table size
+            ({"n_keys": np.array([3, -1, 3])}, "tables"),
+            # counts lost a column
+            ({"counts": np.zeros((2, 4), dtype=np.int64)}, "counts"),
+            # counts of one row only
+            ({"counts": np.zeros((1, 5), dtype=np.int64)}, "counts"),
+            # keys descend inside c2 (the c0/c2 boundary may descend)
+            (
+                {"keys": np.array([1, 4, 9, 2, 70_000], dtype=np.uint64)},
+                "'c2'.*ascending",
+            ),
+            # a repeated key inside c0
+            (
+                {"keys": np.array([4, 4, 2, 9, 70_000], dtype=np.uint64)},
+                "'c0'.*ascending",
+            ),
+            # a negative signed key
+            (
+                {"keys": np.array([1, 4, -2, 9, 70_000], dtype=np.int64)},
+                "'c2'.*negative key",
+            ),
+            # a negative count
+            (
+                {
+                    "counts": np.array(
+                        [[1, 0, 2, 0, 1], [3, 1, 0, -5, 1]], dtype=np.int64
+                    )
+                },
+                "'c2'.*negative count",
+            ),
+            # float counts
+            ({"counts": np.zeros((2, 5))}, "counts"),
+            # a missing member
+            ({"counts": None}, "lacks array"),
+            ({"keys": None}, "lacks array"),
+        ],
+    )
+    def test_malformed_packed_state_rejected(self, changes, message):
+        with pytest.raises(SimulationError, match=message):
+            HistogramAccumulator.from_state(*_packed(**changes))
+
+    def test_descending_across_a_table_boundary_is_fine(self):
+        ids, arrays = _packed()
+        assert arrays["keys"][1] > arrays["keys"][2]  # c0 ends above c2
+        HistogramAccumulator.from_state(ids, arrays)
+
+    def test_loaded_tables_never_alias_the_arrays(self):
+        ids, arrays = _packed()
+        acc = HistogramAccumulator.from_state(ids, arrays)
+        before = _snapshot(acc)
+        arrays["counts"][:] = 7
+        arrays["keys"][:] = 0
+        assert _snapshot(acc) == before

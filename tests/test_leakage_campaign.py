@@ -1,6 +1,7 @@
 """Tests for chunked, checkpointable evaluation campaigns."""
 
 import io
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import BudgetExceeded, CheckpointError, SimulationError
+from repro.errors import (
+    BudgetExceeded,
+    CheckpointCorrupt,
+    CheckpointError,
+    SimulationError,
+)
 from repro.leakage.campaign import (
     CampaignConfig,
     EvaluationCampaign,
@@ -87,6 +93,17 @@ class TestChunkedIdentity:
         )
         assert report.status == "complete"
         assert report.passed
+
+
+def _to_version_1(meta, arrays):
+    """Rewrite packed checkpoint members into the version-1 layout."""
+    keys = arrays.pop("keys")
+    counts = arrays.pop("counts")
+    ends = np.cumsum(arrays.pop("n_keys"))
+    for i, (start, end) in enumerate(zip(ends - np.diff(ends, prepend=0), ends)):
+        arrays[f"t{i}_keys"] = keys[start:end]
+        arrays[f"t{i}_counts"] = counts[:, start:end]
+    meta["version"] = 1
 
 
 class TestCheckpointResume:
@@ -190,26 +207,34 @@ class TestCheckpointResume:
         single = _evaluator(kronecker_eq6).evaluate(n_simulations=N_SIMS)
         _assert_identical(single, report)
 
-    def test_malformed_tables_fall_back_to_prev_generation(
-        self, kronecker_eq6, tmp_path
-    ):
-        """A CRC-valid checkpoint whose table lost a count column is
-        corrupt: resume quarantines it and continues from ``.prev``."""
-        path = str(tmp_path / "ck.npz")
-        campaign = self._partial_checkpoint(kronecker_eq6, path, blocks=1)
-        campaign._run_chunk_with_retry(1, 2)
-        campaign._save_checkpoint(path, 2)  # block 1 rotates to .prev
+    def _rewrite_current(self, path, edit):
+        """Apply ``edit`` to the current generation's NPZ members (a
+        dict of name -> array, the meta JSON decoded) and write it back
+        in a valid CRC container."""
         with open(path, "rb") as handle:
             payload = unpack_checkpoint(handle.read(), path)
         with np.load(io.BytesIO(payload)) as data:
             arrays = {key: data[key] for key in data.files}
-        arrays["t0_counts"] = arrays["t0_counts"][:, :-1]
+        meta = json.loads(bytes(arrays.pop("meta")).decode("utf-8"))
+        edit(meta, arrays)
         buffer = io.BytesIO()
-        np.savez(buffer, **arrays)
+        np.savez(
+            buffer,
+            meta=np.frombuffer(json.dumps(meta).encode("utf-8"), np.uint8),
+            **arrays,
+        )
         with open(path, "wb") as handle:
             handle.write(pack_checkpoint(buffer.getvalue()))
+
+    def _two_generations(self, design, path):
+        """Checkpoints after block 1 (``.prev``) and block 2 (current)."""
+        campaign = self._partial_checkpoint(design, path, blocks=1)
+        campaign._run_chunk_with_retry(1, 2)
+        campaign._save_checkpoint(path, 2)  # block 1 rotates to .prev
+
+    def _resume_from_prev(self, design, path):
         resumed = EvaluationCampaign(
-            _evaluator(kronecker_eq6),
+            _evaluator(design),
             CampaignConfig(
                 n_simulations=N_SIMS, chunk_size=8_192, checkpoint=path
             ),
@@ -217,8 +242,109 @@ class TestCheckpointResume:
         report = resumed.run(resume=True)
         assert resumed.progress.resumed_from_block == 1
         assert os.path.exists(path + ".corrupt")
-        single = _evaluator(kronecker_eq6).evaluate(n_simulations=N_SIMS)
+        single = _evaluator(design).evaluate(n_simulations=N_SIMS)
         assert report.to_json(top=None) == single.to_json(top=None)
+
+    def test_malformed_tables_fall_back_to_prev_generation(
+        self, kronecker_eq6, tmp_path
+    ):
+        """A CRC-valid checkpoint whose packed counts lost a column is
+        corrupt: resume quarantines it and continues from ``.prev``."""
+        path = str(tmp_path / "ck.npz")
+        self._two_generations(kronecker_eq6, path)
+
+        def drop_column(meta, arrays):
+            assert meta["version"] == 2
+            arrays["counts"] = arrays["counts"][:, :-1]
+
+        self._rewrite_current(path, drop_column)
+        self._resume_from_prev(kronecker_eq6, path)
+
+    def test_malformed_v1_tables_fall_back_to_prev_generation(
+        self, kronecker_eq6, tmp_path
+    ):
+        """The same for a version-1 checkpoint whose first table lost a
+        count column."""
+        path = str(tmp_path / "ck.npz")
+        self._two_generations(kronecker_eq6, path)
+
+        def drop_column(meta, arrays):
+            _to_version_1(meta, arrays)
+            arrays["t0_counts"] = arrays["t0_counts"][:, :-1]
+
+        self._rewrite_current(path, drop_column)
+        self._resume_from_prev(kronecker_eq6, path)
+
+    @pytest.mark.parametrize(
+        "corruption",
+        [
+            "size_mismatch",
+            "negative_n_keys",
+            "counts_shape",
+            "keys_not_ascending",
+            "missing_member",
+        ],
+    )
+    def test_packed_corruption_falls_back_to_prev_generation(
+        self, kronecker_eq6, tmp_path, corruption
+    ):
+        """Every malformed packed layout is CheckpointCorrupt: quarantined,
+        with a bit-identical resume from ``.prev``."""
+        path = str(tmp_path / "ck.npz")
+        self._two_generations(kronecker_eq6, path)
+
+        def corrupt(meta, arrays):
+            n_keys = arrays["n_keys"]
+            if corruption == "size_mismatch":
+                n_keys[-1] += 1
+            elif corruption == "negative_n_keys":
+                n_keys[0], n_keys[1] = -1, n_keys[1] + n_keys[0] + 1
+            elif corruption == "counts_shape":
+                arrays["counts"] = arrays["counts"].reshape(1, -1)
+            elif corruption == "keys_not_ascending":
+                start = int(np.argmax(n_keys >= 2))
+                first = int(n_keys[:start].sum())
+                keys = arrays["keys"]
+                keys[first], keys[first + 1] = keys[first + 1], keys[first]
+            else:
+                del arrays["keys"]
+
+        self._rewrite_current(path, corrupt)
+        loader = EvaluationCampaign(
+            _evaluator(kronecker_eq6),
+            CampaignConfig(n_simulations=N_SIMS, checkpoint=path),
+        )
+        with pytest.raises(CheckpointCorrupt):
+            loader._load_checkpoint(path)
+        self._resume_from_prev(kronecker_eq6, path)
+
+    def test_version_1_checkpoint_resumes_byte_identical(
+        self, kronecker_eq6, tmp_path
+    ):
+        """A checkpoint in the version-1 layout (two NPZ members per
+        table) resumes to the report bytes of a fresh run."""
+        path = str(tmp_path / "ck.npz")
+        self._partial_checkpoint(kronecker_eq6, path, blocks=2)
+        self._rewrite_current(path, _to_version_1)
+        resumed = EvaluationCampaign(
+            _evaluator(kronecker_eq6),
+            CampaignConfig(
+                n_simulations=N_SIMS, chunk_size=8_192, checkpoint=path
+            ),
+        )
+        report = resumed.run(resume=True)
+        assert resumed.progress.resumed_from_block == 2
+        assert not os.path.exists(path + ".corrupt")
+        fresh = EvaluationCampaign(
+            _evaluator(kronecker_eq6),
+            CampaignConfig(n_simulations=N_SIMS, chunk_size=8_192),
+        ).run()
+        assert report.to_json(top=None) == fresh.to_json(top=None)
+        # The resumed campaign rewrote its checkpoint in the new layout.
+        with open(path, "rb") as handle:
+            payload = unpack_checkpoint(handle.read(), path)
+        with np.load(io.BytesIO(payload)) as data:
+            assert sorted(data.files) == ["counts", "keys", "meta", "n_keys"]
 
     def test_kill_and_resume_subprocess(self, kronecker_eq6, tmp_path):
         """SIGKILL a campaign mid-run; the resume completes from disk."""

@@ -4,16 +4,23 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.kronecker import build_kronecker_delta
 from repro.core.optimizations import RandomnessScheme
 from repro.errors import SimulationError
 from repro.leakage.evaluator import (
+    POPCOUNT_MAX_BITS,
     HistogramAccumulator,
     LeakageEvaluator,
+    _CountPlan,
     _mix_hash,
+    _observe,
 )
 from repro.leakage.model import ProbingModel
+from repro.netlist.native import CountSpec
+from repro.netlist.simulate import Trace
 
 N_SIMS = 30_000  # leaks under test are enormous; modest N suffices
 
@@ -238,3 +245,152 @@ class TestHammingReportPin:
             acc, 0, n_lanes * 2, pairs, (0, 1)
         )
         assert _digest(report) == digest
+
+
+# ------------------------------------------------------ batched executor
+
+#: (cycle, net) planes the random specs draw from: few, so specs repeat
+#: planes within and across themselves.
+_PLANES = [(cycle, net) for cycle in range(3) for net in range(6)]
+
+
+def _random_trace(n_lanes, seed):
+    """A trace with random words on every plane (unused lanes too)."""
+    rng = np.random.default_rng(seed)
+    trace = Trace(n_lanes, range(6))
+    for _ in range(3):
+        trace.values.append({
+            net: rng.integers(0, 2**64, (n_lanes + 63) // 64, np.uint64)
+            for net in range(6)
+        })
+    return trace
+
+
+@st.composite
+def count_specs(draw, max_bits=24):
+    """A CountSpec as the evaluators build them: positions 0..k-1 in
+    every segment, hashed into ``2^hash_bits`` bins when wider."""
+    n_bits = draw(st.integers(0, max_bits))
+    segments = tuple(
+        tuple(
+            _PLANES[draw(st.integers(0, len(_PLANES) - 1))] + (position,)
+            for position in range(n_bits)
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    hash_bits = draw(st.sampled_from([1, 10, 16]))
+    if n_bits > hash_bits:
+        return CountSpec(segments, True, 1 << hash_bits)
+    return CountSpec(segments, False, 1 << n_bits)
+
+
+def _reference_rows(trace, specs, hamming):
+    """np.bincount of the single-spec executor, spec by spec."""
+    return [
+        np.bincount(
+            _observe(trace, spec, {}, hamming).astype(np.intp),
+            minlength=len(spec.segments[0]) + 1 if hamming else spec.n_bins,
+        )
+        for spec in specs
+    ]
+
+
+def _plan_rows(trace, specs, hamming=False):
+    plan = _CountPlan(specs, hamming)
+    counts = plan.count(trace)
+    return [counts[start:stop] for start, stop in plan.bounds]
+
+
+class TestBatchedExecutor:
+    """_CountPlan rows == np.bincount(_observe(...)) for every spec."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        specs=st.lists(count_specs(), min_size=1, max_size=12),
+        n_lanes=st.sampled_from([1, 63, 64, 100, 848]),
+        hamming=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_bincount_of_observe(
+        self, specs, n_lanes, hamming, seed
+    ):
+        if hamming:
+            specs = [
+                CountSpec(s.segments, False, 1 << len(s.segments[0]))
+                for s in specs
+            ]
+        trace = _random_trace(n_lanes, seed)
+        for got, expected in zip(
+            _plan_rows(trace, specs, hamming),
+            _reference_rows(trace, specs, hamming),
+        ):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("n_lanes", [848, 4096, 6000])
+    def test_every_width_across_the_branch_boundary(self, n_lanes):
+        """Key widths 0-24 (popcount up to POPCOUNT_MAX_BITS, lane keys
+        above), 1-3 segments, hashed at 1/10/16 bits, planes repeated."""
+        rng = np.random.default_rng(n_lanes)
+        specs = []
+        for n_bits in range(25):
+            for n_segments in (1, 2, 3):
+                segments = tuple(
+                    tuple(
+                        _PLANES[rng.integers(len(_PLANES))] + (p,)
+                        for p in range(n_bits)
+                    )
+                    for _ in range(n_segments)
+                )
+                specs.append(CountSpec(segments, False, 1 << n_bits))
+                for hash_bits in (1, 10, 16):
+                    if n_bits > hash_bits:
+                        specs.append(
+                            CountSpec(segments, True, 1 << hash_bits)
+                        )
+        specs = [s for s in specs if s.n_bins <= 1 << 16]
+        trace = _random_trace(n_lanes, 7)
+        for got, expected, spec in zip(
+            _plan_rows(trace, specs), _reference_rows(trace, specs, False),
+            specs,
+        ):
+            assert np.array_equal(got, expected), spec
+            assert got.sum() == n_lanes * len(spec.segments)
+
+    def test_branch_rule(self):
+        """Unhashed keys up to POPCOUNT_MAX_BITS wide count by popcount."""
+        def spec(n_bits, hashed=False):
+            segment = tuple(_PLANES[p] + (p,) for p in range(n_bits))
+            return CountSpec((segment,), hashed, 1 << (2 if hashed else n_bits))
+
+        plan = _CountPlan([
+            spec(POPCOUNT_MAX_BITS),
+            spec(POPCOUNT_MAX_BITS + 1),
+            spec(3, hashed=True),
+        ])
+        branches = {rows.shape[2]: popcount
+                    for popcount, *_, rows, _, _ in plan._groups}
+        assert branches == {
+            POPCOUNT_MAX_BITS: True, POPCOUNT_MAX_BITS + 1: False, 3: False
+        }
+        assert not any(g[0] for g in _CountPlan([spec(2)], True)._groups)
+
+    def test_hamming_rows_are_bits_plus_one_wide(self):
+        segment = tuple(_PLANES[p] + (p,) for p in range(12))
+        plan = _CountPlan([CountSpec((segment, segment), False, 1 << 12)],
+                          hamming=True)
+        assert plan.bounds == [(0, 13)]
+        trace = _random_trace(6000, 3)
+        assert plan.count(trace).sum() == 2 * 6000
+
+    def test_irregular_segments(self):
+        """Gaps in the positions and segments of unequal length."""
+        specs = [
+            CountSpec((((0, 1, 0), (1, 2, 3)), ((2, 3, 1),)), False, 16),
+            CountSpec((((0, 1, 0),), ()), False, 2),
+            CountSpec((((0, 4, 5), (2, 0, 1)),), True, 8),
+        ]
+        trace = _random_trace(100, 11)
+        for got, expected in zip(
+            _plan_rows(trace, specs), _reference_rows(trace, specs, False)
+        ):
+            assert np.array_equal(got, expected)

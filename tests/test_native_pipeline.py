@@ -7,9 +7,9 @@ Every stage claims bit-compatibility with the Python path it replaces:
 * stimulus plans executed in C consume the PCG64 stream exactly as the
   Python interpreter does (``repro.leakage.stimplan``);
 * the extraction kernel's three dispatch paths (popcount histogram,
-  64x64 transpose, fused scalar) and the evaluators' numpy executor of
-  the same :class:`CountSpec` all produce ``numpy.bincount`` of the
-  reference observation keys;
+  64x64 transpose, fused scalar) and the evaluators' two numpy
+  executors of the same :class:`CountSpec` (batched and single-spec)
+  all produce ``numpy.bincount`` of the reference observation keys;
 * dense count tables fold into :class:`HistogramAccumulator` exactly
   like raw key arrays, and ``g_test_counts_batch`` is bit-identical to
   ``g_test_batch`` on equal tables.
@@ -31,6 +31,7 @@ from repro.errors import SimulationError
 from repro.leakage.evaluator import (
     HistogramAccumulator,
     LeakageEvaluator,
+    _CountPlan,
     _mix_hash,
     _observe,
 )
@@ -84,9 +85,16 @@ def _python_counts(trace, n_lanes, spec, hash_bits):
 
 
 def _executor_counts(trace, spec):
-    """The evaluators' numpy executor of ``spec``, histogrammed."""
+    """The evaluators' single-spec numpy executor, histogrammed."""
     keys = _observe(trace, spec, {})
     return np.bincount(keys.astype(np.int64), minlength=spec.n_bins)
+
+
+def _batched_counts(trace, specs):
+    """The evaluators' batched numpy executor: one row per spec."""
+    plan = _CountPlan(specs)
+    counts = plan.count(trace)
+    return [counts[start:stop] for start, stop in plan.bounds]
 
 
 def _input_plan(inputs, n_lanes, seed):
@@ -286,7 +294,7 @@ def _specs(sources, hash_bits):
 
 
 class TestNumpyExecutor:
-    """The evaluators' numpy executor == the independent reference.
+    """The evaluators' numpy executors == the independent reference.
 
     Runs without a C toolchain; the in-kernel tests below add
     ``repro_extract`` as the third executor of the same specs.
@@ -312,11 +320,10 @@ class TestNumpyExecutor:
             _input_plan(inputs, n_lanes, seed), n_cycles,
             record_nets=record, record_cycles=record_cycles,
         )
-        for spec in specs:
-            assert np.array_equal(
-                _executor_counts(trace, spec),
-                _python_counts(trace, n_lanes, spec, hash_bits),
-            ), spec
+        for spec, batched in zip(specs, _batched_counts(trace, specs)):
+            expected = _python_counts(trace, n_lanes, spec, hash_bits)
+            assert np.array_equal(_executor_counts(trace, spec), expected)
+            assert np.array_equal(batched, expected), spec
 
 
 @needs_pipeline
@@ -359,10 +366,13 @@ class TestInKernelExtraction:
             python_plan, n_cycles,
             record_nets=record, record_cycles=record_cycles,
         )
-        for spec, table in zip(specs, counts):
+        for spec, table, batched in zip(
+            specs, counts, _batched_counts(trace, specs)
+        ):
             expected = _python_counts(trace, n_lanes, spec, hash_bits)
             assert np.array_equal(table, expected), spec
             assert np.array_equal(_executor_counts(trace, spec), expected)
+            assert np.array_equal(batched, expected), spec
             assert int(table.sum()) == n_lanes * len(spec.segments)
 
     @settings(deadline=None, max_examples=6)
@@ -393,10 +403,13 @@ class TestInKernelExtraction:
         trace = ScheduledSimulator(
             nl, n_lanes, roots, record_cycles, n_cycles, {}
         ).run(python_plan, record_nets=roots)
-        for spec, table in zip(specs, counts):
+        for spec, table, batched in zip(
+            specs, counts, _batched_counts(trace, specs)
+        ):
             expected = _python_counts(trace, n_lanes, spec, hash_bits)
             assert np.array_equal(table, expected), spec
             assert np.array_equal(_executor_counts(trace, spec), expected)
+            assert np.array_equal(batched, expected), spec
 
     def test_too_wide_segment_raises_not_garbage(self):
         """Keys beyond 64 bits have no dense table; the kernel reports
