@@ -48,7 +48,6 @@ from repro.errors import ReproError, ServiceError
 from repro.leakage.campaign import EvaluationCampaign
 from repro.leakage.evaluator import LeakageEvaluator
 from repro.leakage.faults import run_self_check
-from repro.leakage.exact import ExactAnalyzer
 from repro.leakage.model import ProbingModel
 from repro.leakage.sni import SniChecker, dom_and_gadget
 from repro.netlist.stats import netlist_stats
@@ -191,7 +190,7 @@ def _run_exact_spec(spec: EvaluationSpec, args) -> int:
         resume=getattr(args, "resume", False),
         engine=spec.engine,
     )
-    if args.json:
+    if getattr(args, "json", False):
         print(report.to_json(top=args.top))
     else:
         print(report.format_summary(top=args.top))
@@ -205,14 +204,17 @@ def _run_exact_spec(spec: EvaluationSpec, args) -> int:
 
 
 def cmd_exact(args) -> int:
-    """Run the exact Kronecker sweep; exit 1 on leakage."""
-    dut, _ = _build("kronecker", args.scheme)
-    analyzer = ExactAnalyzer(
-        dut, max_enum_bits=args.max_bits, engine=args.engine
+    """Run the exact Kronecker sweep; exit codes as ``campaign --exact``."""
+    spec = EvaluationSpec.from_dict(
+        {
+            "design": "kronecker",
+            "scheme": args.scheme,
+            "mode": "exact",
+            "max_enum_bits": args.max_bits,
+            "engine": args.engine,
+        }
     )
-    report = analyzer.analyze()
-    print(report.format_summary(top=args.top))
-    return 0 if report.passed else 1
+    return _run_exact_spec(spec, args)
 
 
 _CERTIFY_FIXTURES = ("dom-and", "dom-and-pair", "dom-and-pair-shared")

@@ -95,9 +95,23 @@ class FleetInterrupted(ServiceError):
 
     Raised by :meth:`repro.service.fleet.FleetCoordinator.wait` when the
     caller's ``should_stop`` fires (cancellation, watchdog stall, service
-    shutdown) or when the owning job is released mid-wait.  The runner
-    maps it onto the same cancelled / restart / requeue ladder used for
-    ``truncated:cancelled`` campaign reports.
+    shutdown) or when the owning job is released mid-wait, and by
+    :class:`repro.leakage.parallel.BlockExecutor` when such a stop leaves
+    a chunk's blocks without results.  The runner maps it onto the same
+    cancelled / restart / requeue ladder used for ``truncated:cancelled``
+    campaign reports.
+    """
+
+
+class WorkItemError(ServiceError):
+    """A work item's result does not hold what the item asked for.
+
+    Raised by the result checks of :mod:`repro.leakage.parallel` before
+    anything merges: a ``blocks`` result with a missing, extra or
+    miscounted table, or an ``exact_shard`` result without the counts of
+    a listed class.  Subclasses :class:`ServiceError` because fleet
+    results were the first to be checked; handlers of that type keep
+    working.
     """
 
 

@@ -21,8 +21,8 @@ canonical sampling blocks:
   flagging the partial report ``truncated:<reason>`` instead of losing it;
 * a ``MemoryError`` inside a chunk retries that chunk in halves instead of
   aborting the campaign;
-* with ``workers > 1`` each chunk's blocks are sharded across a
-  :class:`~repro.leakage.parallel.ParallelExecutor` process pool -- blocks
+* with ``workers > 1`` each chunk's blocks run as ``blocks`` work items
+  on a local process pool (:mod:`repro.leakage.parallel`) -- blocks
   sample from private ``SeedSequence`` streams and table accumulation
   commutes, so parallel results are bit-identical to serial ones and remain
   compatible with the same checkpoints;
@@ -64,9 +64,13 @@ from repro.errors import (
     SimulationError,
 )
 from repro.leakage.adaptive import AdaptiveConfig, AdaptiveScheduler
-from repro.leakage.evaluator import HistogramAccumulator, LeakageEvaluator
+from repro.leakage.evaluator import (
+    HistogramAccumulator,
+    LeakageEvaluator,
+    packed_totals,
+)
 from repro.leakage.gtest import DEFAULT_THRESHOLD
-from repro.leakage.parallel import ParallelExecutor, effective_workers
+from repro.leakage.parallel import BlockExecutor, PoolRunner, effective_workers
 from repro.leakage.report import LeakageReport
 
 #: Checkpoint format version; bumped on incompatible layout changes.
@@ -176,10 +180,11 @@ class CampaignConfig:
     #: the campaign's behaviour -- down to the accumulated bytes -- is
     #: identical to earlier versions).
     adaptive: Optional[AdaptiveConfig] = None
-    #: hung-execution deadline in seconds: parallel shards exceeding it
-    #: are reaped (worker processes terminated, chunk retried per the
-    #: degradation ladder), and the service watchdog uses the same value
-    #: as its no-chunk-progress deadline.  ``None`` disables both.
+    #: hung-execution deadline in seconds: parallel work items exceeding
+    #: it are reaped (worker processes terminated, the chunk's unfinished
+    #: items rerun per the degradation ladder), and the service watchdog
+    #: uses the same value as its no-chunk-progress deadline.  ``None``
+    #: disables both.
     stall_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -230,12 +235,12 @@ class EvaluationCampaign:
     ``hook`` is an optional ``hook(event: str, payload: dict)`` telemetry
     callback invoked on "campaign_start", "chunk_done", "checkpoint_saved",
     and "campaign_end" (plus the pool events forwarded from
-    :class:`ParallelExecutor`); it observes progress only and must not
-    raise.  ``should_stop`` is an optional zero-argument callable polled at
-    chunk boundaries; once it returns true the campaign stops cleanly with
-    status ``truncated:cancelled`` -- this is how the evaluation service
-    implements job cancellation and graceful shutdown without killing the
-    process.
+    :class:`~repro.leakage.parallel.PoolRunner`); it observes progress
+    only and must not raise.  ``should_stop`` is an optional zero-argument
+    callable polled at chunk boundaries; once it returns true the campaign
+    stops cleanly with status ``truncated:cancelled`` -- this is how the
+    evaluation service implements job cancellation and graceful shutdown
+    without killing the process.
     """
 
     def __init__(
@@ -281,14 +286,15 @@ class EvaluationCampaign:
             if config.mode in ("pairs", "both")
             else []
         )
-        #: injected chunk executor (the service's fleet-distributed
-        #: executor).  When set, the campaign routes chunk accumulation
-        #: through it instead of owning a :class:`ParallelExecutor` pool --
-        #: the caller owns its lifecycle and ``workers`` degradation
-        #: accounting does not apply.  Any object with the
-        #: ``ParallelExecutor.accumulate`` signature works.
+        #: injected chunk executor (the service binds a
+        #: :class:`~repro.leakage.parallel.BlockExecutor` to its fleet).
+        #: When set, the campaign routes chunk accumulation through it
+        #: instead of owning a local process pool -- the caller owns its
+        #: lifecycle and ``workers`` degradation accounting does not
+        #: apply.  Any object with the ``BlockExecutor.accumulate``
+        #: signature works.
         self._injected_executor = executor
-        self._executor: Optional[ParallelExecutor] = None
+        self._executor: Optional[BlockExecutor] = None
         #: adaptive decision state; built fresh per :meth:`run` (or restored
         #: from the checkpoint), ``None`` for uniform campaigns.
         self.scheduler: Optional[AdaptiveScheduler] = None
@@ -313,12 +319,8 @@ class EvaluationCampaign:
 
     def _executor_hook(self, event: str, payload: Dict) -> None:
         """Forward pool telemetry, recording ladder steps as provenance."""
-        if event == "serial_fallback":
-            self._note_degradation(
-                "serial_fallback",
-                "worker pool degraded to in-process execution "
-                f"({payload.get('error')})",
-            )
+        if event == "degradation":
+            self.degradations.append(dict(payload))
         self._emit(event, **payload)
 
     # ------------------------------------------------------------ fingerprint
@@ -464,11 +466,14 @@ class EvaluationCampaign:
                 effective_workers=self.effective_workers,
             )
         if self._injected_executor is None and self.effective_workers > 1:
-            self._executor = ParallelExecutor(
+            self._executor = BlockExecutor(
                 self.evaluator,
-                self.effective_workers,
-                hook=self._executor_hook,
-                shard_timeout=cfg.stall_timeout,
+                PoolRunner(
+                    self.evaluator,
+                    self.effective_workers,
+                    hook=self._executor_hook,
+                    shard_timeout=cfg.stall_timeout,
+                ),
             )
         self._emit(
             "campaign_start",
@@ -945,22 +950,21 @@ class EvaluationCampaign:
                     key: data[key] for key in data.files if key != "meta"
                 }
             # Malformed tables (SimulationError) are corruption too.
-            accumulator = HistogramAccumulator.from_state(
-                meta["table_ids"], arrays
-            )
+            ids = meta["table_ids"]
+            accumulator = HistogramAccumulator.from_state(ids, arrays)
         except CheckpointError:
             raise
         except Exception as exc:  # zip/JSON/key/table errors -> corrupt file
             raise CheckpointCorrupt(
                 f"could not parse checkpoint {path!r}: {exc}"
             ) from exc
-        self.accumulator = accumulator
-        if self.scheduler is not None:
+        scheduler = self.scheduler
+        if scheduler is not None:
             if "adaptive" not in meta:
                 raise CheckpointError(
                     f"checkpoint {path!r} has no adaptive scheduler state"
                 )
-            self.scheduler = AdaptiveScheduler.from_state(meta["adaptive"])
+            scheduler = AdaptiveScheduler.from_state(meta["adaptive"])
         next_block = int(meta["next_block"])
         max_blocks = self.evaluator.block_count(self._esc_lanes)
         if not 0 <= next_block <= max_blocks:
@@ -968,7 +972,53 @@ class EvaluationCampaign:
                 f"checkpoint {path!r} points at block {next_block} of "
                 f"{max_blocks}"
             )
+        if "n_keys" not in arrays:  # version-1 layout
+            ids, arrays = accumulator.state_arrays()
+        expected = self._expected_samples(next_block, scheduler)
+        totals = packed_totals(arrays)
+        if sorted(ids) != sorted(expected) or any(
+            (totals[:, index] != expected[table_id]).any()
+            for index, table_id in enumerate(ids)
+        ):
+            raise CheckpointCorrupt(
+                f"checkpoint {path!r}: its tables do not hold the samples "
+                f"of its {next_block} blocks"
+            )
+        self.accumulator = accumulator
+        self.scheduler = scheduler
         return next_block
+
+    def _expected_samples(
+        self, next_block: int, scheduler: Optional[AdaptiveScheduler]
+    ) -> Dict[str, int]:
+        """Per-group samples of every table after ``next_block`` blocks.
+
+        Uniform runs give every table the lanes of those blocks times the
+        windows.  Adaptive runs give a probe table its
+        :attr:`ProbeState.n_samples`, and a pair table those of its most
+        sampled offset: a pair accumulates every offset while any one of
+        them is undecided.  Tables without samples do not exist.
+        """
+        if scheduler is None:
+            cfg = self.config
+            samples = self._lanes_done(next_block) * cfg.n_windows
+            class_indices, pairs = self._active_selection()
+            offsets = sorted(set(cfg.pair_offsets))
+            ids = [f"c{i}" for i in class_indices] + [
+                f"p{i}:{j}:{d}" for i, j in pairs for d in offsets
+            ]
+            return {table_id: samples for table_id in ids if samples}
+        states = scheduler.states()
+        expected = {
+            table_id: state.n_samples
+            for table_id, state in states.items()
+            if table_id.startswith("c")
+        }
+        for i, j in scheduler.pairs:
+            ids = [f"p{i}:{j}:{d}" for d in scheduler.pair_offsets]
+            samples = max(states[table_id].n_samples for table_id in ids)
+            expected.update(dict.fromkeys(ids, samples))
+        return {table_id: n for table_id, n in expected.items() if n}
 
 
 def run_campaign(

@@ -32,9 +32,6 @@ import hashlib
 import io
 import json
 import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -50,6 +47,11 @@ from repro.errors import (
 from repro.leakage.dut import DesignUnderTest
 from repro.leakage.exact import EnumerationSetup, ExactAnalyzer, ExactReport
 from repro.leakage.model import ProbingModel
+from repro.leakage.parallel import (
+    PoolRunner,
+    effective_workers,
+    exact_dispatch,
+)
 from repro.leakage.probes import ProbeClass
 from repro.leakage.sni import (
     GadgetSpec,
@@ -170,32 +172,7 @@ def _unpack_classes(
     return state
 
 
-# ------------------------------------------------------------ worker plumbing
-
-#: Analyzer owned by a worker process (set by the pool initializer).
-_WORKER_ANALYZER: Optional[ExactAnalyzer] = None
-
-
-def _init_exact_worker(payload: bytes) -> None:
-    global _WORKER_ANALYZER
-    dut, model, max_enum_bits, max_window, engine = pickle.loads(payload)
-    _WORKER_ANALYZER = ExactAnalyzer(
-        dut, model, max_enum_bits=max_enum_bits, max_window=max_window,
-        engine=engine,
-    )
-
-
-def _exact_shard_task(
-    task: ShardTask,
-) -> Tuple[Tuple[int, ...], int, List[Tuple[np.ndarray, ...]]]:
-    class_indices, shard_index, lane_bits = task
-    analyzer = _WORKER_ANALYZER
-    counts = analyzer.count_shard(
-        [analyzer.probe_classes[ci] for ci in class_indices],
-        shard_index=shard_index,
-        shard_lane_bits=lane_bits,
-    )
-    return class_indices, shard_index, counts
+# ------------------------------------------------------------ shard tasks
 
 
 def _not_done(
@@ -217,14 +194,16 @@ def _not_done(
 class ShardedExactAnalyzer:
     """Parallel, checkpointed exhaustive enumeration of probe classes.
 
-    Wraps an :class:`ExactAnalyzer` and schedules each probe class's shard
-    plan across a process pool.  Classes with equal enumeration setups
-    share their stimulus, so one simulation per ``(setup, shard)`` counts
-    all of them.  Exact-count merges commute, so results are bit-identical
-    to the serial analyzer for any worker count.  Checkpoints use the
-    campaign CRC container (:func:`pack_checkpoint`): per-class merged
-    histograms plus the set of completed shards, fingerprinted by the
-    netlist hash and analysis configuration.
+    Wraps an :class:`ExactAnalyzer` and runs each probe class's shard plan
+    serially, or as ``exact_shard`` work items on the local process pool
+    (``workers > 1``) or a caller's runner (``dispatch``, see
+    :func:`repro.leakage.parallel.exact_dispatch`).  Classes with equal
+    enumeration setups share their stimulus, so one simulation per
+    ``(setup, shard)`` counts all of them.  Exact-count merges commute, so
+    results are bit-identical to the serial analyzer for any worker count.
+    Checkpoints use the campaign CRC container (:func:`pack_checkpoint`):
+    per-class merged histograms plus the set of completed shards,
+    fingerprinted by the netlist hash and analysis configuration.
     """
 
     def __init__(
@@ -453,13 +432,15 @@ class ShardedExactAnalyzer:
         ``status="truncated:cancelled"`` report covering the classes that
         finished.  A shard task is ``(class_indices, shard_index,
         lane_bits)``: the not-yet-done classes of one enumeration setup,
-        counted from one simulation of one shard.  ``dispatch`` replaces
-        the execution backend entirely (the service's fleet-distributed
-        path): called as ``dispatch(pending, merge, should_stop) ->
-        stopped`` with the task tuples the process pool would run, and
-        ``merge(class_index, shard_index, keys, rows, counts)`` per class
-        -- shard-count merging commutes, so any completion order yields
-        identical final histograms.
+        counted from one simulation of one shard.  ``workers > 1`` runs
+        them on the local process pool, capped at the CPU count like
+        campaign workers.  ``dispatch`` replaces the execution backend
+        (the service binds :func:`~repro.leakage.parallel.exact_dispatch`
+        to its fleet): called as ``dispatch(pending, merge, should_stop)
+        -> stopped`` with the pending task tuples, and ``merge(class_index,
+        shard_index, keys, rows, counts)`` per class -- shard-count merging
+        commutes, so any completion order yields identical final
+        histograms.
         """
         analyzer = self.analyzer
         all_classes = analyzer.probe_classes
@@ -571,7 +552,6 @@ class ShardedExactAnalyzer:
                 merge,
                 hook,
                 should_stop,
-                is_done=is_done,
                 dispatch=dispatch,
             )
 
@@ -614,89 +594,34 @@ class ShardedExactAnalyzer:
         merge: Callable,
         hook: Optional[Hook],
         should_stop: Optional[Callable[[], bool]],
-        is_done: Callable[[int, int], bool],
         dispatch: Optional[Callable] = None,
     ) -> bool:
-        """Execute shard tasks, in a pool or serially.  True when stopped."""
+        """Execute shard tasks: through ``dispatch``, the local process
+        pool, or serially in-process.  True when stopped."""
         if dispatch is not None:
             return bool(dispatch(pending, merge, should_stop))
+        if workers > 1:
+            effective = effective_workers(workers)
+            if effective == 1:
+                self._emit(
+                    hook,
+                    "degradation",
+                    {
+                        "kind": "degraded_serial",
+                        "detail": f"requested {workers} workers but only 1 "
+                        "is effective on this host; running serially",
+                    },
+                )
+                self._emit(
+                    hook,
+                    "degraded_serial",
+                    {"requested_workers": workers, "effective_workers": 1},
+                )
+            workers = effective
         if workers > 1 and len(pending) > 1:
-            try:
-                return self._run_pool(
-                    pending, workers, merge, should_stop, is_done
-                )
-            except (OSError, ValueError, pickle.PicklingError) as exc:
-                self._emit(
-                    hook,
-                    "degradation",
-                    {
-                        "kind": "certify.pool",
-                        "detail": f"worker pool unavailable ({exc}); "
-                        "running shards serially",
-                    },
-                )
-            except BrokenProcessPool as exc:
-                self._emit(
-                    hook,
-                    "degradation",
-                    {
-                        "kind": "certify.pool",
-                        "detail": f"worker pool died ({exc}); finishing "
-                        "remaining shards serially",
-                    },
-                )
-            pending = _not_done(pending, is_done)
+            with PoolRunner(self.analyzer, workers, hook=hook) as runner:
+                return exact_dispatch(runner)(pending, merge, should_stop)
         return self._run_serial(pending, merge, should_stop)
-
-    def _run_pool(
-        self,
-        pending: List[ShardTask],
-        workers: int,
-        merge: Callable,
-        should_stop: Optional[Callable[[], bool]],
-        is_done: Callable[[int, int], bool],
-    ) -> bool:
-        import multiprocessing
-
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
-        payload = pickle.dumps(
-            (
-                self.analyzer.dut,
-                self.analyzer.model,
-                self.analyzer.max_enum_bits,
-                self.analyzer.max_window,
-                self.analyzer.engine,
-            )
-        )
-        stopped = False
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=context,
-            initializer=_init_exact_worker,
-            initargs=(payload,),
-        ) as pool:
-            futures = [pool.submit(_exact_shard_task, task) for task in pending]
-            try:
-                for future in as_completed(futures):
-                    class_indices, si, counts = future.result()
-                    for ci, (keys, rows, table) in zip(class_indices, counts):
-                        merge(ci, si, keys, rows, table)
-                    if should_stop is not None and should_stop():
-                        stopped = True
-                        break
-            finally:
-                if stopped:
-                    for future in futures:
-                        future.cancel()
-                    pool.shutdown(wait=False, cancel_futures=True)
-        if not stopped:
-            remainder = _not_done(pending, is_done)
-            if remainder:  # pool died mid-run without raising at submit
-                return self._run_serial(remainder, merge, should_stop)
-        return stopped
 
     def _run_serial(
         self,

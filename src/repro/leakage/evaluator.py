@@ -690,6 +690,23 @@ def _packed_tables(
     ]
 
 
+def packed_totals(arrays: Dict[str, np.ndarray]) -> np.ndarray:
+    """Per-table fixed/random sample totals of packed state arrays.
+
+    ``arrays`` is the packed layout of
+    :meth:`HistogramAccumulator.state_arrays`, already validated by
+    :meth:`HistogramAccumulator.from_state`.  Returns a ``(2, n_tables)``
+    int64 array: one ``np.add.reduceat`` over the packed counts.
+    """
+    n_keys = arrays["n_keys"]
+    totals = np.zeros((2, n_keys.size), dtype=np.int64)
+    occupied = n_keys > 0
+    if occupied.any():
+        starts = (np.cumsum(n_keys) - n_keys)[occupied]
+        totals[:, occupied] = np.add.reduceat(arrays["counts"], starts, axis=1)
+    return totals
+
+
 class LeakageEvaluator(engine_registry.EngineOwner):
     """Fixed-vs-random evaluation of a design under a probing model."""
 

@@ -31,7 +31,7 @@ submit``, and ``python -m repro.cli worker``; see ``docs/service.md`` and
 ``docs/distributed.md``.
 """
 
-from repro.service.fleet import FleetCoordinator, FleetExecutor
+from repro.service.fleet import FleetCoordinator, FleetRunner
 from repro.service.http import EvaluationService
 from repro.service.queue import JobQueue, QueueFull, QuotaExceeded
 from repro.service.runner import (
@@ -50,7 +50,7 @@ __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "EvaluationService",
     "FleetCoordinator",
-    "FleetExecutor",
+    "FleetRunner",
     "FleetWorker",
     "HttpTransport",
     "JobQueue",

@@ -14,12 +14,15 @@ the determinism contract:
   shard counts).  A lease that is neither completed nor renewed within
   ``lease_seconds`` expires and its item is reissued -- a SIGKILLed worker
   costs wall-clock time, never results;
-* the **executor** (:class:`FleetExecutor`) plugs into
-  :class:`~repro.leakage.campaign.EvaluationCampaign` exactly where the
-  process-pool :class:`~repro.leakage.parallel.ParallelExecutor` does.
-  The campaign loop -- checkpoints, adaptive decisions at chunk
-  boundaries, slice telemetry, the verdict cache -- runs unchanged on the
-  coordinator; only the per-chunk block accumulation is farmed out.
+* the **runner** (:class:`FleetRunner`) runs a job's work items on the
+  fleet under the same contract as the local process pool
+  (:mod:`repro.leakage.parallel`): the campaign's
+  :class:`~repro.leakage.parallel.BlockExecutor` and the exact sweep's
+  dispatch build the items and check every result exactly as they do
+  for the pool.  The campaign loop -- checkpoints, adaptive decisions at
+  chunk boundaries, slice telemetry, the verdict cache -- runs unchanged
+  on the coordinator; only the per-chunk block accumulation is farmed
+  out.
 
 Why the merged results are **bit-identical** to serial execution for any
 worker count, interleaving, or mid-campaign worker death:
@@ -54,9 +57,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import FleetInterrupted, ServiceError, SimulationError
-from repro.leakage.evaluator import BLOCK_LANES, HistogramAccumulator
-from repro.leakage.parallel import shard_blocks
+from repro.errors import FleetInterrupted, ServiceError
 
 #: Default seconds a lease stays valid without a heartbeat.
 DEFAULT_LEASE_SECONDS = 30.0
@@ -511,203 +512,58 @@ class FleetCoordinator:
             }
 
 
-# ---------------------------------------------------------------- executor
+# ------------------------------------------------------------------ runner
 
 
-class FleetExecutor:
-    """Campaign executor that accumulates chunks through the fleet.
+class FleetRunner:
+    """Runs one job's work items on leased fleet workers.
 
-    Implements the :class:`~repro.leakage.parallel.ParallelExecutor`
-    ``accumulate``/``close`` interface, so
-    :class:`~repro.leakage.campaign.EvaluationCampaign` drives it without
-    knowing whether blocks run in a process pool or on remote workers.
+    The service's runner in the contract of :mod:`repro.leakage.parallel`:
+    :meth:`FleetCoordinator.wait` streams each item's first result once,
+    in completion order, and the lease protocol reissues only items
+    without a result (expired lease, corrupt payload, worker failure).
+    ``should_stop`` (cancellation, watchdog, shutdown) is polled while
+    waiting unless a run passes its own.
     """
 
     def __init__(
         self,
         coordinator: FleetCoordinator,
         job_id: str,
-        spec_dict: Dict,
         should_stop: Optional[Callable[[], bool]] = None,
     ):
         self.coordinator = coordinator
         self.job_id = job_id
-        self.spec_dict = spec_dict
         self.should_stop = should_stop
-        coordinator.register_job(job_id, spec_dict)
 
-    def accumulate(
+    def shards(self, n_blocks: int) -> int:
+        """Items to cut ``n_blocks`` blocks into, sized to live workers."""
+        return self.coordinator.suggest_shards(n_blocks)
+
+    def run(
         self,
-        acc: HistogramAccumulator,
-        fixed_secret: int,
-        n_lanes: int,
-        n_windows: int,
-        blocks,
-        classes=None,
-        class_indices: Optional[Sequence[int]] = None,
-        pairs: Sequence[Tuple[int, int]] = (),
-        pair_offsets: Sequence[int] = (0,),
-    ) -> None:
-        """Slice ``blocks`` into leases, wait, merge (submission order)."""
-        if classes is not None:
-            raise ServiceError(
-                "fleet execution ships class indices, not probe objects"
-            )
-        block_list = list(blocks)
-        if not block_list:
-            return
-        if class_indices is None:
-            # Every probe class, as a worker selects them: results are
-            # checked against an explicit list.
-            from repro.service.runner import evaluator_for
-            from repro.spec import EvaluationSpec
-
-            spec = EvaluationSpec.from_dict(self.spec_dict)
-            class_indices = range(len(evaluator_for(spec).probe_classes))
-        slices = shard_blocks(
-            block_list, self.coordinator.suggest_shards(len(block_list))
-        )
-        payloads = [
-            {
-                "kind": "blocks",
-                "fixed_secret": fixed_secret,
-                "n_lanes": n_lanes,
-                "n_windows": n_windows,
-                "blocks": [int(b) for b in chunk_slice],
-                "class_indices": [int(i) for i in class_indices],
-                "pairs": [[int(a), int(b)] for a, b in pairs],
-                "pair_offsets": [int(o) for o in pair_offsets],
-            }
-            for chunk_slice in slices
-        ]
+        payloads: Sequence[Dict],
+        on_result: Callable[[int, Dict], None],
+        should_stop: Optional[Callable[[], bool]] = None,
+    ) -> bool:
+        """Submit ``payloads`` and wait; True when the wait was stopped."""
         ids = self.coordinator.submit_items(self.job_id, payloads)
-        results = self.coordinator.wait(ids, should_stop=self.should_stop)
-        for item_id, payload in zip(ids, payloads):
-            acc.merge(_checked_tables(item_id, payload, results[item_id]))
-
-    def close(self) -> None:
-        """Drop any in-flight items for this job (idempotent)."""
-        self.coordinator.release_job(self.job_id)
-
-
-def _checked_tables(
-    item_id: str, payload: Dict, result: Dict
-) -> HistogramAccumulator:
-    """The tables of a ``blocks`` result, checked against its work item.
-
-    Raises :class:`ServiceError` unless the result holds exactly the
-    tables the item asked for (``c<i>`` per class index,
-    ``p<i>:<j>:<delta>`` per pair and offset) in the packed layout of
-    :meth:`HistogramAccumulator.state_arrays`, each counting every lane
-    and window of the item's blocks once per group.  A short or partial
-    result would otherwise merge silently while the campaign reports
-    the full sample budget.
-    """
-
-    def malformed(reason) -> ServiceError:
-        return ServiceError(
-            f"work item {item_id} returned malformed tables: {reason}"
-        )
-
-    arrays = result["arrays"]
-    ids = list(result["meta"].get("table_ids", []))
-    offsets = sorted(set(payload["pair_offsets"]))
-    requested = sorted(
-        [f"c{i}" for i in payload["class_indices"]]
-        + [f"p{i}:{j}:{d}" for i, j in payload["pairs"] for d in offsets]
-    )
-    if sorted(ids) != requested:
-        missing = sorted(set(requested) - set(ids))
-        unexpected = sorted(set(ids) - set(requested))
-        raise malformed(
-            f"{len(ids)} tables for {len(requested)} requested (missing "
-            f"{missing[:3]}, unexpected {unexpected[:3]})"
-        )
-    try:
-        state = HistogramAccumulator.from_state(ids, arrays)
-    except SimulationError as exc:
-        raise malformed(exc) from exc
-    if not ids:
-        return state
-    if "n_keys" not in arrays:
-        raise malformed("tables are not in the packed layout")
-    n_keys = arrays["n_keys"]
-    occupied = n_keys > 0
-    totals = np.zeros((2, len(ids)), dtype=np.int64)
-    if occupied.any():
-        starts = (np.cumsum(n_keys) - n_keys)[occupied]
-        totals[:, occupied] = np.add.reduceat(
-            arrays["counts"], starts, axis=1
-        )
-    lanes = sum(
-        min(BLOCK_LANES, int(payload["n_lanes"]) - block * BLOCK_LANES)
-        for block in payload["blocks"]
-    )
-    expected = lanes * int(payload["n_windows"])
-    short = np.flatnonzero((totals != expected).any(axis=0))
-    if short.size:
-        index = int(short[0])
-        raise malformed(
-            f"table {ids[index]!r} counts {totals[:, index].tolist()} "
-            f"observations per group, expected {expected}"
-        )
-    return state
-
-
-#: Per-class arrays of an ``exact_shard`` result, named ``<name>_<class>``.
-_SHARD_ARRAYS = ("keys", "rows", "counts")
-
-
-def fleet_exact_dispatch(
-    coordinator: FleetCoordinator,
-    job_id: str,
-    should_stop: Optional[Callable[[], bool]] = None,
-):
-    """A ``dispatch`` hook for :class:`ShardedExactAnalyzer` fleet runs.
-
-    Replaces the analyzer's process pool: each pending ``(class_indices,
-    shard, lane_bits)`` task becomes one leased work item -- one
-    simulation counting every listed class -- and ``merge`` fires per
-    class in completion order as workers stream counts back (sorted-union
-    merging commutes, so the final histograms -- and the report bytes --
-    match the serial sweep exactly).
-    """
-
-    def dispatch(pending, merge, stop) -> bool:
-        payloads = [
-            {
-                "kind": "exact_shard",
-                "class_indices": [int(ci) for ci in class_indices],
-                "shard_index": int(si),
-                "lane_bits": int(lane_bits),
-            }
-            for class_indices, si, lane_bits in pending
-        ]
-        ids = coordinator.submit_items(job_id, payloads)
-        tasks = dict(zip(ids, payloads))
-
-        def merge_result(item_id: str, result: Dict) -> None:
-            arrays = result["arrays"]
-            task = tasks[item_id]
-            try:
-                counts = [
-                    [arrays[f"{name}_{ci}"] for name in _SHARD_ARRAYS]
-                    for ci in task["class_indices"]
-                ]
-            except KeyError as exc:
-                raise ServiceError(
-                    f"work item {item_id} returned no shard counts {exc}"
-                ) from exc
-            for ci, triple in zip(task["class_indices"], counts):
-                merge(ci, task["shard_index"], *triple)
-
-        effective_stop = stop if stop is not None else should_stop
+        index = {item_id: i for i, item_id in enumerate(ids)}
         try:
-            coordinator.wait(
-                ids, should_stop=effective_stop, on_result=merge_result
+            self.coordinator.wait(
+                ids,
+                should_stop=(
+                    should_stop if should_stop is not None
+                    else self.should_stop
+                ),
+                on_result=lambda item_id, result: on_result(
+                    index[item_id], result
+                ),
             )
         except FleetInterrupted:
             return True
         return False
 
-    return dispatch
+    def close(self) -> None:
+        """Drop any in-flight items for this job (idempotent)."""
+        self.coordinator.release_job(self.job_id)

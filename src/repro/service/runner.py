@@ -466,6 +466,8 @@ class JobRunner:
                         "job_completed", job_id=job_id, cached=True
                     )
                     return
+            if self.fleet is not None:
+                self.fleet.register_job(job_id, spec.to_dict())
             if spec.mode == "exact":
                 self._execute_exact(
                     job_id,
@@ -486,13 +488,11 @@ class JobRunner:
             )
             executor = None
             if self.fleet is not None:
-                from repro.service.fleet import FleetExecutor
+                from repro.leakage.parallel import BlockExecutor
+                from repro.service.fleet import FleetRunner
 
-                executor = FleetExecutor(
-                    self.fleet,
-                    job_id,
-                    spec.to_dict(),
-                    should_stop=should_stop,
+                executor = BlockExecutor(
+                    evaluator, FleetRunner(self.fleet, job_id, should_stop)
                 )
             campaign = EvaluationCampaign(
                 evaluator,
@@ -639,10 +639,12 @@ class JobRunner:
         )
         dispatch = None
         if self.fleet is not None:
-            from repro.service.fleet import fleet_exact_dispatch
+            from repro.leakage.parallel import exact_dispatch
+            from repro.service.fleet import FleetRunner
 
-            self.fleet.register_job(job_id, spec.to_dict())
-            dispatch = fleet_exact_dispatch(self.fleet, job_id, should_stop)
+            dispatch = exact_dispatch(
+                FleetRunner(self.fleet, job_id, should_stop)
+            )
         report = run_exact_analysis(
             built.dut,
             model,

@@ -15,7 +15,7 @@ a reader can always ``json.loads`` each line independently.
 
 The logger doubles as the injectable ``hook(event, payload)`` expected by
 :class:`~repro.leakage.campaign.EvaluationCampaign` and
-:class:`~repro.leakage.parallel.ParallelExecutor` via :meth:`campaign_hook`,
+:class:`~repro.leakage.parallel.PoolRunner` via :meth:`campaign_hook`,
 which stamps every forwarded event with its job id.
 """
 

@@ -35,7 +35,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.chaos import DEFAULT_RETRY, RetryPolicy, retry_io
 from repro.errors import ReproError, ServiceError
-from repro.leakage.evaluator import HistogramAccumulator
+from repro.leakage.parallel import execute_item
 from repro.service.store import JobSpec
 from repro.spec import EvaluationSpec
 
@@ -211,53 +211,13 @@ class FleetWorker:
 
         spec = JobSpec.from_dict(work["spec"])
         payload = work["work"]
-        kind = payload.get("kind")
-        if kind == "blocks":
-            evaluator = self._evaluator_for(spec)
-            acc = HistogramAccumulator()
-            evaluator.accumulate(
-                acc,
-                int(payload["fixed_secret"]),
-                int(payload["n_lanes"]),
-                int(payload["n_windows"]),
-                class_indices=tuple(
-                    int(i) for i in payload["class_indices"]
-                ),
-                pairs=tuple(
-                    (int(a), int(b)) for a, b in payload.get("pairs", [])
-                ),
-                pair_offsets=tuple(
-                    int(o) for o in payload.get("pair_offsets", [0])
-                ),
-                blocks=[int(b) for b in payload["blocks"]],
-            )
-            ids, arrays = acc.state_arrays()
-            return {
-                "npz": encode_arrays(arrays),
-                "meta": {"table_ids": ids},
-            }
-        if kind == "exact_shard":
-            analyzer = self._analyzer_for(spec)
-            class_indices = [int(ci) for ci in payload["class_indices"]]
-            shard_index = int(payload["shard_index"])
-            counts = analyzer.count_shard(
-                [analyzer.probe_classes[ci] for ci in class_indices],
-                shard_index=shard_index,
-                shard_lane_bits=int(payload["lane_bits"]),
-            )
-            arrays = {}
-            for ci, (keys, rows, table) in zip(class_indices, counts):
-                arrays[f"keys_{ci}"] = keys
-                arrays[f"rows_{ci}"] = rows
-                arrays[f"counts_{ci}"] = table
-            return {
-                "npz": encode_arrays(arrays),
-                "meta": {
-                    "class_indices": class_indices,
-                    "shard_index": shard_index,
-                },
-            }
-        raise ServiceError(f"unknown work item kind {kind!r}")
+        build = (
+            self._analyzer_for
+            if payload.get("kind") == "exact_shard"
+            else self._evaluator_for
+        )
+        result = execute_item(build(spec), payload)
+        return {"npz": encode_arrays(result["arrays"]), "meta": result["meta"]}
 
     def _run_one(self, work: Dict) -> None:
         lease_id = work["lease_id"]

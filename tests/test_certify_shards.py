@@ -22,7 +22,7 @@ from repro.errors import (
     ServiceError,
     SimulationError,
 )
-from repro.leakage import certify, exact, gtest
+from repro.leakage import exact, gtest, parallel
 from repro.leakage.campaign import pack_checkpoint, unpack_checkpoint
 from repro.leakage.certify import (
     MIN_SHARD_LANE_BITS,
@@ -453,14 +453,14 @@ class TestGroupedCounting:
             sharded.analyze(probe_classes=group, dispatch=doubling_dispatch)
 
 
-_REAL_SHARD_TASK = certify._exact_shard_task
+_REAL_POOL_ITEM = parallel._run_in_pool
 
 
-def _dying_shard_task(task):
-    """A pool task whose worker process dies on shard 1."""
-    if task[1] == 1:
+def _dying_pool_item(payload):
+    """A pool item whose worker process dies on shard 1."""
+    if payload["shard_index"] == 1:
         os._exit(1)
-    return _REAL_SHARD_TASK(task)
+    return _REAL_POOL_ITEM(payload)
 
 
 class TestPoolDeath:
@@ -472,7 +472,7 @@ class TestPoolDeath:
         self, monkeypatch
     ):
         design, subset = _eq6_subset()
-        monkeypatch.setattr(certify, "_exact_shard_task", _dying_shard_task)
+        monkeypatch.setattr(parallel, "_run_in_pool", _dying_pool_item)
         events = []
         report = ShardedExactAnalyzer(
             design.dut, max_enum_bits=23, shard_lane_bits=7
@@ -800,10 +800,11 @@ class TestFleetShardItem:
         import threading
         import time
 
+        from repro.leakage.parallel import exact_dispatch
         from repro.service.fleet import (
             FleetCoordinator,
+            FleetRunner,
             encode_arrays,
-            fleet_exact_dispatch,
         )
         from repro.service.store import JobSpec
 
@@ -829,7 +830,7 @@ class TestFleetShardItem:
         threading.Thread(target=answer_badly, daemon=True).start()
         merged = []
         with pytest.raises(ServiceError, match="no shard counts"):
-            fleet_exact_dispatch(coord, "jx")(
+            exact_dispatch(FleetRunner(coord, "jx"))(
                 [((3, 5), 0, 6)], lambda *args: merged.append(args), None
             )
         assert merged == []

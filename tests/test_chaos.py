@@ -3,8 +3,9 @@
 Covers the policy spec (round-trip, validation, per-site determinism, the
 fault budget), ``retry_io`` backoff, the checkpoint integrity container
 and its generation fallback, engine degradation, the worker-kill/hang
-degradation ladder of the parallel executor, and a miniature chaos-torture
-sweep asserting the byte-identical-or-typed-error contract end to end.
+degradation ladder of the local process pool on both work-item kinds,
+and a miniature chaos-torture sweep asserting the
+byte-identical-or-typed-error contract end to end.
 """
 
 import random
@@ -30,7 +31,8 @@ from repro.leakage.campaign import (
 )
 from repro.leakage.evaluator import HistogramAccumulator, LeakageEvaluator
 from repro.leakage.model import ProbingModel
-from repro.leakage.parallel import ParallelExecutor
+from repro.leakage.certify import ShardedExactAnalyzer
+from repro.leakage.parallel import BlockExecutor, PoolRunner, exact_dispatch
 
 N_SIMS = 8_000
 
@@ -265,76 +267,71 @@ class TestEngineDegradation:
         _assert_identical(reference, report)
 
 
+def _state_bytes(acc):
+    ids, arrays = acc.state_arrays()
+    return ids, {name: array.tobytes() for name, array in arrays.items()}
+
+
 class TestWorkerDegradationLadder:
-    #: four full sampling blocks, so two workers get two shards each.
+    """The local pool's ladder -- one restart, stall reaping, in-process
+    fallback -- on both work-item kinds, ending with the serial bytes."""
+
+    #: four full sampling blocks, so two workers get two blocks each.
     LADDER_SIMS = 16_384
 
-    def _accumulate(self, evaluator, executor, blocks):
-        acc = HistogramAccumulator()
-        executor.accumulate(
-            acc, 0, evaluator.n_lanes_for(self.LADDER_SIMS, 1), 1,
-            blocks=blocks,
-        )
-        return acc
-
-    def _reference(self, design, blocks):
-        evaluator = _evaluator(design)
-        acc = HistogramAccumulator()
-        evaluator.accumulate(
-            acc, 0, evaluator.n_lanes_for(self.LADDER_SIMS, 1), 1,
-            blocks=blocks,
-        )
-        return acc
-
-    def _assert_tables_equal(self, acc_a, acc_b):
-        import numpy as np
-
-        assert sorted(acc_a.table_ids()) == sorted(acc_b.table_ids())
-        for table_id in acc_a.table_ids():
-            for got, want in zip(
-                acc_a.counts(table_id), acc_b.counts(table_id)
-            ):
-                assert np.array_equal(got, want)
-
-    def test_killed_workers_restart_then_degrade_serial(self, kronecker_eq6):
-        evaluator = _evaluator(kronecker_eq6)
-        evaluator.fault_plane = ScriptedPlane("worker.block", "kill")
+    def _run(self, kind, design, plane, **runner_kwargs):
+        """``(events, result, serial result)`` of one pool run."""
         events = []
-        blocks = list(range(4))
+
+        def hook(event, payload):
+            events.append(event)
+
+        if kind == "blocks":
+            evaluator = _evaluator(design)
+            evaluator.fault_plane = plane
+            n_lanes = evaluator.n_lanes_for(self.LADDER_SIMS, 1)
+            acc, reference = HistogramAccumulator(), HistogramAccumulator()
+            runner = PoolRunner(evaluator, 2, hook=hook, **runner_kwargs)
+            with BlockExecutor(evaluator, runner) as executor:
+                executor.accumulate(acc, 0, n_lanes, 1, blocks=range(4))
+            _evaluator(design).accumulate(
+                reference, 0, n_lanes, 1, blocks=range(4)
+            )
+            return events, _state_bytes(acc), _state_bytes(reference)
+        sharded = ShardedExactAnalyzer(design.dut, max_enum_bits=12)
+        sharded.analyzer.fault_plane = plane
+        with PoolRunner(
+            sharded.analyzer, 2, hook=hook, **runner_kwargs
+        ) as runner:
+            report = sharded.analyze(dispatch=exact_dispatch(runner))
+        serial = ShardedExactAnalyzer(design.dut, max_enum_bits=12).analyze()
+        return events, report.to_json(top=None), serial.to_json(top=None)
+
+    @pytest.mark.parametrize("kind", ["blocks", "exact_shard"])
+    def test_killed_workers_restart_then_degrade_serial(
+        self, kronecker_eq6, kind
+    ):
         with pytest.warns(RuntimeWarning, match="in-process"):
-            with ParallelExecutor(
-                evaluator,
-                2,
-                hook=lambda event, payload: events.append(event),
-            ) as executor:
-                acc = self._accumulate(evaluator, executor, blocks)
+            events, result, serial = self._run(
+                kind, kronecker_eq6, ScriptedPlane("worker.block", "kill")
+            )
         assert "pool_restart" in events
         assert "serial_fallback" in events
-        self._assert_tables_equal(
-            acc, self._reference(kronecker_eq6, blocks)
-        )
+        assert result == serial
 
-    def test_hung_workers_are_reaped(self, kronecker_eq6):
-        evaluator = _evaluator(kronecker_eq6)
-        evaluator.fault_plane = ScriptedPlane(
-            "worker.block", "hang", hang_seconds=60.0
-        )
-        events = []
-        blocks = list(range(4))
+    @pytest.mark.parametrize("kind", ["blocks", "exact_shard"])
+    def test_hung_workers_are_reaped(self, kronecker_eq6, kind):
         with pytest.warns(RuntimeWarning, match="in-process"):
-            with ParallelExecutor(
-                evaluator,
-                2,
-                hook=lambda event, payload: events.append(event),
+            events, result, serial = self._run(
+                kind,
+                kronecker_eq6,
+                ScriptedPlane("worker.block", "hang", hang_seconds=60.0),
                 shard_timeout=0.5,
                 max_pool_restarts=0,
-            ) as executor:
-                acc = self._accumulate(evaluator, executor, blocks)
+            )
         assert "worker_stalled" in events
         assert "serial_fallback" in events
-        self._assert_tables_equal(
-            acc, self._reference(kronecker_eq6, blocks)
-        )
+        assert result == serial
 
 
 class TestTortureHarness:

@@ -113,6 +113,13 @@ class TestExact:
         assert code == 1
         assert "INSECURE" in capsys.readouterr().out
 
+    def test_exact_sweep_beyond_budget_is_inconclusive(self, capsys):
+        """Probes over the enumeration budget are never a silent pass:
+        exit 3, as ``campaign --exact`` on the same sweep."""
+        code = main(["exact", "--scheme", "eq9", "--max-bits", "16"])
+        assert code == 3
+        assert "INCONCLUSIVE" in capsys.readouterr().out
+
 
 class TestSni:
     def test_standard_sni_passes(self, capsys):

@@ -24,13 +24,13 @@ import pytest
 from repro.errors import FleetInterrupted, ServiceError
 from repro.leakage.campaign import EvaluationCampaign
 from repro.leakage.evaluator import HistogramAccumulator
+from repro.leakage.parallel import BlockExecutor, exact_dispatch
 from repro.service import EvaluationService, JobSpec
 from repro.service.fleet import (
     FleetCoordinator,
-    FleetExecutor,
+    FleetRunner,
     decode_arrays,
     encode_arrays,
-    fleet_exact_dispatch,
 )
 from repro.service.runner import evaluator_for
 from repro.service.worker import FleetWorker, HttpTransport, LocalTransport
@@ -55,11 +55,20 @@ def _serial_report_bytes(spec_dict):
     return campaign.run().to_json(top=None)
 
 
+def _fleet_executor(coordinator, job_id, spec_dict, should_stop=None):
+    """The block executor bound to the fleet, as the service builds it."""
+    spec = JobSpec.from_dict(dict(spec_dict))
+    coordinator.register_job(job_id, spec.to_dict())
+    return BlockExecutor(
+        evaluator_for(spec), FleetRunner(coordinator, job_id, should_stop)
+    )
+
+
 def _fleet_report_bytes(spec_dict, coordinator, job_id="job-under-test"):
     spec = JobSpec.from_dict(dict(spec_dict))
-    executor = FleetExecutor(coordinator, job_id, spec.to_dict())
+    executor = _fleet_executor(coordinator, job_id, spec_dict)
     campaign = EvaluationCampaign(
-        evaluator_for(spec),
+        executor.evaluator,
         spec.campaign_config(default_chunking=True),
         executor=executor,
     )
@@ -213,7 +222,7 @@ class TestCoordinatorProtocol:
         """A decodable result whose tables are malformed (a count column
         missing) fails the merge with a typed error, not a short table."""
         coord = FleetCoordinator(lease_seconds=5.0)
-        executor = FleetExecutor(coord, "j1", dict(SMALL_SPEC))
+        executor = _fleet_executor(coord, "j1", SMALL_SPEC)
 
         def answer_badly():
             work = None
@@ -259,8 +268,8 @@ class TestBlocksResultValidation:
     def _accumulate(self, tamper, pairs=(), pair_offsets=(0,)):
         coord = FleetCoordinator(lease_seconds=5.0)
         deadline = time.monotonic() + 30
-        executor = FleetExecutor(
-            coord, "j1", dict(SMALL_SPEC),
+        executor = _fleet_executor(
+            coord, "j1", SMALL_SPEC,
             should_stop=lambda: time.monotonic() > deadline,
         )
         worker = FleetWorker(LocalTransport(coord), worker_id="w1")
@@ -405,7 +414,7 @@ class TestFleetBitIdentity:
             report = run_exact_analysis(
                 design.dut,
                 **kwargs,
-                dispatch=fleet_exact_dispatch(coord, "jx"),
+                dispatch=exact_dispatch(FleetRunner(coord, "jx")),
             )
         finally:
             stop.set()

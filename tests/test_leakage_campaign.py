@@ -23,6 +23,7 @@ from repro.leakage.campaign import (
     run_campaign,
     unpack_checkpoint,
 )
+from repro.leakage.adaptive import AdaptiveConfig
 from repro.leakage.evaluator import HistogramAccumulator, LeakageEvaluator
 from repro.leakage.model import ProbingModel
 
@@ -259,6 +260,65 @@ class TestCheckpointResume:
 
         self._rewrite_current(path, drop_column)
         self._resume_from_prev(kronecker_eq6, path)
+
+    def test_block_short_of_next_block_falls_back_to_prev_generation(
+        self, kronecker_eq6, tmp_path
+    ):
+        """A CRC-valid checkpoint whose well-formed tables hold one block
+        fewer than its ``next_block`` claims is corrupt: resuming from it
+        would report the full budget over a missing block."""
+        path = str(tmp_path / "ck.npz")
+        self._two_generations(kronecker_eq6, path)
+
+        def claim_one_more_block(meta, arrays):
+            meta["next_block"] += 1
+
+        self._rewrite_current(path, claim_one_more_block)
+        self._resume_from_prev(kronecker_eq6, path)
+
+    def test_adaptive_split_pair_offsets_resume_in_place(
+        self, kronecker_eq6, tmp_path
+    ):
+        """A pair keeps counting every offset while any one is undecided,
+        so a decided offset's table outgrows its ``n_samples``; the totals
+        check expects the pair's most sampled offset and resumes there."""
+        path = str(tmp_path / "ck.npz")
+
+        def campaign(hook=None):
+            return EvaluationCampaign(
+                LeakageEvaluator(
+                    kronecker_eq6.dut, ProbingModel.GLITCH, seed=3
+                ),
+                CampaignConfig(
+                    n_simulations=40_000,
+                    chunk_size=4_096,
+                    checkpoint=path,
+                    mode="both",
+                    max_pairs=30,
+                    pair_offsets=(0, 1),
+                    adaptive=AdaptiveConfig(
+                        decide_chunks=1,
+                        min_null_samples=4_096,
+                        max_budget_factor=1.5,
+                    ),
+                ),
+                hook=hook,
+            )
+
+        first = campaign()
+        golden = first.run().to_json(top=None)
+        states = first.scheduler.states()
+        assert any(
+            states[f"p{i}:{j}:0"].n_samples != states[f"p{i}:{j}:1"].n_samples
+            for i, j in first.scheduler.pairs
+        )
+        events = []
+        resumed = campaign(hook=lambda event, payload: events.append(event))
+        report = resumed.run(resume=True)
+        blocks_done = first.progress.blocks_done
+        assert resumed.progress.resumed_from_block == blocks_done
+        assert "checkpoint_corrupt" not in events
+        assert report.to_json(top=None) == golden
 
     def test_malformed_v1_tables_fall_back_to_prev_generation(
         self, kronecker_eq6, tmp_path
