@@ -25,7 +25,6 @@ import json
 import sys
 import time
 
-from repro.cli import _scheme
 from repro.core.kronecker import build_kronecker_delta
 from repro.leakage.certify import (
     CompositionalChecker,
@@ -34,6 +33,7 @@ from repro.leakage.certify import (
     dom_and_pair_design,
 )
 from repro.leakage.exact import ExactAnalyzer
+from repro.service.runner import resolve_scheme
 
 
 def _verdicts(report):
@@ -58,7 +58,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH_certify.json")
     args = parser.parse_args(argv)
 
-    design = build_kronecker_delta(_scheme(args.scheme))
+    design = build_kronecker_delta(resolve_scheme(args.scheme))
 
     t0 = time.perf_counter()
     serial = ExactAnalyzer(

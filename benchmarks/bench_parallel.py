@@ -35,22 +35,22 @@ import sys
 import time
 
 from repro import engines as engine_registry
-from repro.cli import _scheme
 from repro.leakage.campaign import CampaignConfig, EvaluationCampaign
 from repro.leakage.evaluator import LeakageEvaluator
 from repro.leakage.model import ProbingModel
 from repro.netlist.native import native_available
+from repro.service.runner import resolve_scheme
 
 
 def _build(design: str, scheme: str):
     if design == "kronecker":
         from repro.core.kronecker import build_kronecker_delta
 
-        return build_kronecker_delta(_scheme(scheme)).dut
+        return build_kronecker_delta(resolve_scheme(scheme)).dut
     if design == "sbox":
         from repro.core.sbox import build_masked_sbox
 
-        return build_masked_sbox(_scheme(scheme)).dut
+        return build_masked_sbox(resolve_scheme(scheme)).dut
     raise SystemExit(f"unknown design {design!r}")
 
 

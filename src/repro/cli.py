@@ -28,8 +28,11 @@ Commands mirror the paper's workflow:
   fault-free golden report or fails with a typed error.
 
 Exit codes: 0 -- clean and complete; 1 -- leakage detected; 2 -- error or
-infeasible analysis; 3 -- truncated before completion without a leak
-(inconclusive).
+infeasible analysis; 3 -- inconclusive: truncated before completion, or an
+exact sweep with probes beyond its enumeration budget, without a leak.
+``evaluate``, ``campaign``, ``exact`` and the service behind ``submit``
+run every spec through :func:`repro.service.runner.run_spec` and map its
+report to a code with :func:`repro.service.runner.exit_code_for`.
 """
 
 from __future__ import annotations
@@ -45,10 +48,7 @@ from repro import engines as engine_registry
 from repro.aes.cipher import aes128_encrypt_block
 from repro.core.aes_masked import MaskedAes128
 from repro.errors import ReproError, ServiceError
-from repro.leakage.campaign import EvaluationCampaign
-from repro.leakage.evaluator import LeakageEvaluator
 from repro.leakage.faults import run_self_check
-from repro.leakage.model import ProbingModel
 from repro.leakage.sni import SniChecker, dom_and_gadget
 from repro.netlist.stats import netlist_stats
 from repro.netlist.verilog import to_verilog
@@ -56,55 +56,36 @@ from repro.service.runner import (
     DESIGNS,
     build_design,
     evaluator_for,
-    resolve_scheme,
+    exit_code_for,
+    run_spec,
 )
 from repro.spec import API_VERSION, EvaluationSpec
-
-
-def _scheme(name: str):
-    try:
-        return resolve_scheme(name)
-    except ServiceError as exc:
-        raise SystemExit(str(exc))
-
 
 _DESIGNS = list(DESIGNS)
 
 
-def _build(design: str, scheme_name: str):
-    try:
-        built = build_design(design, scheme_name)
-    except ServiceError as exc:
-        raise SystemExit(str(exc))
-    return built.dut, built.netlist
+def _print_verdict(args, report, progress=None) -> int:
+    """Print a report as the command's flags ask; return its exit code.
 
-
-def cmd_evaluate(args) -> int:
-    """Run a fixed-vs-random evaluation; exit 1 on leakage."""
-    dut, _ = _build(args.design, args.scheme)
-    model = (
-        ProbingModel.GLITCH_TRANSITION
-        if args.transitions
-        else ProbingModel.GLITCH
-    )
-    evaluator = LeakageEvaluator(dut, model, seed=args.seed, engine=args.engine)
-    if args.pairs:
-        report = evaluator.evaluate_pairs(
-            fixed_secret=args.fixed,
-            n_simulations=args.simulations,
-            max_pairs=args.max_pairs,
-        )
-    else:
-        report = evaluator.evaluate(
-            fixed_secret=args.fixed,
-            n_simulations=args.simulations,
-            n_windows=args.windows,
-        )
-    if args.json:
+    A campaign's ``progress`` adds the block line to the text output.
+    """
+    if getattr(args, "json", False):
         print(report.to_json(top=args.top))
     else:
         print(report.format_summary(top=args.top))
-    return 0 if report.passed else 1
+        if progress is not None:
+            print(
+                f"  blocks: {progress.blocks_done}/{progress.blocks_total} "
+                f"in {progress.chunks_done} chunk(s), resumed from block "
+                f"{progress.resumed_from_block}, {progress.retries} retry(ies)"
+            )
+    return exit_code_for(report.to_dict(top=0))
+
+
+def cmd_evaluate(args) -> int:
+    """Run a fixed-vs-random evaluation; exit codes as ``campaign``."""
+    report, _ = run_spec(EvaluationSpec.from_args(args))
+    return _print_verdict(args, report)
 
 
 def cmd_campaign(args) -> int:
@@ -129,15 +110,6 @@ def cmd_campaign(args) -> int:
         return 0 if matrix.coverage_complete else 2
 
     spec = EvaluationSpec.from_args(args)
-    if spec.mode == "exact":
-        return _run_exact_spec(spec, args)
-    evaluator = evaluator_for(spec)
-    config = spec.campaign_config(
-        checkpoint=args.checkpoint,
-        time_budget=args.time_budget,
-        early_stop=args.early_stop,
-        stall_timeout=args.stall_timeout,
-    )
     fault_plane = None
     if args.chaos_seed is not None:
         from repro.chaos import ChaosPolicy
@@ -145,62 +117,16 @@ def cmd_campaign(args) -> int:
         fault_plane = ChaosPolicy(
             seed=args.chaos_seed, p=args.chaos_p
         ).fault_plane()
-    campaign = EvaluationCampaign(evaluator, config, fault_plane=fault_plane)
-    report = campaign.run(resume=args.resume)
-    if args.json:
-        print(report.to_json(top=args.top))
-    else:
-        print(report.format_summary(top=args.top))
-        progress = campaign.progress
-        print(
-            f"  blocks: {progress.blocks_done}/{progress.blocks_total} "
-            f"in {progress.chunks_done} chunk(s), resumed from block "
-            f"{progress.resumed_from_block}, {progress.retries} retry(ies)"
-        )
-    if not report.passed:
-        return 1
-    if report.truncated:
-        return 3
-    return 0
-
-
-def _run_exact_spec(spec: EvaluationSpec, args) -> int:
-    """Run a ``mode="exact"`` spec locally (the ``campaign --exact`` path).
-
-    Uses the sharded enumeration engine, so ``--workers``, ``--checkpoint``
-    and ``--resume`` behave exactly as in sampled campaigns; results are
-    bit-identical for any worker count or shard size.
-    """
-    from repro.leakage.certify import run_exact_analysis
-
-    dut, _ = _build(spec.design, spec.scheme)
-    model = (
-        ProbingModel.GLITCH_TRANSITION
-        if spec.model == "glitch-transition"
-        else ProbingModel.GLITCH
+    report, progress = run_spec(
+        spec,
+        checkpoint=args.checkpoint,
+        resume=args.resume,
+        fault_plane=fault_plane,
+        time_budget=args.time_budget,
+        early_stop=args.early_stop,
+        stall_timeout=args.stall_timeout,
     )
-    report = run_exact_analysis(
-        dut,
-        model,
-        max_enum_bits=spec.max_enum_bits,
-        shard_lane_bits=spec.shard_lane_bits,
-        workers=spec.workers,
-        fixed_secret=spec.fixed_secret,
-        checkpoint=getattr(args, "checkpoint", None),
-        resume=getattr(args, "resume", False),
-        engine=spec.engine,
-    )
-    if getattr(args, "json", False):
-        print(report.to_json(top=args.top))
-    else:
-        print(report.format_summary(top=args.top))
-    if not report.passed:
-        return 1
-    if not report.conclusive:
-        # no leak found, but not every probe was examined (early stop or
-        # budget-skipped classes): inconclusive, never a silent pass.
-        return 3
-    return 0
+    return _print_verdict(args, report, progress)
 
 
 def cmd_exact(args) -> int:
@@ -214,7 +140,8 @@ def cmd_exact(args) -> int:
             "engine": args.engine,
         }
     )
-    return _run_exact_spec(spec, args)
+    report, _ = run_spec(spec)
+    return _print_verdict(args, report)
 
 
 _CERTIFY_FIXTURES = ("dom-and", "dom-and-pair", "dom-and-pair-shared")
@@ -237,7 +164,7 @@ def cmd_certify(args) -> int:
             ),
         }[args.gadget]()
     else:
-        dut, _ = _build(args.design, args.scheme)
+        dut = build_design(args.design, args.scheme).dut
     checker = CompositionalChecker(
         dut,
         model=args.model,
@@ -267,15 +194,14 @@ def cmd_sni(args) -> int:
 
 def cmd_report(args) -> int:
     """Print the netlist structure/area report."""
-    _, netlist = _build(args.design, args.scheme)
+    netlist = build_design(args.design, args.scheme).netlist
     print(netlist_stats(netlist).format_table())
     return 0
 
 
 def cmd_verilog(args) -> int:
     """Export a design as structural Verilog."""
-    _, netlist = _build(args.design, args.scheme)
-    text = to_verilog(netlist)
+    text = to_verilog(build_design(args.design, args.scheme).netlist)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text)
@@ -407,8 +333,9 @@ def cmd_submit(args) -> int:
                   file=sys.stderr)
             return 2
         record = json.loads(body)
-        progress = record.get("progress")
-        if progress and record["state"] == "running":
+        progress = record.get("progress") or {}
+        # An exact job's progress counts shards, not blocks.
+        if record["state"] == "running" and "blocks_done" in progress:
             print(
                 f"  running: {progress['blocks_done']}/"
                 f"{progress['blocks_total']} blocks"
@@ -421,13 +348,19 @@ def cmd_submit(args) -> int:
     if status != 200:
         print(f"error: report fetch failed ({status})", file=sys.stderr)
         return 2
+    report = json.loads(body)
+    code = exit_code_for(report)
     if args.json:
         sys.stdout.write(body.decode("utf-8"))
     else:
-        report = json.loads(body)
-        verdict = "PASS" if report["passed"] else "FAIL (leakage)"
-        if report["status"] != "complete" and report["passed"]:
-            verdict = "INCONCLUSIVE (truncated)"
+        verdict = {0: "PASS", 1: "FAIL (leakage)"}.get(code)
+        if verdict is None:
+            verdict = (
+                "INCONCLUSIVE (truncated)"
+                if report["status"] != "complete"
+                else f"INCONCLUSIVE ({report['n_skipped']} probes beyond "
+                "enumeration budget)"
+            )
         print(f"  design:  {report['design']}")
         print(f"  status:  {report['status']}")
         print(f"  max -log10(p): {report['max_mlog10p']:.2f}")
@@ -440,7 +373,7 @@ def cmd_submit(args) -> int:
                 f"({adaptive['probe_sample_savings']}x probe-sample savings)"
             )
         print(f"  verdict: {verdict}")
-    return record["result"]["exit_code"]
+    return code
 
 
 def cmd_worker(args) -> int:

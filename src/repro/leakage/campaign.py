@@ -740,8 +740,23 @@ class EvaluationCampaign:
             )
 
     def _report(self, status: str) -> LeakageReport:
+        """The report of the blocks done so far.
+
+        Raises :class:`SimulationError`, and builds no report, unless the
+        tables are exactly those the probes were sampled into, each
+        holding :meth:`_expected_samples` per group: a lost or doubled
+        block must never become a verdict.
+        """
         cfg = self.config
-        n_samples = self._lanes_done(self.progress.blocks_done) * cfg.n_windows
+        blocks_done = self.progress.blocks_done
+        n_samples = self._lanes_done(blocks_done) * cfg.n_windows
+        expected = self._expected_samples(blocks_done, self.scheduler)
+        if self.accumulator.table_ids() != sorted(expected):
+            raise SimulationError(
+                f"the tables after {blocks_done} blocks are not the ones "
+                "their probes were sampled into; no verdict from missing "
+                "evidence"
+            )
         if cfg.mode == "pairs":
             report = self.evaluator.pairs_report(
                 self.accumulator,
@@ -751,6 +766,7 @@ class EvaluationCampaign:
                 cfg.pair_offsets,
                 cfg.threshold,
                 status=status,
+                expected=expected,
             )
         elif cfg.mode == "both":
             report = self.evaluator.batched_report(
@@ -761,6 +777,7 @@ class EvaluationCampaign:
                 cfg.pair_offsets,
                 cfg.threshold,
                 status=status,
+                expected=expected,
             )
         else:
             report = self.evaluator.first_order_report(
@@ -769,6 +786,7 @@ class EvaluationCampaign:
                 n_samples,
                 cfg.threshold,
                 status=status,
+                expected=expected,
             )
         if self.scheduler is not None:
             report.adaptive = self.scheduler.summary(

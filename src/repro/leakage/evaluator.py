@@ -690,6 +690,21 @@ def _packed_tables(
     ]
 
 
+def _check_samples(table: str, outcome: GTestResult, samples: int) -> None:
+    """Raise unless a tested table holds ``samples`` per group.
+
+    ``outcome`` is the table's G-test, whose group totals come for free
+    with the statistic.  A table missing samples -- or missing entirely,
+    which tests as G = 0 -- would otherwise read as a pass.
+    """
+    if outcome.n_fixed != samples or outcome.n_random != samples:
+        raise SimulationError(
+            f"table {table!r} holds {outcome.n_fixed} fixed and "
+            f"{outcome.n_random} random samples, but its probe received "
+            f"{samples} per group; no verdict from missing evidence"
+        )
+
+
 def packed_totals(arrays: Dict[str, np.ndarray]) -> np.ndarray:
     """Per-table fixed/random sample totals of packed state arrays.
 
@@ -1291,13 +1306,22 @@ class LeakageEvaluator(engine_registry.EngineOwner):
         threshold: float = DEFAULT_THRESHOLD,
         classes: Optional[List[ProbeClass]] = None,
         status: str = "complete",
+        expected: Optional[Dict[str, int]] = None,
     ) -> LeakageReport:
-        """G-test every accumulated probe-class table into a report."""
+        """G-test every accumulated probe-class table into a report.
+
+        ``expected`` maps table ids to the samples per group each table
+        must hold (absent ids: none); any other total raises
+        :class:`SimulationError` (:func:`_check_samples`).
+        """
         classes = classes if classes is not None else self.probe_classes
         netlist = self.dut.netlist
         report = self._new_report(fixed_secret, n_samples, threshold, status)
         for index, probe_class in enumerate(classes):
-            outcome = acc.test(f"c{index}")
+            table_id = f"c{index}"
+            outcome = acc.test(table_id)
+            if expected is not None:
+                _check_samples(table_id, outcome, expected.get(table_id, 0))
             report.results.append(
                 ProbeResult(
                     probe_names=probe_class.member_names(netlist),
@@ -1403,15 +1427,24 @@ class LeakageEvaluator(engine_registry.EngineOwner):
         pair_offsets: Sequence[int] = (0,),
         threshold: float = DEFAULT_THRESHOLD,
         status: str = "complete",
+        expected: Optional[Dict[str, int]] = None,
     ) -> LeakageReport:
-        """G-test every accumulated pair table into a report."""
+        """G-test every accumulated pair table into a report.
+
+        ``expected`` is checked as in :meth:`first_order_report`.
+        """
         offsets = sorted(set(pair_offsets))
         classes = self.probe_classes
         netlist = self.dut.netlist
         report = self._new_report(fixed_secret, n_samples, threshold, status)
         for i, j in pairs:
             for delta in offsets:
-                outcome = acc.test(f"p{i}:{j}:{delta}")
+                table_id = f"p{i}:{j}:{delta}"
+                outcome = acc.test(table_id)
+                if expected is not None:
+                    _check_samples(
+                        table_id, outcome, expected.get(table_id, 0)
+                    )
                 suffix = f" @-{delta}" if delta else ""
                 report.results.append(
                     ProbeResult(
@@ -1476,15 +1509,16 @@ class LeakageEvaluator(engine_registry.EngineOwner):
         threshold: float = DEFAULT_THRESHOLD,
         status: str = "complete",
         classes: Optional[List[ProbeClass]] = None,
+        expected: Optional[Dict[str, int]] = None,
     ) -> LeakageReport:
         """Report over a batched accumulation: first-order then pair rows."""
         report = self.first_order_report(
             acc, fixed_secret, n_samples, threshold, classes=classes,
-            status=status,
+            status=status, expected=expected,
         )
         pair_report = self.pairs_report(
             acc, fixed_secret, n_samples, pairs, pair_offsets, threshold,
-            status=status,
+            status=status, expected=expected,
         )
         report.results.extend(pair_report.results)
         return report

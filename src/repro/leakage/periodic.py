@@ -30,6 +30,7 @@ from repro import engines as engine_registry
 from repro.errors import SimulationError
 from repro.leakage.evaluator import (
     _check_hash_bits,
+    _check_samples,
     _count_spec,
     _CountPlan,
     _observe,
@@ -313,13 +314,21 @@ class PeriodicLeakageEvaluator(engine_registry.EngineOwner):
             outcomes = g_test_counts_batch(tables)
             stage["histogram"] += perf_counter() - t0
 
+        # Every (class, phase) table holds one sample per lane and period
+        # in each group; anything else is missing evidence, not a verdict.
+        if len(outcomes) != len(labels):
+            raise SimulationError(
+                f"{len(outcomes)} tables tested for {len(labels)} "
+                "(probe class, phase) pairs"
+            )
         for (probe_class, phase), outcome in zip(labels, outcomes):
+            probe_names = (
+                probe_class.member_names(self.netlist) + f" @phase{phase}"
+            )
+            _check_samples(probe_names, outcome, n_lanes * n_periods)
             report.results.append(
                 ProbeResult(
-                    probe_names=(
-                        probe_class.member_names(self.netlist)
-                        + f" @phase{phase}"
-                    ),
+                    probe_names=probe_names,
                     support_names=tuple(
                         probe_class.support_names(self.netlist)
                     ),

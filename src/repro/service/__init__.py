@@ -10,8 +10,10 @@ tuples while comparing candidate randomness schemes:
   returning byte-identical reports).
 * :mod:`repro.service.queue` -- bounded admission queue with priority
   lanes and graduated low-priority shedding.
-* :mod:`repro.service.runner` -- background worker threads executing jobs
-  as checkpointable campaigns with cancellation and crash-resume.
+* :mod:`repro.service.runner` -- :func:`run_spec`, the one path from a
+  spec to its report (and :func:`exit_code_for`, the one exit-code rule),
+  plus the background worker threads executing jobs through it with
+  cancellation and crash-resume.
 * :mod:`repro.service.fleet` -- coordinator side of the distributed
   campaign fabric: a lease-based work queue of campaign block slices and
   exact shards, merged centrally and bit-identically to serial execution.
@@ -39,7 +41,9 @@ from repro.service.runner import (
     JobRunner,
     build_design,
     evaluator_for,
+    exit_code_for,
     resolve_scheme,
+    run_spec,
     verdict_summary,
 )
 from repro.service.store import JobSpec, JobStore, canonical_key
@@ -64,6 +68,8 @@ __all__ = [
     "build_design",
     "canonical_key",
     "evaluator_for",
+    "exit_code_for",
     "resolve_scheme",
+    "run_spec",
     "verdict_summary",
 ]

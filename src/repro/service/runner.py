@@ -2,7 +2,9 @@
 
 A :class:`JobRunner` owns a small pool of worker *threads*, each draining
 the :class:`~repro.service.queue.JobQueue` and executing one job at a time
-as a checkpointable :class:`~repro.leakage.campaign.EvaluationCampaign`.
+through :func:`run_spec` -- the path every CLI command takes too -- as a
+checkpointable :class:`~repro.leakage.campaign.EvaluationCampaign` or an
+exact sweep.
 Threads (not processes) are the right grain here: a campaign already
 parallelizes its heavy lifting across a process pool when the job asks for
 workers, and the runner thread spends its life inside numpy/multiprocessing
@@ -41,6 +43,7 @@ from repro.errors import FleetInterrupted, ReproError, ServiceError
 from repro.leakage.campaign import EvaluationCampaign
 from repro.leakage.evaluator import LeakageEvaluator
 from repro.leakage.model import ProbingModel
+from repro.leakage.parallel import BlockExecutor, exact_dispatch
 from repro.service.queue import JobQueue
 from repro.service.store import JobSpec, JobStore
 from repro.service.telemetry import Telemetry
@@ -114,40 +117,118 @@ def design_hash_for(spec: JobSpec) -> str:
     return netlist_content_hash(built.dut.netlist)
 
 
-def evaluator_for(spec: JobSpec) -> LeakageEvaluator:
-    """Construct the evaluator a job spec describes."""
-    built = build_design(spec.design, spec.scheme)
-    model = (
+def probing_model(spec: JobSpec) -> ProbingModel:
+    """The probing model a spec's ``model`` field names."""
+    return (
         ProbingModel.GLITCH_TRANSITION
         if spec.model == "glitch-transition"
         else ProbingModel.GLITCH
     )
+
+
+def evaluator_for(spec: JobSpec) -> LeakageEvaluator:
+    """Construct the evaluator a job spec describes."""
+    built = build_design(spec.design, spec.scheme)
     return LeakageEvaluator(
-        built.dut, model, seed=spec.seed, engine=spec.engine,
+        built.dut, probing_model(spec), seed=spec.seed, engine=spec.engine,
         slice_cones=spec.slice,
     )
 
 
-def verdict_summary(report_dict: Dict) -> Dict:
-    """Compact result summary stored on the job record.
+def run_spec(
+    spec: JobSpec,
+    checkpoint: Optional[str] = None,
+    resume: bool = False,
+    hook=None,
+    should_stop=None,
+    fault_plane=None,
+    runner=None,
+    default_chunking: bool = False,
+    time_budget: Optional[float] = None,
+    early_stop: Optional[float] = None,
+    stall_timeout: Optional[float] = None,
+):
+    """Run one spec to its report: the one spec-to-verdict path.
 
-    ``exit_code`` mirrors the CLI contract: 0 clean+complete, 1 leakage,
-    3 truncated without a leak (inconclusive).
+    Modes ``first``, ``pairs`` and ``both`` run an
+    :class:`EvaluationCampaign`; ``mode="exact"`` runs the sharded
+    exhaustive enumeration of
+    :func:`~repro.leakage.certify.run_exact_analysis`.  Every CLI
+    command and :class:`JobRunner` come through here, so a spec reaches
+    the same report, and through :func:`exit_code_for` the same exit
+    code, whichever door it came in by.
+
+    The keyword arguments are execution extras outside the spec.
+    ``runner`` (a :class:`~repro.service.fleet.FleetRunner`) executes
+    the campaign's blocks or the sweep's shards as work items.
+    ``fault_plane``, ``default_chunking``, ``time_budget``,
+    ``early_stop`` and ``stall_timeout`` apply to campaigns only.
+
+    Returns ``(report, progress)``: ``progress`` is the campaign's
+    :class:`~repro.leakage.campaign.CampaignProgress`, ``None`` for an
+    exact sweep.
     """
-    truncated = report_dict.get("status", "complete") != "complete"
-    passed = bool(report_dict.get("passed"))
-    if not passed:
-        exit_code = 1
-    elif truncated:
-        exit_code = 3
-    else:
-        exit_code = 0
+    if spec.mode == "exact":
+        from repro.leakage.certify import run_exact_analysis
+
+        report = run_exact_analysis(
+            build_design(spec.design, spec.scheme).dut,
+            probing_model(spec),
+            max_enum_bits=spec.max_enum_bits,
+            shard_lane_bits=spec.shard_lane_bits,
+            workers=spec.workers,
+            fixed_secret=spec.fixed_secret,
+            checkpoint=checkpoint,
+            resume=resume,
+            hook=hook,
+            should_stop=should_stop,
+            dispatch=None if runner is None else exact_dispatch(runner),
+            engine=spec.engine,
+        )
+        return report, None
+    evaluator = evaluator_for(spec)
+    config = spec.campaign_config(
+        checkpoint=checkpoint,
+        default_chunking=default_chunking,
+        time_budget=time_budget,
+        early_stop=early_stop,
+        stall_timeout=stall_timeout,
+    )
+    campaign = EvaluationCampaign(
+        evaluator,
+        config,
+        hook=hook,
+        should_stop=should_stop,
+        fault_plane=fault_plane,
+        executor=None if runner is None else BlockExecutor(evaluator, runner),
+    )
+    return campaign.run(resume=resume), campaign.progress
+
+
+def exit_code_for(report_dict: Dict) -> int:
+    """The exit code of a report dict (sampled or exact).
+
+    1 when a probe leaks; 3 (inconclusive) when the run was truncated,
+    or when an exact sweep left probes beyond its enumeration budget --
+    unexamined probes might leak, so that is never a pass; 0 otherwise.
+    """
+    if not report_dict.get("passed"):
+        return 1
+    if report_dict.get("status", "complete") != "complete":
+        return 3
+    if report_dict.get("mode") == "exact" and report_dict.get("n_skipped"):
+        return 3
+    return 0
+
+
+def verdict_summary(report_dict: Dict) -> Dict:
+    """Compact result summary stored on the job record."""
     return {
-        "passed": passed,
+        "passed": bool(report_dict.get("passed")),
         "status": report_dict.get("status"),
         "max_mlog10p": report_dict.get("max_mlog10p"),
         "n_probe_classes": report_dict.get("n_probe_classes"),
-        "exit_code": exit_code,
+        "exit_code": exit_code_for(report_dict),
     }
 
 
@@ -466,120 +547,41 @@ class JobRunner:
                         "job_completed", job_id=job_id, cached=True
                     )
                     return
+            runner = None
             if self.fleet is not None:
-                self.fleet.register_job(job_id, spec.to_dict())
-            if spec.mode == "exact":
-                self._execute_exact(
-                    job_id,
-                    spec,
-                    cache_key,
-                    checkpoint,
-                    hook,
-                    should_stop,
-                    cancel_event,
-                    stall_event,
-                )
-                return
-            evaluator = evaluator_for(spec)
-            config = spec.campaign_config(
-                checkpoint=checkpoint,
-                default_chunking=True,
-                stall_timeout=self.stall_timeout,
-            )
-            executor = None
-            if self.fleet is not None:
-                from repro.leakage.parallel import BlockExecutor
                 from repro.service.fleet import FleetRunner
 
-                executor = BlockExecutor(
-                    evaluator, FleetRunner(self.fleet, job_id, should_stop)
-                )
-            campaign = EvaluationCampaign(
-                evaluator,
-                config,
+                self.fleet.register_job(job_id, spec.to_dict())
+                runner = FleetRunner(self.fleet, job_id, should_stop)
+            report, progress = run_spec(
+                spec,
+                checkpoint=checkpoint,
+                resume=True,
                 hook=hook,
                 should_stop=should_stop,
                 fault_plane=self.fault_plane,
-                executor=executor,
+                runner=runner,
+                default_chunking=True,
+                stall_timeout=self.stall_timeout,
             )
-            report = campaign.run(resume=True)
             if report.status == "truncated:cancelled":
-                if cancel_event.is_set():
-                    self.store.update_job(
-                        job_id,
-                        state="cancelled",
-                        finished_at=round(time.time(), 3),
-                    )
-                    self.telemetry.emit("job_cancelled", job_id=job_id)
-                    if os.path.exists(checkpoint):
-                        os.unlink(checkpoint)
-                elif stall_event.is_set():
-                    # The watchdog reaped this run; its checkpoint is the
-                    # durable image the restart resumes from.
-                    self._restart_or_dead_letter(
-                        job_id,
-                        "no chunk progress within "
-                        f"{self.stall_timeout:g}s (watchdog)",
-                    )
-                else:  # service shutdown: back to the durable queue image
-                    self.store.update_job(job_id, state="queued")
-                    self.telemetry.emit(
-                        "job_interrupted",
-                        job_id=job_id,
-                        blocks_done=campaign.progress.blocks_done,
-                        blocks_total=campaign.progress.blocks_total,
-                    )
+                self._stopped(
+                    job_id, checkpoint, cancel_event, stall_event, progress
+                )
                 return
-            report_json = report.to_json(top=None)
-            self.store.put_result(cache_key, report_json)
-            summary = verdict_summary(report.to_dict(top=0))
-            if report.degradations:
-                # Execution provenance lives on the job record, not in the
-                # cached verdict bytes (which stay environment-invariant).
-                summary["degradations"] = list(report.degradations)
-            self.store.update_job(
-                job_id,
-                state="done",
-                finished_at=round(time.time(), 3),
-                result=summary,
-                progress={
-                    "blocks_done": campaign.progress.blocks_done,
-                    "blocks_total": campaign.progress.blocks_total,
-                    "chunks_done": campaign.progress.chunks_done,
-                    "resumed_from_block": campaign.progress.resumed_from_block,
-                },
-            )
-            self.telemetry.emit(
-                "job_completed",
-                job_id=job_id,
-                cached=False,
-                passed=summary["passed"],
-                status=summary["status"],
-                resumed_from_block=campaign.progress.resumed_from_block,
-            )
-            if os.path.exists(checkpoint):
-                os.unlink(checkpoint)
+            self._finish(job_id, cache_key, checkpoint, report, progress)
         except FleetInterrupted:
             # A distributed wait aborted mid-chunk/shard.  Completed chunks
             # are in the checkpoint; the in-flight one is lost -- the same
             # durability contract as a SIGKILL -- so the job takes the same
             # ladder as a ``truncated:cancelled`` report.
-            if cancel_event.is_set():
-                self.store.update_job(
-                    job_id,
-                    state="cancelled",
-                    finished_at=round(time.time(), 3),
-                )
-                self.telemetry.emit("job_cancelled", job_id=job_id)
-                if os.path.exists(checkpoint):
-                    os.unlink(checkpoint)
-            elif stall_event.is_set():
-                self._restart_or_dead_letter(
-                    job_id, "fleet execution interrupted by the watchdog"
-                )
-            else:  # service shutdown: resume from the chunk checkpoint
-                self.store.update_job(job_id, state="queued")
-                self.telemetry.emit("job_interrupted", job_id=job_id)
+            self._stopped(
+                job_id,
+                checkpoint,
+                cancel_event,
+                stall_event,
+                stall_reason="fleet execution interrupted by the watchdog",
+            )
         except ReproError as exc:
             self.store.update_job(
                 job_id,
@@ -610,84 +612,82 @@ class JobRunner:
                 self._stalls.pop(job_id, None)
                 self._progress.pop(job_id, None)
 
-    def _execute_exact(
+    def _stopped(
         self,
         job_id: str,
-        spec: JobSpec,
-        cache_key: str,
         checkpoint: str,
-        hook,
-        should_stop,
         cancel_event: threading.Event,
         stall_event: threading.Event,
+        progress=None,
+        stall_reason: Optional[str] = None,
     ) -> None:
-        """Run a ``mode="exact"`` job through the sharded enumeration engine.
+        """Settle a job that stopped on request before its verdict.
 
-        Same execution contract as campaign jobs: durable checkpoint at
-        shard granularity, cancellation/stall/shutdown stop at the next
-        shard boundary, and the finished report lands in the same verdict
-        cache (its key carries the ``"exact"`` parameter block, so exact
-        and sampled verdicts never collide).
+        Cancellation ends it and deletes its checkpoint.  A watchdog stall
+        restarts it from its checkpoint, or dead-letters it.  A service
+        shutdown returns it to the durable queue image the next boot
+        resumes.  ``progress`` is the stopped campaign's (``None`` for an
+        exact sweep or an aborted fleet wait).
         """
-        from repro.leakage.certify import run_exact_analysis
-
-        built = build_design(spec.design, spec.scheme)
-        model = (
-            ProbingModel.GLITCH_TRANSITION
-            if spec.model == "glitch-transition"
-            else ProbingModel.GLITCH
-        )
-        dispatch = None
-        if self.fleet is not None:
-            from repro.leakage.parallel import exact_dispatch
-            from repro.service.fleet import FleetRunner
-
-            dispatch = exact_dispatch(
-                FleetRunner(self.fleet, job_id, should_stop)
+        if cancel_event.is_set():
+            self.store.update_job(
+                job_id, state="cancelled", finished_at=round(time.time(), 3)
             )
-        report = run_exact_analysis(
-            built.dut,
-            model,
-            max_enum_bits=spec.max_enum_bits,
-            shard_lane_bits=spec.shard_lane_bits,
-            workers=spec.workers,
-            fixed_secret=spec.fixed_secret,
-            checkpoint=checkpoint,
-            resume=True,
-            hook=hook,
-            should_stop=should_stop,
-            dispatch=dispatch,
-            engine=spec.engine,
-        )
-        if report.status == "truncated:cancelled":
-            if cancel_event.is_set():
-                self.store.update_job(
-                    job_id,
-                    state="cancelled",
-                    finished_at=round(time.time(), 3),
+            self.telemetry.emit("job_cancelled", job_id=job_id)
+            if os.path.exists(checkpoint):
+                os.unlink(checkpoint)
+        elif stall_event.is_set():
+            # The watchdog reaped this run; its checkpoint is the durable
+            # image the restart resumes from.
+            if stall_reason is None:
+                unit = "shard" if progress is None else "chunk"
+                stall_reason = (
+                    f"no {unit} progress within {self.stall_timeout:g}s "
+                    "(watchdog)"
                 )
-                self.telemetry.emit("job_cancelled", job_id=job_id)
-                if os.path.exists(checkpoint):
-                    os.unlink(checkpoint)
-            elif stall_event.is_set():
-                self._restart_or_dead_letter(
-                    job_id,
-                    "no shard progress within "
-                    f"{self.stall_timeout:g}s (watchdog)",
-                )
-            else:  # service shutdown: resume from the shard checkpoint
-                self.store.update_job(job_id, state="queued")
-                self.telemetry.emit("job_interrupted", job_id=job_id)
-            return
-        report_json = report.to_json(top=None)
-        self.store.put_result(cache_key, report_json)
+            self._restart_or_dead_letter(job_id, stall_reason)
+        else:
+            self.store.update_job(job_id, state="queued")
+            blocks = {}
+            if progress is not None:
+                blocks = {
+                    "blocks_done": progress.blocks_done,
+                    "blocks_total": progress.blocks_total,
+                }
+            self.telemetry.emit("job_interrupted", job_id=job_id, **blocks)
+
+    def _finish(
+        self, job_id: str, cache_key: str, checkpoint: str, report, progress
+    ) -> None:
+        """Memoize a finished job's verdict and mark the job ``done``.
+
+        The verdict cache gets the report bytes; the job record gets the
+        summary plus execution detail: a campaign's block progress and
+        degradations, or an exact sweep's count of infeasible probes.
+        """
+        self.store.put_result(cache_key, report.to_json(top=None))
         summary = verdict_summary(report.to_dict(top=0))
-        summary["n_infeasible"] = len(report.infeasible)
+        fields, resumed = {}, {}
+        if progress is None:
+            summary["n_infeasible"] = len(report.infeasible)
+        else:
+            if report.degradations:
+                # Execution provenance lives on the job record, not in the
+                # cached verdict bytes (which stay environment-invariant).
+                summary["degradations"] = list(report.degradations)
+            resumed["resumed_from_block"] = progress.resumed_from_block
+            fields["progress"] = {
+                "blocks_done": progress.blocks_done,
+                "blocks_total": progress.blocks_total,
+                "chunks_done": progress.chunks_done,
+                **resumed,
+            }
         self.store.update_job(
             job_id,
             state="done",
             finished_at=round(time.time(), 3),
             result=summary,
+            **fields,
         )
         self.telemetry.emit(
             "job_completed",
@@ -695,6 +695,7 @@ class JobRunner:
             cached=False,
             passed=summary["passed"],
             status=summary["status"],
+            **resumed,
         )
         if os.path.exists(checkpoint):
             os.unlink(checkpoint)

@@ -183,22 +183,17 @@ class FleetWorker:
 
     def _analyzer_for(self, spec: EvaluationSpec):
         from repro.leakage.exact import ExactAnalyzer
-        from repro.leakage.model import ProbingModel
-        from repro.service.runner import build_design
+        from repro.service.runner import build_design, probing_model
 
         key = (
             spec.design, spec.scheme, spec.model, spec.max_enum_bits,
             spec.engine,
         )
         if key not in self._analyzers:
-            built = build_design(spec.design, spec.scheme)
-            model = (
-                ProbingModel.GLITCH_TRANSITION
-                if spec.model == "glitch-transition"
-                else ProbingModel.GLITCH
-            )
             self._analyzers[key] = ExactAnalyzer(
-                built.dut, model, max_enum_bits=spec.max_enum_bits,
+                build_design(spec.design, spec.scheme).dut,
+                probing_model(spec),
+                max_enum_bits=spec.max_enum_bits,
                 engine=spec.engine,
             )
         return self._analyzers[key]

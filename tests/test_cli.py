@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.service.runner import run_spec
+from repro.spec import EvaluationSpec
 
 
 class TestEvaluate:
@@ -58,9 +60,14 @@ class TestEvaluate:
         assert code == 0
         assert "0x53" in capsys.readouterr().out
 
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["evaluate", "--scheme", "bogus"])
+    def test_unknown_scheme_rejected(self, capsys):
+        """A configuration error exits 2 on every command building a
+        design; exit 1 is reserved for leakage."""
+        for command in (
+            "evaluate", "campaign", "exact", "certify", "report", "verilog"
+        ):
+            assert main([command, "--scheme", "bogus"]) == 2, command
+            assert "unknown scheme 'bogus'" in capsys.readouterr().err
 
     def test_json_output(self, capsys):
         import json
@@ -89,6 +96,20 @@ class TestEvaluate:
         )
         # a first-order design fails the pair (second-order) test
         assert code == 1
+
+    def test_pairs_honour_windows(self, capsys):
+        """``evaluate --pairs`` samples over ``--windows`` as ``campaign``
+        does."""
+        args = [
+            "--scheme", "full", "--simulations", "8000", "--pairs",
+            "--max-pairs", "20", "--windows", "4", "--json",
+        ]
+        codes, outputs = [], []
+        for command in ("evaluate", "campaign"):
+            codes.append(main([command, *args]))
+            outputs.append(capsys.readouterr().out)
+        assert codes[0] == codes[1] == 1
+        assert outputs[0] == outputs[1]
 
     def test_sbox2_design(self, capsys):
         code = main(
@@ -313,39 +334,105 @@ class TestExitCodesOnErrors:
         assert "error:" in capsys.readouterr().err
 
 
+_SIMS = ["--simulations", "20000", "--seed", "7"]
+
+#: spec id -> (exit code, the spec's ``campaign`` argv, the same spec
+#: through the ``evaluate`` / ``exact`` shorthand).
+_VERDICTS = {
+    "sampled-eq6-leaks": (
+        1,
+        ["campaign", "--scheme", "eq6", *_SIMS],
+        ["evaluate", "--scheme", "eq6", *_SIMS],
+    ),
+    "sampled-full-clean": (
+        0,
+        ["campaign", "--scheme", "full", *_SIMS],
+        ["evaluate", "--scheme", "full", *_SIMS],
+    ),
+    "exact-eq6-leaks": (
+        1,
+        ["campaign", "--exact", "--scheme", "eq6", "--max-enum-bits", "24"],
+        ["exact", "--scheme", "eq6", "--max-bits", "24"],
+    ),
+    "exact-eq9-beyond-budget": (
+        3,
+        ["campaign", "--exact", "--scheme", "eq9", "--max-enum-bits", "16"],
+        ["exact", "--scheme", "eq9", "--max-bits", "16"],
+    ),
+}
+
+
 class TestServeAndSubmit:
+    @pytest.mark.parametrize(
+        "code, campaign, shorthand",
+        list(_VERDICTS.values()),
+        ids=list(_VERDICTS),
+    )
     def test_submit_round_trip_against_a_live_service(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, code, campaign, shorthand
     ):
+        """``campaign``, its ``evaluate``/``exact`` shorthand and
+        ``submit`` exit alike for one spec, and the service stores the
+        bytes of ``run_spec``'s report for it."""
         from repro.service import EvaluationService
 
+        assert main(campaign) == code
+        assert main(shorthand) == code
         service = EvaluationService(str(tmp_path / "state"), port=0)
         service.start()
         try:
-            args = [
-                "submit",
+            capsys.readouterr()
+            submit = [
+                "submit", *campaign[1:],
                 "--url", service.address,
-                "--design", "kronecker",
-                "--scheme", "eq6",
-                "--simulations", "20000",
-                "--seed", "7",
                 "--timeout", "120",
             ]
-            code = main(args)
+            assert main(submit + ["--json"]) == code
             out = capsys.readouterr().out
-            assert code == 1  # eq6 leaks; exit codes mirror `campaign`
-            assert "FAIL" in out
+            spec = EvaluationSpec.from_args(
+                build_parser().parse_args(campaign)
+            )
+            report, _ = run_spec(spec)
+            assert out[out.index("{"):] == report.to_json(top=None)
 
             # Resubmission is answered from the verdict cache.
-            code = main(args + ["--json"])
+            assert main(submit) == code
             out = capsys.readouterr().out
-            assert code == 1
             assert "verdict cache hit" in out
-            report = json.loads(out[out.index("{"):])
-            assert report["passed"] is False
+            verdict = {0: "PASS", 1: "FAIL", 3: "INCONCLUSIVE"}[code]
+            assert f"verdict: {verdict}" in out
             assert service.store.stats.hits == 1
+            assert [
+                r["result"]["exit_code"] for r in service.store.list_jobs()
+            ] == [code, code]
         finally:
             service.stop()
+
+    def test_poll_of_a_running_exact_job(self, monkeypatch, capsys):
+        """A poll that finds an exact job running (its progress counts
+        shards, not blocks) keeps polling instead of crashing."""
+        import repro.cli as cli
+
+        answers = iter([
+            (201, {"job_id": "j1", "state": "queued"}),
+            (200, {"job_id": "j1", "state": "running", "progress": {
+                "probe_class": "g1", "shards_done": 1, "shards_total": 4,
+            }}),
+            (200, {"job_id": "j1", "state": "done"}),
+            (200, {"mode": "exact", "design": "kronecker", "passed": True,
+                   "status": "complete", "max_mlog10p": 0.0,
+                   "n_skipped": 12}),
+        ])
+
+        def round_trip(*args, **kwargs):
+            status, body = next(answers)
+            return status, json.dumps(body).encode()
+
+        monkeypatch.setattr(cli, "_http_round_trip", round_trip)
+        assert main(["submit", "--exact", "--scheme", "eq9"]) == 3
+        assert "INCONCLUSIVE (12 probes beyond enumeration budget)" in (
+            capsys.readouterr().out
+        )
 
     def test_submit_unreachable_service_exits_two(self, capsys):
         code = main(

@@ -542,3 +542,55 @@ class TestConfigValidation:
             CampaignConfig(n_simulations=N_SIMS, chunk_size=10_000),
         )
         assert small.fingerprint() == large.fingerprint()
+
+
+def _tamper(acc, table_id, how):
+    """Lose, short or double one table's samples, as a broken executor
+    or merge would."""
+    if how == "drop":
+        acc._tables.pop(table_id, None)
+        return
+    keys, counts = acc._tables[table_id]
+    counts = counts.copy()
+    if how == "short":
+        counts[0, np.flatnonzero(counts[0])[0]] -= 1
+    else:
+        counts *= 2
+    acc._tables[table_id] = (keys, counts)
+
+
+class TestReportAccounting:
+    """No verdict from missing evidence: a report is built only when every
+    table holds exactly the samples its probe was given."""
+
+    @pytest.mark.parametrize("how", ["drop", "short", "double"])
+    @pytest.mark.parametrize(
+        "adaptive", [None, AdaptiveConfig()], ids=["uniform", "adaptive"]
+    )
+    def test_tampered_table_never_reports(self, kronecker_eq6, adaptive, how):
+        campaign = EvaluationCampaign(
+            _evaluator(kronecker_eq6),
+            CampaignConfig(
+                n_simulations=N_SIMS, chunk_size=8_192, adaptive=adaptive
+            ),
+        )
+        accumulate = campaign._accumulate
+
+        def broken(acc, blocks):
+            accumulate(acc, blocks)
+            # A dropped table never arrives; the others go wrong once.
+            if how == "drop" or blocks.start == 0:
+                _tamper(acc, "c0", how)
+
+        campaign._accumulate = broken
+        with pytest.raises(SimulationError, match="missing evidence"):
+            campaign.run()
+
+    def test_untampered_tables_report(self, kronecker_eq6):
+        campaign = EvaluationCampaign(
+            _evaluator(kronecker_eq6),
+            CampaignConfig(n_simulations=N_SIMS, chunk_size=8_192),
+        )
+        assert not campaign.run().passed
+        # The check reads the same tables on every later report.
+        assert campaign._report("complete").max_mlog10p > 5.0

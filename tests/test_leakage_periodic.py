@@ -94,3 +94,51 @@ class TestConfiguration:
             kronecker_eq6.dut.netlist, 4, hash_bits=hash_bits
         )
         assert evaluator.hash_bits == hash_bits
+
+
+@pytest.fixture(scope="module")
+def small_core():
+    core = build_masked_aes_core(RandomnessScheme.DEMEYER_EQ6)
+    probes = [
+        c.output for c in core.netlist.cells if c.name.startswith("sb0.")
+    ][:16]
+    return core, AesCoreHarness(core), probes
+
+
+class TestReportAccounting:
+    """Every (probe class, phase) table must hold one sample per lane and
+    period in each group before it may become a verdict."""
+
+    @pytest.mark.parametrize("how", ["drop", "short", "double"])
+    def test_tampered_table_never_reports(self, small_core, monkeypatch, how):
+        import repro.leakage.periodic as periodic
+
+        core, harness, probes = small_core
+        g_test = periodic.g_test_counts_batch
+
+        def tampered(tables, *args, **kwargs):
+            tables = list(tables)
+            fixed, random_ = (np.asarray(row) for row in tables[0])
+            if how == "drop":
+                del tables[0]
+            elif how == "short":
+                fixed = fixed.copy()
+                fixed[np.flatnonzero(fixed)[0]] -= 1
+                tables[0] = (fixed, random_)
+            else:
+                tables[0] = (fixed * 2, random_ * 2)
+            return g_test(tables, *args, **kwargs)
+
+        monkeypatch.setattr(periodic, "g_test_counts_batch", tampered)
+        evaluator = PeriodicLeakageEvaluator(
+            core.netlist, ENCRYPTION_CYCLES, ProbingModel.GLITCH,
+            probe_nets=probes,
+        )
+        fixed, random_ = (
+            harness.bitsliced_stimulus(
+                np.random.default_rng(seed), 2, KEY, plaintext
+            )
+            for seed, plaintext in ((3, KEY), (4, None))
+        )
+        with pytest.raises(SimulationError, match="tables tested|evidence"):
+            evaluator.evaluate(fixed, random_, 128, phases=[3])
