@@ -215,7 +215,7 @@ def bench_full_eval(
     def stages(ev):
         return {
             name: round(seconds, 4)
-            for name, seconds in (ev.last_stage_seconds or {}).items()
+            for name, seconds in ev.stage_seconds.items()
         }
 
     return {

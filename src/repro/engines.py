@@ -11,7 +11,9 @@ plus capability flags:
     fan-in cone of those nets (:mod:`repro.netlist.slice`);
 ``schedulable``
     the engine can execute a *scheduled* cone (the per-cycle dispatch
-    schedule that cuts the state-feedback loop on recirculating cores);
+    schedule that cuts the state-feedback loop on recirculating cores):
+    given a control schedule, its factory builds its scheduled simulator,
+    and an engine without the flag simulates the static cone instead;
 ``native``
     the engine compiles to machine code and needs a C toolchain at
     runtime;
@@ -53,8 +55,10 @@ class EngineError(ValueError):
 
 #: Factory signature: ``factory(netlist, n_lanes, keep_nets=None)`` returns
 #: a simulator exposing ``run(stimulus, n_cycles, record_nets,
-#: record_cycles)``.  Factories for non-sliceable engines reject
-#: ``keep_nets``.
+#: record_cycles)`` (and, for pipeline engines, ``run_pipeline(plan,
+#: n_cycles, record_nets, record_cycles, specs, hash_bits)``).  Native
+#: factories also take ``record_nets``, schedulable ones ``schedule``.
+#: Factories for non-sliceable engines reject ``keep_nets``.
 EngineFactory = Callable[..., object]
 
 
@@ -155,6 +159,7 @@ def build_simulator(
     n_lanes: int,
     keep_nets=None,
     record_nets=None,
+    schedule=None,
     decide: Optional[Callable[[str], bool]] = None,
     on_degrade: Optional[Callable[..., None]] = None,
 ):
@@ -172,6 +177,11 @@ def build_simulator(
 
     ``record_nets`` is a construction hint (which nets the caller will
     record) passed only to engines that benefit from it (``native``).
+    ``schedule`` (a :class:`repro.netlist.slice.ControlSchedule`) asks
+    for the scheduled cone of ``keep_nets``: a schedulable rung builds
+    its scheduled simulator (``native``: ``NativeScheduledSimulator``,
+    ``compiled``: ``ScheduledSimulator``), any other rung the static
+    cone, which records the same words.
     """
     from repro.netlist.simulate import SimulationError
 
@@ -186,14 +196,12 @@ def build_simulator(
                 raise SimulationError(
                     f"chaos: injected {info.chaos_site} fault"
                 )
+            options = {"keep_nets": keep_nets}
             if info.native:
-                sim = info.factory(
-                    netlist, n_lanes,
-                    keep_nets=keep_nets, record_nets=record_nets,
-                )
-            else:
-                sim = info.factory(netlist, n_lanes, keep_nets=keep_nets)
-            return sim, info
+                options["record_nets"] = record_nets
+            if schedule is not None and info.schedulable:
+                options["schedule"] = schedule
+            return info.factory(netlist, n_lanes, **options), info
         except SimulationError as exc:
             if i + 1 >= len(ladder):
                 raise
@@ -311,13 +319,29 @@ def _bitsliced_factory(netlist, n_lanes, keep_nets=None):
     return BitslicedSimulator(netlist, n_lanes, keep_nets=keep_nets)
 
 
-def _compiled_factory(netlist, n_lanes, keep_nets=None):
+def _compiled_factory(netlist, n_lanes, keep_nets=None, schedule=None):
+    if schedule is not None:
+        from repro.netlist.slice import ScheduledSimulator
+
+        return ScheduledSimulator(
+            netlist, n_lanes, keep_nets, schedule.record_cycles,
+            schedule.n_cycles, schedule.values,
+        )
     from repro.netlist.compile import CompiledSimulator
 
     return CompiledSimulator(netlist, n_lanes, keep_nets=keep_nets)
 
 
-def _native_factory(netlist, n_lanes, keep_nets=None, record_nets=None):
+def _native_factory(
+    netlist, n_lanes, keep_nets=None, record_nets=None, schedule=None
+):
+    if schedule is not None:
+        from repro.netlist.native import NativeScheduledSimulator
+
+        return NativeScheduledSimulator(
+            netlist, n_lanes, keep_nets, schedule.record_cycles,
+            schedule.n_cycles, schedule.values,
+        )
     from repro.netlist.native import NativeSimulator
 
     return NativeSimulator(

@@ -36,6 +36,7 @@ behaviour degrades measurably once expected counts drop toward ~10).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from time import perf_counter
 from typing import (
@@ -213,13 +214,23 @@ class _SpecGroup(NamedTuple):
 
     popcount: bool
     hashed: bool
-    #: row width, and where the group's rows start in the count vector.
+    #: row width, and where each spec's row starts in the count vector.
     width: int
-    base: int
+    starts: np.ndarray
     #: ``(specs, segments, bits)`` plane rows and bit positions.
     rows: np.ndarray
     positions: np.ndarray
     dtype: type
+
+
+class _Executor(NamedTuple):
+    """What :meth:`_CountPlan.count` runs: the distinct ``(cycle, net)``
+    planes in stacking order, the plane rows lane-key groups unpack, and
+    the spec groups."""
+
+    planes: List[Tuple[int, int]]
+    lane_planes: np.ndarray
+    groups: List[_SpecGroup]
 
 
 class _CountPlan:
@@ -228,10 +239,16 @@ class _CountPlan:
     :meth:`count` adds every spec's count row -- ``numpy.bincount`` of
     :func:`_observe` -- into one flat vector, spec ``i`` at
     ``bounds[i]``, in a few array operations per trace: the numpy twin
-    of ``repro_extract``.  The plan is built once per spec list: the
-    distinct ``(cycle, net)`` planes, and groups of specs with equal key
-    width, segment count, hashing and row width, each counted in one of
-    two ways:
+    of ``repro_extract``.  Rows follow the spec order, as the in-kernel
+    pipeline's counts do, and are ``n_bins`` wide, except that an
+    unhashed Hamming row is ``bits + 1`` wide.  Keys must lie below
+    ``n_bins``, as for ``repro_extract``.
+
+    The layout is all a plan computes up front.  Its executor is built
+    on the first :meth:`count`, so blocks the pipeline counts never pay
+    for it: the distinct ``(cycle, net)`` planes, and groups of specs
+    with equal key width, segment count, hashing and row width, each
+    counted in one of two ways:
 
     * unhashed keys of at most :data:`POPCOUNT_MAX_BITS` bits at
       positions ``0..k-1``: a minterm tree over the packed words (per
@@ -242,17 +259,29 @@ class _CountPlan:
       :func:`_bucket`, then one offset ``bincount``.
 
     Groups run in passes of at most :data:`PASS_ELEMENTS` elements.
-    Rows are ``n_bins`` wide, except that an unhashed Hamming row is
-    ``bits + 1`` wide.  Keys must lie below ``n_bins``, as for
-    ``repro_extract``.
     """
 
     def __init__(self, specs: Sequence, hamming: bool = False):
+        self.specs = list(specs)
+        self.hamming = hamming
+        ends = list(itertools.accumulate(
+            max(map(len, spec.segments), default=0) + 1
+            if hamming and not spec.hashed else spec.n_bins
+            for spec in self.specs
+        ))
+        #: ``(start, stop)`` of each spec's row in the count vector.
+        self.bounds: List[Tuple[int, int]] = list(zip([0] + ends[:-1], ends))
+        #: length of the count vector.
+        self.size = ends[-1] if ends else 0
+
+    @functools.cached_property
+    def _executor(self) -> _Executor:
+        """The executor, built on first use."""
         planes: Dict[Tuple[int, int], int] = {}
         # shape -> [(spec index, plane rows, bit positions)]; rows of a
         # segment shorter than the longest are -1 (the zero plane).
         members: Dict[tuple, list] = {}
-        for index, spec in enumerate(specs):
+        for index, spec in enumerate(self.specs):
             n_bits = max(map(len, spec.segments), default=0)
             rows = [
                 [planes.setdefault((c, n), len(planes)) for c, n, _ in seg]
@@ -264,27 +293,18 @@ class _CountPlan:
                 for seg in spec.segments
             ]
             popcount = (
-                not (hamming or spec.hashed)
+                not (self.hamming or spec.hashed)
                 and n_bits <= POPCOUNT_MAX_BITS
                 and spec.n_bins >= 1 << n_bits
                 and all(p == list(range(n_bits)) for p in positions)
             )
-            width = (
-                n_bits + 1 if hamming and not spec.hashed else spec.n_bins
-            )
-            key_bits = n_bits.bit_length() if hamming else 1 + max(
+            start, stop = self.bounds[index]
+            key_bits = n_bits.bit_length() if self.hamming else 1 + max(
                 (max(p, default=0) for p in positions), default=0
             )
             shape = (popcount, n_bits, len(spec.segments), spec.hashed,
-                     width, key_bits)
+                     stop - start, key_bits)
             members.setdefault(shape, []).append((index, rows, positions))
-        self.hamming = hamming
-        #: distinct ``(cycle, net)`` planes, in stacking order.
-        self.planes = list(planes)
-        #: ``(start, stop)`` of each spec's row in the count vector.
-        self.bounds: List[Tuple[int, int]] = [(0, 0)] * len(specs)
-        #: length of the count vector.
-        self.size = 0
         groups = []
         for shape, entries in members.items():
             popcount, n_bits, n_segments, hashed, width, key_bits = shape
@@ -294,58 +314,54 @@ class _CountPlan:
                 )
                 for k in (1, 2)
             )
-            rows[rows < 0] = len(self.planes)
-            for offset, (index, _, _) in enumerate(entries):
-                start = self.size + offset * width
-                self.bounds[index] = (start, start + width)
+            rows[rows < 0] = len(planes)
+            starts = np.array([self.bounds[i][0] for i, _, _ in entries])
             groups.append(_SpecGroup(
-                popcount, hashed, width, self.size, rows, positions,
+                popcount, hashed, width, starts, rows, positions,
                 _key_dtype(key_bits),
             ))
-            self.size += len(entries) * width
         # Lane-key groups read the unpacked bits of their planes only:
-        # their rows index ``self._lane_planes``.
-        self._lane_planes = np.unique(np.concatenate(
+        # their rows index ``lane_planes``.
+        lane_planes = np.unique(np.concatenate(
             [g.rows.ravel() for g in groups if not g.popcount]
             + [np.zeros(0, np.intp)]
         ))
-        self._groups = [
+        return _Executor(list(planes), lane_planes, [
             g if g.popcount
-            else g._replace(rows=np.searchsorted(self._lane_planes, g.rows))
+            else g._replace(rows=np.searchsorted(lane_planes, g.rows))
             for g in groups
-        ]
+        ])
 
     def count(
         self, trace: Trace, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Add ``trace``'s count rows into ``out`` (a new vector if None)."""
+        planes, lane_planes, groups = self._executor
         if out is None:
             out = np.zeros(self.size, dtype=np.int64)
         n_lanes = trace.n_lanes
         n_words = (n_lanes + 63) // 64
         # One (planes, words) stack; its last row is the zero plane.
-        words = np.zeros((len(self.planes) + 1, n_words), np.uint64)
-        for row, (cycle, net) in enumerate(self.planes):
+        words = np.zeros((len(planes) + 1, n_words), np.uint64)
+        for row, (cycle, net) in enumerate(planes):
             words[row] = trace.words(cycle, net)
         bits = np.unpackbits(
-            words[self._lane_planes].view(np.uint8), axis=1,
+            words[lane_planes].view(np.uint8), axis=1,
             count=n_lanes, bitorder="little",
         )
         lanemask = np.full(n_words, ~np.uint64(0))
         if n_lanes % 64:
             lanemask[-1] = (np.uint64(1) << np.uint64(n_lanes % 64)) - 1
-        for group in self._groups:
-            stop = group.base + len(group.rows) * group.width
-            table = out[group.base:stop].reshape(-1, group.width)
+        for group in groups:
             if group.popcount:
-                _popcount_rows(words, lanemask, group, table)
+                _popcount_rows(words, lanemask, group, out)
             else:
-                _lane_key_rows(bits, n_lanes, group, self.hamming, table)
+                _lane_key_rows(bits, n_lanes, group, self.hamming, out)
         return out
 
 
-def _popcount_rows(words, lanemask, group: _SpecGroup, table) -> None:
-    """Minterm-tree counts of a popcount group into its table rows."""
+def _popcount_rows(words, lanemask, group: _SpecGroup, out) -> None:
+    """Minterm-tree counts of a popcount group into its rows of ``out``."""
     n_specs, n_segments, n_bits = group.rows.shape
     n_words = lanemask.size
     words_per_spec = n_segments * n_words << n_bits
@@ -357,13 +373,17 @@ def _popcount_rows(words, lanemask, group: _SpecGroup, table) -> None:
             plane = words[rows[:, :, e]]
             tree = np.concatenate([tree & ~plane, tree & plane])
         counts = np.bitwise_count(tree).sum(axis=(2, 3), dtype=np.int64)
-        table[start: start + step, : 1 << n_bits] += counts.T
+        cells = group.starts[start: start + step, None] + np.arange(
+            1 << n_bits
+        )
+        out[cells] += counts.T
 
 
 def _lane_key_rows(
-    bits, n_lanes: int, group: _SpecGroup, hamming: bool, table
+    bits, n_lanes: int, group: _SpecGroup, hamming: bool, out
 ) -> None:
-    """Per-lane keys of a lane-key group, bincounted into its table rows."""
+    """Per-lane keys of a lane-key group, bincounted into its rows of
+    ``out``."""
     n_specs, n_segments, n_bits = group.rows.shape
     step = max(1, PASS_ELEMENTS // max(1, n_segments * n_lanes))
     for start in range(0, n_specs, step):
@@ -382,7 +402,8 @@ def _lane_key_rows(
             keys = _bucket(keys.astype(np.uint64), True, group.width)
         offsets = np.arange(stop - start)[:, None, None] * group.width
         flat = np.add(keys, offsets, dtype=np.intp, casting="unsafe")
-        table[start:stop] += np.bincount(
+        cells = group.starts[start:stop, None] + np.arange(group.width)
+        out[cells] += np.bincount(
             flat.ravel(), minlength=(stop - start) * group.width
         ).reshape(-1, group.width)
 
@@ -722,6 +743,72 @@ def packed_totals(arrays: Dict[str, np.ndarray]) -> np.ndarray:
     return totals
 
 
+#: The evaluation stages both evaluators book into ``stage_seconds``.
+_STAGES = ("stimulus", "simulate", "extract", "histogram")
+
+
+def _count_block(
+    owner,
+    simulator,
+    stimuli: Sequence,
+    n_cycles: int,
+    record_nets,
+    record_cycles,
+    plan: _CountPlan,
+    totals: np.ndarray,
+    pipeline: bool,
+    count=None,
+) -> Optional[List[Trace]]:
+    """Simulate both groups of a block; add their rows to ``totals``.
+
+    The one block executor of both evaluators.  ``stimuli`` drive the
+    fixed and the random group on the one ``simulator``.  With
+    ``pipeline`` and a simulator that offers it, ``run_pipeline`` counts
+    ``plan.specs`` in C and the result is None.  Otherwise ``run``
+    records both traces, ``count(trace, out)`` (default ``plan.count``)
+    counts each, and the traces are returned for tables that need their
+    keys.
+
+    Rows go to ``totals`` (row 0 fixed, row 1 random, laid out by
+    ``plan.bounds``).  The pipeline's rows reach it only once both
+    groups are counted, so a pipeline failure -- recorded as
+    ``pipeline_python`` on ``owner``, then the whole block rerun in
+    numpy -- never counts a group twice; numpy counts, which nothing
+    reruns, add in place.  Stage times go to ``owner.stage_seconds``.
+    """
+    stage = owner.stage_seconds
+    if pipeline and hasattr(simulator, "run_pipeline"):
+        try:
+            rows = []
+            for stimulus in stimuli:
+                counts, timings = simulator.run_pipeline(
+                    stimulus, n_cycles, record_nets, record_cycles,
+                    plan.specs, owner.hash_bits,
+                )
+                rows.append(np.concatenate(counts))
+                for name, seconds in timings.items():
+                    stage[name] += seconds
+        except SimulationError as exc:
+            owner._pipeline_failed(exc)
+        else:
+            t0 = perf_counter()
+            for total, row in zip(totals, rows):
+                total += row
+            stage["histogram"] += perf_counter() - t0
+            return None
+    t0 = perf_counter()
+    traces = [
+        simulator.run(stimulus, n_cycles, record_nets, record_cycles)
+        for stimulus in stimuli
+    ]
+    t1 = perf_counter()
+    for total, trace in zip(totals, traces):
+        (count or plan.count)(trace, total)
+    stage["simulate"] += t1 - t0
+    stage["extract"] += perf_counter() - t1
+    return traces
+
+
 class LeakageEvaluator(engine_registry.EngineOwner):
     """Fixed-vs-random evaluation of a design under a probing model."""
 
@@ -781,10 +868,7 @@ class LeakageEvaluator(engine_registry.EngineOwner):
         #: evaluator processed; campaigns snapshot it at chunk boundaries
         #: to attribute wall-clock (stimulus is folded into simulate on
         #: the python path, which stages stimulus inside ``run``).
-        self.stage_seconds: Dict[str, float] = {
-            "stimulus": 0.0, "simulate": 0.0,
-            "extract": 0.0, "histogram": 0.0,
-        }
+        self.stage_seconds: Dict[str, float] = dict.fromkeys(_STAGES, 0.0)
         self.probe_classes, self.skipped_classes = extract_probe_classes(
             dut.netlist, model, max_support_bits=max_support_bits
         )
@@ -893,46 +977,6 @@ class LeakageEvaluator(engine_registry.EngineOwner):
         )
         return sim
 
-    def _simulate_block(
-        self,
-        fixed_secret: int,
-        lane_count: int,
-        block: int,
-        n_cycles: int,
-        record_cycles: set,
-        keep_nets: Optional[Sequence[int]] = None,
-        record_nets: Optional[Sequence[int]] = None,
-    ) -> Tuple[Trace, Trace]:
-        """Simulate both groups for one sampling block.
-
-        The stimulus generator always drives *every* primary input with the
-        same RNG stream regardless of ``keep_nets``; a sliced simulator just
-        ignores inputs outside its cone.  That keeps sliced and unsliced
-        runs sampling identical bits.
-        """
-        generator = StimulusGenerator(self.dut, (lane_count + 63) // 64)
-        trace_fixed = self._make_simulator(
-            lane_count, keep_nets, record_nets=record_nets
-        ).run(
-            generator.fixed(
-                fixed_secret, self._block_rng(HistogramAccumulator.GROUP_FIXED, block)
-            ),
-            n_cycles,
-            record_nets=record_nets,
-            record_cycles=record_cycles,
-        )
-        trace_random = self._make_simulator(
-            lane_count, keep_nets, record_nets=record_nets
-        ).run(
-            generator.random(
-                self._block_rng(HistogramAccumulator.GROUP_RANDOM, block)
-            ),
-            n_cycles,
-            record_nets=record_nets,
-            record_cycles=record_cycles,
-        )
-        return trace_fixed, trace_random
-
     # ---------------------------------------------------------- cone slicing
 
     def _slice_roots(
@@ -998,14 +1042,16 @@ class LeakageEvaluator(engine_registry.EngineOwner):
     ) -> None:
         """Accumulate observations for any probe selection into ``acc``.
 
-        Per block both groups are simulated a single time, and all
-        first-order classes (table ids ``c<i>``) plus all probe-pair
-        tables (``p<i>:<j>:<delta>``, indices into the evaluator's own
-        probe classes) are evaluated against the same recorded trace.
-        First-order tables count through one batched :class:`_CountPlan`
-        into one array folded into ``acc`` once per call; raw per-class
-        observation keys for pair tables are computed once per (class,
-        offset) and reused across every pair that touches the class.
+        Per block both groups are simulated a single time
+        (:func:`_count_block`), and all first-order classes (table ids
+        ``c<i>``) plus all probe-pair tables (``p<i>:<j>:<delta>``,
+        indices into the evaluator's own probe classes) are evaluated
+        against the same recorded trace.  Dense first-order tables count
+        through one :class:`_CountPlan`, in numpy or in the in-kernel
+        pipeline, into one array folded into ``acc`` once per call; raw
+        per-class observation keys for pair tables are computed once per
+        (class, offset) and reused across every pair that touches the
+        class.
 
         Probe selection, in precedence order:
 
@@ -1099,21 +1145,12 @@ class LeakageEvaluator(engine_registry.EngineOwner):
             for probe_class, delta in observed
         }
         class_specs = [specs[(probe_class, 0)] for probe_class in classes]
-        # In-kernel pipeline fast path: whole block (stimulus, simulate,
-        # extract, histogram) in C, folding ready-made count tables into
-        # ``acc`` -- bit-identical to the python path below (same tables;
-        # see tests/test_native_pipeline.py).  The kernel counts tuple
-        # observations only; pairs and Hamming weights run the python
-        # path, and a mid-campaign failure degrades per evaluator,
-        # re-running the failed block in python.
-        use_pipeline = (
-            not pairs
-            and not hamming
-            and self._pipeline_ready(class_specs, record_nets)
-        )
-        # Python path: the first-order tables count through one batched
-        # plan into a (2, plan.size) array folded into ``acc`` once per
-        # call; tables too wide for dense rows keep _observe + add.
+        # First-order tables: the dense ones count through one plan into
+        # (2, plan.size) totals, folded into ``acc`` once per call; tables
+        # too wide for dense rows keep _observe + add.  Each block counts
+        # in C through the in-kernel pipeline when it can (tuple
+        # observations only: pairs and Hamming weights run numpy), and a
+        # pipeline failure runs the rest of the call in numpy.
         dense = [
             k for k, spec in enumerate(class_specs)
             if spec.n_bins <= gtest.DENSE_KEY_LIMIT
@@ -1122,37 +1159,43 @@ class LeakageEvaluator(engine_registry.EngineOwner):
             k for k, spec in enumerate(class_specs)
             if spec.n_bins > gtest.DENSE_KEY_LIMIT
         ]
-        plan = None
-        totals = None
-        pipeline_sims: Dict[int, object] = {}
+        plan = _CountPlan([class_specs[k] for k in dense], hamming)
+        totals = np.zeros((2, plan.size), dtype=np.int64)
+        pipeline = (
+            not pairs
+            and not hamming
+            and self._pipeline_ready(class_specs, record_nets)
+        )
+        # run() is stateless on every engine: one simulator per lane
+        # count serves every block and both groups.
+        simulators: Dict[int, object] = {}
         for block in blocks:
             lane_count = self._block_lane_count(n_lanes, block)
-            if use_pipeline:
-                try:
-                    self._pipeline_block(
-                        acc, fixed_secret, lane_count, block, n_cycles,
-                        record_cycles, keep_nets, record_nets,
-                        class_indices, class_specs, pipeline_sims,
-                    )
-                    continue
-                except SimulationError as exc:
-                    self._pipeline_failed(exc)
-                    use_pipeline = False
-            t0 = perf_counter()
-            trace_fixed, trace_random = self._simulate_block(
-                fixed_secret, lane_count, block, n_cycles, record_cycles,
-                keep_nets=keep_nets, record_nets=record_nets,
+            simulator = simulators.get(lane_count)
+            if simulator is None:
+                simulator = simulators[lane_count] = self._make_simulator(
+                    lane_count, keep_nets, record_nets=record_nets
+                )
+            # Every primary input draws from the block's stream whatever
+            # the slice, so sliced and unsliced runs sample identical bits.
+            generator = StimulusGenerator(self.dut, (lane_count + 63) // 64)
+            traces = _count_block(
+                self, simulator,
+                (
+                    generator.fixed(fixed_secret, self._block_rng(
+                        HistogramAccumulator.GROUP_FIXED, block
+                    )),
+                    generator.random(self._block_rng(
+                        HistogramAccumulator.GROUP_RANDOM, block
+                    )),
+                ),
+                n_cycles, record_nets, record_cycles, plan, totals,
+                pipeline,
             )
-            stage["simulate"] += perf_counter() - t0
-            t0 = perf_counter()
-            if plan is None:
-                plan = _CountPlan([class_specs[k] for k in dense], hamming)
-                totals = np.zeros((2, plan.size), dtype=np.int64)
-            plan.count(trace_fixed, totals[HistogramAccumulator.GROUP_FIXED])
-            plan.count(
-                trace_random, totals[HistogramAccumulator.GROUP_RANDOM]
-            )
-            stage["extract"] += perf_counter() - t0
+            pipeline = traces is None
+            if traces is None:
+                continue
+            trace_fixed, trace_random = traces
             # Per-group memoization this block: unpacked bits per
             # (cycle, net) for the wide and pair tables, raw keys per
             # (class, offset) for the pair tables.
@@ -1217,84 +1260,12 @@ class LeakageEvaluator(engine_registry.EngineOwner):
                         table_id, keys_random, HistogramAccumulator.GROUP_RANDOM
                     )
                     stage["histogram"] += perf_counter() - t0
-        if totals is not None:
-            t0 = perf_counter()
-            for k, (start, stop) in zip(dense, plan.bounds):
-                # A table no lane reached stays absent, as with add().
-                if totals[:, start:stop].any():
-                    acc._fold(
-                        f"c{class_indices[k]}", None, totals[:, start:stop]
-                    )
-            stage["histogram"] += perf_counter() - t0
-
-    # ------------------------------------------------------ in-kernel blocks
-
-    def _pipeline_block(
-        self,
-        acc: HistogramAccumulator,
-        fixed_secret: int,
-        lane_count: int,
-        block: int,
-        n_cycles: int,
-        record_cycles: set,
-        keep_nets: Sequence[int],
-        record_nets: Sequence[int],
-        class_indices: Sequence[int],
-        specs,
-        sims: Dict[int, object],
-    ) -> None:
-        """One sampling block entirely in the native kernel.
-
-        The stimulus plan is handed to C with its PCG64 snapshot (same
-        stream as the python interpreter would consume; see
-        ``repro.leakage.stimplan``), and the returned dense count tables
-        fold into ``acc`` via :meth:`HistogramAccumulator.add_counts` --
-        the accumulated tables are identical to the python path's.
-        ``sims`` caches simulators by lane count (run_pipeline is
-        stateless); raises :class:`SimulationError` for the caller to
-        degrade on.
-        """
-        stage = self.stage_seconds
-        sim = sims.get(lane_count)
-        if sim is None:
-            sim = self._make_simulator(
-                lane_count, keep_nets, record_nets=record_nets
-            )
-            if not hasattr(sim, "run_pipeline"):
-                raise SimulationError(
-                    "resolved engine lacks the in-kernel pipeline"
-                )
-            sims[lane_count] = sim
-        generator = StimulusGenerator(self.dut, (lane_count + 63) // 64)
-        for group, plan in (
-            (
-                HistogramAccumulator.GROUP_FIXED,
-                generator.fixed(
-                    fixed_secret,
-                    self._block_rng(
-                        HistogramAccumulator.GROUP_FIXED, block
-                    ),
-                ),
-            ),
-            (
-                HistogramAccumulator.GROUP_RANDOM,
-                generator.random(
-                    self._block_rng(
-                        HistogramAccumulator.GROUP_RANDOM, block
-                    )
-                ),
-            ),
-        ):
-            counts, timings = sim.run_pipeline(
-                plan, n_cycles, record_nets, record_cycles,
-                specs, self.hash_bits,
-            )
-            for name, seconds in timings.items():
-                stage[name] += seconds
-            t0 = perf_counter()
-            for index, row in zip(class_indices, counts):
-                acc.add_counts(f"c{index}", row, group)
-            stage["histogram"] += perf_counter() - t0
+        t0 = perf_counter()
+        for k, (start, stop) in zip(dense, plan.bounds):
+            # A table no lane reached stays absent, as with add().
+            if totals[:, start:stop].any():
+                acc._fold(f"c{class_indices[k]}", None, totals[:, start:stop])
+        stage["histogram"] += perf_counter() - t0
 
     # ----------------------------------------------------------- first order
 
@@ -1347,19 +1318,25 @@ class LeakageEvaluator(engine_registry.EngineOwner):
 
         ``n_simulations`` is the per-group sample count; it is split into
         ``n_windows`` observation windows over ``n_simulations / n_windows``
-        lanes.
+        lanes.  Every table must hold ``lanes * n_windows`` samples per
+        group, or :class:`SimulationError` is raised instead of a report.
         """
         n_lanes = self.n_lanes_for(n_simulations, n_windows)
         acc = HistogramAccumulator()
         self.accumulate(
             acc, fixed_secret, n_lanes, n_windows, classes=probe_classes
         )
+        n_samples = n_lanes * n_windows
+        n_classes = len(
+            self.probe_classes if probe_classes is None else probe_classes
+        )
         return self.first_order_report(
             acc,
             fixed_secret,
-            n_lanes * n_windows,
+            n_samples,
             threshold,
             classes=probe_classes,
+            expected={f"c{i}": n_samples for i in range(n_classes)},
         )
 
     # ---------------------------------------------------------- second order
@@ -1482,7 +1459,7 @@ class LeakageEvaluator(engine_registry.EngineOwner):
         3-share Kronecker design.  ``pair_offsets`` places the second probe
         of a pair those many cycles *earlier* than the first, covering
         multivariate leakage across clock cycles (offset 0 is the univariate
-        same-cycle case).
+        same-cycle case).  Tables are checked as in :meth:`evaluate`.
         """
         n_lanes = self.n_lanes_for(n_simulations, n_windows)
         pairs = self.select_pairs(max_pairs, pair_seed)
@@ -1490,13 +1467,19 @@ class LeakageEvaluator(engine_registry.EngineOwner):
         self.accumulate_pairs(
             acc, fixed_secret, n_lanes, n_windows, pairs, pair_offsets
         )
+        n_samples = n_lanes * n_windows
         return self.pairs_report(
             acc,
             fixed_secret,
-            n_lanes * n_windows,
+            n_samples,
             pairs,
             pair_offsets,
             threshold,
+            expected={
+                f"p{i}:{j}:{delta}": n_samples
+                for i, j in pairs
+                for delta in set(pair_offsets)
+            },
         )
 
     def batched_report(
@@ -1564,6 +1547,7 @@ class LeakageEvaluator(engine_registry.EngineOwner):
             ],
             skipped_detail=self.skipped_detail(),
             status=status,
+            degradations=list(self.degradations),
         )
 
     def skipped_detail(self) -> List[Dict]:

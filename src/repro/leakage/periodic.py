@@ -29,8 +29,10 @@ import numpy as np
 from repro import engines as engine_registry
 from repro.errors import SimulationError
 from repro.leakage.evaluator import (
+    _STAGES,
     _check_hash_bits,
     _check_samples,
+    _count_block,
     _count_spec,
     _CountPlan,
     _observe,
@@ -46,6 +48,7 @@ from repro.leakage.probes import extract_probe_classes
 from repro.leakage.report import LeakageReport, ProbeResult
 from repro.netlist.core import Netlist
 from repro.netlist.simulate import Trace
+from repro.netlist.slice import ControlSchedule
 
 Stimulus = Callable[[int], Dict[int, np.ndarray]]
 
@@ -70,10 +73,9 @@ class PeriodicLeakageEvaluator(engine_registry.EngineOwner):
         self.period = period
         self.model = model
         self.hash_bits = hash_bits
-        # Engine for the unscheduled simulation path, resolved through
-        # repro.engines with the standard degradation ladder; the
-        # scheduled-cone path has its own dispatch machinery and ignores
-        # it.  All engines are bit-identical.
+        # Resolved through repro.engines with the standard degradation
+        # ladder, for static and scheduled cones alike.  All engines are
+        # bit-identical.
         self._init_engine(engine)
         # Simulate only the fan-in cone of the probe supports
         # (bit-identical; see repro.netlist.slice).  A recirculating core
@@ -97,9 +99,9 @@ class PeriodicLeakageEvaluator(engine_registry.EngineOwner):
                     )
         #: filled by evaluate(): how the last run was sliced (telemetry).
         self.last_slice_info: Optional[Dict[str, object]] = None
-        #: filled by evaluate(): seconds per evaluation stage
-        #: (stimulus / simulate / extract / histogram) of the last run.
-        self.last_stage_seconds: Optional[Dict[str, float]] = None
+        #: cumulative seconds per evaluation stage across every evaluate()
+        #: (the G-test books as histogram).
+        self.stage_seconds: Dict[str, float] = dict.fromkeys(_STAGES, 0.0)
         self.probe_classes, self.skipped_classes = extract_probe_classes(
             netlist, model, probe_nets=probe_nets,
             max_support_bits=max_support_bits,
@@ -149,6 +151,7 @@ class PeriodicLeakageEvaluator(engine_registry.EngineOwner):
 
         keep_nets = None
         record_nets = None
+        schedule = None
         if self.slice_cones:
             roots: set = set()
             for probe_class in self.probe_classes:
@@ -156,91 +159,74 @@ class PeriodicLeakageEvaluator(engine_registry.EngineOwner):
             if roots:
                 keep_nets = sorted(roots)
                 record_nets = keep_nets
-
-        self.last_slice_info = None
-        stage = {
-            "stimulus": 0.0, "simulate": 0.0,
-            "extract": 0.0, "histogram": 0.0,
-        }
-        self.last_stage_seconds = stage
-        # The in-kernel pipeline (stimulus + simulate + extract +
-        # histogram in one C pass per group) applies when both stimuli
-        # are fresh StimulusPlans with a PCG64 snapshot, the keys fit
-        # the dense bincount path, and the cones were sliced (so the
-        # record-net list is explicit).  It is bit-identical to the
-        # python path; anything missing degrades gracefully below.
-        pipeline_ready = self._pipeline_ready(
-            specs, record_nets, (stimulus_fixed, stimulus_random)
+                if self.control_schedule is not None:
+                    values = {
+                        net: [bits[t % self.period] for t in range(n_cycles)]
+                        for net, bits in self.control_schedule.items()
+                    }
+                    schedule = ControlSchedule(
+                        values, n_cycles, tuple(sorted(record))
+                    )
+        # run() is stateless on every engine, so one simulator serves
+        # both stimulus streams.
+        simulator, info = engine_registry.build_simulator(
+            self.engine, self.netlist, n_lanes,
+            keep_nets=keep_nets,
+            record_nets=record_nets,
+            schedule=schedule,
+            on_degrade=self._on_degrade,
         )
-        traces: List[Trace] = []
-        scheduled = keep_nets is not None and self.control_schedule is not None
-        if scheduled:
-            from repro.netlist.slice import ScheduledSimulator
-
-            schedule = {
-                net: [bits[t % self.period] for t in range(n_cycles)]
-                for net, bits in self.control_schedule.items()
-            }
-            # run() is stateless, so one compiled schedule serves both
-            # stimulus streams.
-            simulator = None
-            sched_engine = "python"
-            if self.engine == "native":
-                try:
-                    from repro.netlist.native import (
-                        NativeScheduledSimulator,
-                    )
-
-                    simulator = NativeScheduledSimulator(
-                        self.netlist, n_lanes, keep_nets,
-                        record, n_cycles, schedule,
-                    )
-                    sched_engine = "native"
-                except (ImportError, SimulationError) as exc:
-                    self._degrade(
-                        "scheduled_python",
-                        "native scheduled kernel unavailable", exc,
-                        "python scheduled path",
-                    )
-            if simulator is None:
-                simulator = ScheduledSimulator(
-                    self.netlist, n_lanes, keep_nets,
-                    record, n_cycles, schedule,
-                )
-
-            def trace_runner(stimulus):
-                return simulator.run(stimulus)
-
+        if keep_nets is None:
+            self.last_slice_info = {"mode": "full", "engine": info.name}
+        elif schedule is not None and info.schedulable:
             self.last_slice_info = {
-                "mode": "scheduled", "engine": sched_engine,
-                **simulator.stats()
+                "mode": "scheduled", "engine": info.name, **simulator.stats()
             }
         else:
-            # run() is stateless on every engine, so one simulator
-            # serves both stimulus streams.
-            simulator, info = engine_registry.build_simulator(
-                self.engine, self.netlist, n_lanes,
-                keep_nets=keep_nets,
-                record_nets=record_nets,
-                on_degrade=self._on_degrade,
-            )
+            cone = getattr(simulator, "_cone", None)
+            self.last_slice_info = {
+                "mode": "static",
+                "engine": info.name,
+                "cone_nets": len(cone) if cone is not None else None,
+                "n_nets": self.netlist.n_nets,
+            }
 
-            def trace_runner(stimulus):
-                return simulator.run(
-                    stimulus, n_cycles,
-                    record_nets=record_nets, record_cycles=record,
-                )
-
-            if keep_nets is not None:
-                cone = getattr(simulator, "_cone", None)
-                self.last_slice_info = {
-                    "mode": "static",
-                    "engine": info.name,
-                    "cone_nets": len(cone) if cone is not None else None,
-                    "n_nets": self.netlist.n_nets,
-                }
-            else:
-                self.last_slice_info = {"mode": "full", "engine": info.name}
+        # Every dense table of both groups comes from one block count: in
+        # C when both stimuli are fresh StimulusPlans with a PCG64
+        # snapshot, every key fits the dense path and the cones were
+        # sliced (explicit record nets), else in numpy.  Tables too wide
+        # for dense rows histogram their keys.  Either way the G-test
+        # sees the same contingency tables.
+        stimuli = (stimulus_fixed, stimulus_random)
+        dense = [
+            i for i, spec in enumerate(specs)
+            if spec.n_bins <= DENSE_KEY_LIMIT
+        ]
+        plan = _CountPlan([specs[i] for i in dense])
+        totals = np.zeros((2, plan.size), dtype=np.int64)
+        traces = _count_block(
+            self, simulator, stimuli, n_cycles, record_nets, record, plan,
+            totals, self._pipeline_ready(specs, record_nets, stimuli),
+            count=lambda trace, out: self._keys(trace, plan, out),
+        )
+        if traces is None:
+            self.last_slice_info["pipeline"] = True
+        stage = self.stage_seconds
+        t0 = perf_counter()
+        tables: List = [None] * len(specs)
+        for i, (start, stop) in zip(dense, plan.bounds):
+            tables[i] = (totals[0, start:stop], totals[1, start:stop])
+        bit_caches = ({}, {})
+        for i, spec in enumerate(specs):
+            if tables[i] is None:
+                tables[i] = _histogram_counts(*(
+                    _observe(trace, spec, bit_cache)
+                    for trace, bit_cache in zip(traces, bit_caches)
+                ))
+        stage["extract"] += perf_counter() - t0
+        t0 = perf_counter()
+        outcomes = g_test_counts_batch(tables)
+        stage["histogram"] += perf_counter() - t0
 
         report = LeakageReport(
             design=design_name,
@@ -252,68 +238,6 @@ class PeriodicLeakageEvaluator(engine_registry.EngineOwner):
                 pc.member_names(self.netlist) for pc in self.skipped_classes
             ],
         )
-
-        outcomes = None
-        # Only the native simulators (static or scheduled) offer it.
-        if pipeline_ready and hasattr(simulator, "run_pipeline"):
-            try:
-                group_counts = []
-                for plan in (stimulus_fixed, stimulus_random):
-                    if scheduled:
-                        counts, timings = simulator.run_pipeline(
-                            plan, record_nets, specs, self.hash_bits
-                        )
-                    else:
-                        counts, timings = simulator.run_pipeline(
-                            plan, n_cycles, record_nets, record,
-                            specs, self.hash_bits,
-                        )
-                    group_counts.append(counts)
-                    for name, seconds in timings.items():
-                        stage[name] += seconds
-                t0 = perf_counter()
-                outcomes = g_test_counts_batch(
-                    list(zip(group_counts[0], group_counts[1]))
-                )
-                stage["histogram"] += perf_counter() - t0
-                self.last_slice_info["pipeline"] = True
-            except SimulationError as exc:
-                self._pipeline_failed(exc)
-                outcomes = None
-
-        if outcomes is None:
-            for stimulus in (stimulus_fixed, stimulus_random):
-                t0 = perf_counter()
-                traces.append(trace_runner(stimulus))
-                stage["simulate"] += perf_counter() - t0
-            trace_fixed, trace_random = traces
-            # Every dense table of both groups comes from one batched
-            # count plan; tables too wide for dense rows histogram their
-            # keys.  Either way the G-test sees the same contingency
-            # tables as the pipeline's, so the statistics are identical.
-            t0 = perf_counter()
-            dense = [
-                i for i, spec in enumerate(specs)
-                if spec.n_bins <= DENSE_KEY_LIMIT
-            ]
-            plan = _CountPlan([specs[i] for i in dense])
-            rows_fixed = self._keys(trace_fixed, plan)
-            rows_random = self._keys(trace_random, plan)
-            tables: List = [None] * len(specs)
-            for i, (start, stop) in zip(dense, plan.bounds):
-                tables[i] = (rows_fixed[start:stop], rows_random[start:stop])
-            bit_caches = ({}, {})
-            for i, spec in enumerate(specs):
-                if tables[i] is None:
-                    tables[i] = _histogram_counts(*(
-                        _observe(trace, spec, bit_cache)
-                        for trace, bit_cache in zip(traces, bit_caches)
-                    ))
-            stage["extract"] += perf_counter() - t0
-            t0 = perf_counter()
-            outcomes = g_test_counts_batch(tables)
-            stage["histogram"] += perf_counter() - t0
-
         # Every (class, phase) table holds one sample per lane and period
         # in each group; anything else is missing evidence, not a verdict.
         if len(outcomes) != len(labels):
@@ -342,6 +266,8 @@ class PeriodicLeakageEvaluator(engine_registry.EngineOwner):
         report.degradations = list(self.degradations)
         return report
 
-    def _keys(self, trace: Trace, plan: _CountPlan) -> np.ndarray:
-        """The count vector of ``plan``'s tables on one trace."""
-        return plan.count(trace)
+    def _keys(
+        self, trace: Trace, plan: _CountPlan, out: np.ndarray
+    ) -> np.ndarray:
+        """Add the counts of ``plan``'s tables on one trace to ``out``."""
+        return plan.count(trace, out)

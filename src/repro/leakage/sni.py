@@ -159,8 +159,9 @@ class SniChecker:
 
     def _build_wire_tables(self) -> Dict[int, np.ndarray]:
         """Steady per-net bit over every assignment (shares low, masks high)."""
+        from repro.engines import build_simulator
         from repro.leakage.exact import _enum_pattern
-        from repro.netlist.simulate import BitslicedSimulator, unpack_lanes
+        from repro.netlist.simulate import unpack_lanes
 
         gadget = self.gadget
         share_nets = [n for group in gadget.input_shares for n in group]
@@ -176,7 +177,7 @@ class SniChecker:
         for nets in self._observables.values():
             needed.update(nets)
 
-        simulator = BitslicedSimulator(gadget.netlist, n_lanes)
+        simulator, _ = build_simulator("bitsliced", gadget.netlist, n_lanes)
         trace = simulator.run(
             lambda cycle: patterns,
             gadget.settle_cycles,

@@ -33,6 +33,7 @@ from repro.netlist.native import (
     native_unavailable_reason,
 )
 from repro.netlist.slice import (
+    ControlSchedule,
     ScheduledSimulator,
     SliceStats,
     scheduled_cone,
@@ -70,6 +71,7 @@ __all__ = [
     "netlist_content_hash",
     "program_cache_info",
     "set_program_cache_capacity",
+    "ControlSchedule",
     "ScheduledSimulator",
     "SliceStats",
     "scheduled_cone",

@@ -46,6 +46,7 @@ import subprocess
 import tempfile
 import threading
 from collections import OrderedDict
+from time import perf_counter
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -1619,6 +1620,76 @@ def _extract_counts(
     ]
 
 
+def _trace_of(
+    n_lanes: int, record_list: "list[int]", rec: np.ndarray,
+    rec_slot: np.ndarray,
+) -> Trace:
+    """The :class:`Trace` of a kernel call's ``(rec, rec_slot)`` output.
+
+    Trace rows are views into ``rec``: the call that wrote it owns it
+    alone, so no copy is needed and the views keep it alive.
+    """
+    trace = Trace(n_lanes, record_list)
+    for slot in rec_slot.tolist():
+        trace.values.append(
+            {} if slot < 0 else dict(zip(record_list, rec[slot]))
+        )
+    return trace
+
+
+def _run_pipeline(
+    sim, stim_nets, run_dense, plan, n_cycles: int,
+    record_list: "list[int]", tests, hash_bits: int,
+) -> Tuple["list[np.ndarray]", "dict"]:
+    """The body of both simulators' ``run_pipeline``.
+
+    ``stim_nets`` are the nets the simulator reads from the stimulus, in
+    dense slot order, and ``run_dense(stim)`` is its kernel call
+    returning ``(rec, rec_slot)``.  Generates the plan's stimulus,
+    simulates, then extracts and counts ``tests`` in C; returns the
+    counts and the ``{stage: seconds}`` timings.
+    """
+    kernel = build_pipeline_kernel()
+    covered = set(net for net in plan.row_nets if net >= 0)
+    for net in stim_nets:
+        if net not in covered:
+            raise SimulationError(
+                f"stimulus plan does not drive input "
+                f"{sim.netlist.net_name(net)!r}"
+            )
+    if plan.n_words != sim.n_words:
+        raise SimulationError(
+            f"stimulus plan is {plan.n_words} words wide, "
+            f"simulator needs {sim.n_words}"
+        )
+    slot_of_net = {net: slot for slot, net in enumerate(stim_nets)}
+    t0 = perf_counter()
+    stim = _stimgen_dense(
+        kernel, plan, slot_of_net, len(stim_nets), n_cycles, sim.n_words
+    )
+    t1 = perf_counter()
+    rec, rec_slot = run_dense(stim)
+    t2 = perf_counter()
+    counts = _extract_counts(
+        kernel,
+        rec,
+        rec_slot,
+        {net: i for i, net in enumerate(record_list)},
+        len(record_list),
+        sim.n_lanes,
+        sim.n_words,
+        tests,
+        hash_bits,
+        sim.n_threads,
+    )
+    timings = {
+        "stimulus": t1 - t0,
+        "simulate": t2 - t1,
+        "extract": perf_counter() - t2,
+    }
+    return counts, timings
+
+
 # --------------------------------------------------------------- simulator
 
 
@@ -1742,9 +1813,8 @@ class NativeSimulator:
             ]
         record_list = list(record_nets)
         cycle_filter = None if record_cycles is None else set(record_cycles)
-        trace = Trace(self.n_lanes, record_list)
         if n_cycles <= 0:
-            return trace
+            return Trace(self.n_lanes, record_list)
 
         n_words = self.n_words
         n_inputs = len(program.input_nets)
@@ -1765,18 +1835,7 @@ class NativeSimulator:
         rec, rec_slot = self._run_dense(
             stim, n_cycles, record_list, cycle_filter
         )
-
-        # Trace rows are views into the freshly-written rec buffer -- it
-        # is owned solely by this call, so no copy is needed and the
-        # views keep it alive.
-        values = trace.values
-        for cycle in range(n_cycles):
-            slot = int(rec_slot[cycle])
-            if slot < 0:
-                values.append({})
-            else:
-                values.append(dict(zip(record_list, rec[slot])))
-        return trace
+        return _trace_of(self.n_lanes, record_list, rec, rec_slot)
 
     def _run_dense(
         self,
@@ -1858,61 +1917,15 @@ class NativeSimulator:
         ``numpy.bincount`` of the Python path's observation keys for the
         same seed -- see ``tests/test_native_pipeline.py``.
         """
-        from time import perf_counter
-
-        kernel = build_pipeline_kernel()
         record_list = list(record_nets)
-        program = self.program
-        covered = set(net for net in plan.row_nets if net >= 0)
-        for pi in program.input_nets:
-            if pi not in covered:
-                raise SimulationError(
-                    f"stimulus plan does not drive primary input "
-                    f"{self.netlist.net_name(pi)!r}"
-                )
-        if plan.n_words != self.n_words:
-            raise SimulationError(
-                f"stimulus plan is {plan.n_words} words wide, "
-                f"simulator needs {self.n_words}"
-            )
-        slot_of_net = {
-            net: slot for slot, net in enumerate(program.input_nets)
-        }
-        t0 = perf_counter()
-        stim = _stimgen_dense(
-            kernel,
-            plan,
-            slot_of_net,
-            len(program.input_nets),
-            n_cycles,
-            self.n_words,
-        )
-        t1 = perf_counter()
         cycle_filter = set(record_cycles)
-        rec, rec_slot = self._run_dense(
-            stim, n_cycles, record_list, cycle_filter
+        return _run_pipeline(
+            self, self.program.input_nets,
+            lambda stim: self._run_dense(
+                stim, n_cycles, record_list, cycle_filter
+            ),
+            plan, n_cycles, record_list, tests, hash_bits,
         )
-        t2 = perf_counter()
-        record_index = {net: i for i, net in enumerate(record_list)}
-        counts = _extract_counts(
-            kernel,
-            rec,
-            rec_slot,
-            record_index,
-            len(record_list),
-            self.n_lanes,
-            self.n_words,
-            tests,
-            hash_bits,
-            self.n_threads,
-        )
-        t3 = perf_counter()
-        timings = {
-            "stimulus": t1 - t0,
-            "simulate": t2 - t1,
-            "extract": t3 - t2,
-        }
-        return counts, timings
 
     def _expand_cycle(
         self, provided: dict, cycle: int, stim: np.ndarray
@@ -1948,15 +1961,15 @@ class NativeScheduledSimulator:
     validation rules) and lowers its per-cycle structures onto the
     ``repro_sched_run`` entry point of the pipeline kernel: flat gate-op
     arrays with per-cycle offsets interpreted in C, tiled and threaded
-    over word columns.  ``run`` has the exact contract of the wrapped
-    simulator -- same errors for non-root records, missing inputs, and
-    schedule mismatches; bit-identical traces.  ``run_pipeline`` adds
-    the in-kernel stimulus/extract/histogram stages of
-    :meth:`NativeSimulator.run_pipeline`.
+    over word columns.  ``run`` and ``run_pipeline`` have the contracts
+    of :class:`NativeSimulator`'s, within the wrapped simulator's bounds
+    (``ScheduledSimulator._run_window``) -- same errors for non-root
+    records, missing inputs, and schedule mismatches; bit-identical
+    traces and counts.
 
     Construction raises :class:`~repro.errors.SimulationError` when the
-    pipeline kernel is unavailable; callers fall back to the Python
-    scheduled path and record the degradation.
+    pipeline kernel is unavailable; :func:`repro.engines.build_simulator`
+    then degrades to the compiled engine's :class:`ScheduledSimulator`.
     """
 
     def __init__(
@@ -2094,32 +2107,19 @@ class NativeScheduledSimulator:
         """Active vs. full cell evaluations (see ScheduledSimulator)."""
         return self._sched.stats()
 
-    def _check_record_list(self, record_nets):
-        record_list = (
-            list(self.roots) if record_nets is None else list(record_nets)
-        )
-        root_set = set(self.roots)
-        for net in record_list:
-            if net not in root_set:
-                raise SimulationError(
-                    f"net {net} is not a root of this scheduled slice"
-                )
-        return record_list
-
     def _run_dense(
-        self, stim: np.ndarray, record_list: "list[int]"
+        self, stim: np.ndarray, record_list: "list[int]",
+        cycles: "list[int]",
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """One interpreter call; returns the raw (rec, rec_slot) pair."""
+        """One interpreter call recording ``record_list`` at ``cycles``;
+        returns the raw (rec, rec_slot) pair."""
         n_cycles = self.n_cycles
         n_words = self.n_words
         rec_slot = np.full(n_cycles, -1, dtype=np.int64)
-        for slot, cycle in enumerate(self.record_cycles):
-            if 0 <= cycle < n_cycles:
-                rec_slot[cycle] = slot
+        rec_slot[cycles] = np.arange(len(cycles))
         n_rec = len(record_list)
         rec = np.zeros(
-            (max(len(self.record_cycles), 1), max(n_rec, 1), n_words),
-            np.uint64,
+            (max(len(cycles), 1), max(n_rec, 1), n_words), np.uint64
         )
         rec_net = np.asarray(
             record_list if record_list else [0], dtype=np.int64
@@ -2218,25 +2218,27 @@ class NativeScheduledSimulator:
                 row[slot_of_net[net]] = words
         return stim
 
-    def run(self, stimulus, record_nets: Optional[Iterable[int]] = None):
+    def run(
+        self,
+        stimulus,
+        n_cycles: int,
+        record_nets: Optional[Iterable[int]] = None,
+        record_cycles: Optional[Iterable[int]] = None,
+    ) -> Trace:
         """Simulate and record; same contract as ScheduledSimulator.run."""
-        record_list = self._check_record_list(record_nets)
+        record_list, cycles = self._sched._run_window(
+            n_cycles, record_nets, record_cycles
+        )
         stim = self._expand_stimulus(stimulus)
-        rec, rec_slot = self._run_dense(stim, record_list)
-        trace = Trace(self.n_lanes, record_list)
-        values = trace.values
-        for cycle in range(self.n_cycles):
-            slot = int(rec_slot[cycle])
-            if slot < 0:
-                values.append({})
-            else:
-                values.append(dict(zip(record_list, rec[slot])))
-        return trace
+        rec, rec_slot = self._run_dense(stim, record_list, cycles)
+        return _trace_of(self.n_lanes, record_list, rec, rec_slot)
 
     def run_pipeline(
         self,
         plan,
-        record_nets,
+        n_cycles: int,
+        record_nets: Iterable[int],
+        record_cycles: Iterable[int],
         tests,
         hash_bits: int,
     ) -> Tuple["list[np.ndarray]", "dict"]:
@@ -2247,53 +2249,11 @@ class NativeScheduledSimulator:
         nets' generated words against the declared schedule exactly like
         the python path.
         """
-        from time import perf_counter
-
-        record_list = self._check_record_list(record_nets)
-        covered = set(net for net in plan.row_nets if net >= 0)
-        needed = set(
-            net for per in self._sched._cycle_inputs for net in per
-        ) | set(self._sched_nets)
-        for net in sorted(needed):
-            if net not in covered:
-                raise SimulationError(
-                    f"stimulus plan does not drive needed input "
-                    f"{self.netlist.net_name(net)!r}"
-                )
-        if plan.n_words != self.n_words:
-            raise SimulationError(
-                f"stimulus plan is {plan.n_words} words wide, "
-                f"simulator needs {self.n_words}"
-            )
-        t0 = perf_counter()
-        stim = _stimgen_dense(
-            self._kernel,
-            plan,
-            self._slot_of_net,
-            self.n_slots,
-            self.n_cycles,
-            self.n_words,
+        record_list, cycles = self._sched._run_window(
+            n_cycles, record_nets, record_cycles
         )
-        t1 = perf_counter()
-        rec, rec_slot = self._run_dense(stim, record_list)
-        t2 = perf_counter()
-        record_index = {net: i for i, net in enumerate(record_list)}
-        counts = _extract_counts(
-            self._kernel,
-            rec,
-            rec_slot,
-            record_index,
-            len(record_list),
-            self.n_lanes,
-            self.n_words,
-            tests,
-            hash_bits,
-            self.n_threads,
+        return _run_pipeline(
+            self, self._stim_nets,
+            lambda stim: self._run_dense(stim, record_list, cycles),
+            plan, n_cycles, record_list, tests, hash_bits,
         )
-        t3 = perf_counter()
-        timings = {
-            "stimulus": t1 - t0,
-            "simulate": t2 - t1,
-            "extract": t3 - t2,
-        }
-        return counts, timings

@@ -35,6 +35,7 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -503,6 +504,21 @@ def slice_program(
     return program
 
 
+class ControlSchedule(NamedTuple):
+    """A public control schedule bound to the run a scheduled cone serves.
+
+    ``values`` holds each scheduled primary input's scalar value per cycle
+    (at least ``n_cycles`` entries); ``record_cycles`` are the cycles at
+    which the cone must reproduce its roots.  With ``keep_nets`` as the
+    roots it selects the scheduled simulator in
+    :func:`repro.engines.build_simulator`.
+    """
+
+    values: Mapping[int, Sequence[int]]
+    n_cycles: int
+    record_cycles: Tuple[int, ...]
+
+
 class ScheduledSimulator:
     """Bitsliced simulation restricted to per-cycle scheduled cones.
 
@@ -667,18 +683,24 @@ class ScheduledSimulator:
             "record_cycles": len(self.record_cycles),
         }
 
-    def run(self, stimulus, record_nets: Optional[Iterable[int]] = None):
-        """Simulate and record ``record_nets`` at the record cycles.
+    def _run_window(
+        self,
+        n_cycles: int,
+        record_nets: Optional[Iterable[int]],
+        record_cycles: Optional[Iterable[int]],
+    ) -> Tuple[List[int], List[int]]:
+        """Check a run's arguments against the cone; ``(nets, cycles)``.
 
-        ``record_nets`` defaults to the cone roots and must be a subset of
-        them (the scheduled cone only guarantees values for the roots at
-        the record cycles).  The stimulus must drive every needed primary
-        input, with each scheduled net held at its declared per-cycle
-        constant.  The simulator carries no mutable state between runs, so
-        one instance can evaluate many stimulus streams.
+        The cone only guarantees the roots at the record cycles it was
+        built for, over its ``n_cycles``: ``record_nets`` (default: the
+        roots) and ``record_cycles`` (default: all of them) must be
+        subsets, and ``n_cycles`` must match.
         """
-        from repro.netlist.simulate import Trace
-
+        if n_cycles != self.n_cycles:
+            raise SimulationError(
+                f"this scheduled cone covers {self.n_cycles} cycles, "
+                f"not {n_cycles}"
+            )
         record_list = (
             list(self.roots) if record_nets is None else list(record_nets)
         )
@@ -688,7 +710,38 @@ class ScheduledSimulator:
                 raise SimulationError(
                     f"net {net} is not a root of this scheduled slice"
                 )
-        record_set = set(self.record_cycles)
+        if record_cycles is None:
+            return record_list, list(self.record_cycles)
+        cycles = sorted(set(record_cycles))
+        extra = set(cycles) - set(self.record_cycles)
+        if extra:
+            raise SimulationError(
+                f"cycle {min(extra)} is not a record cycle of this "
+                "scheduled slice"
+            )
+        return record_list, cycles
+
+    def run(
+        self,
+        stimulus,
+        n_cycles: int,
+        record_nets: Optional[Iterable[int]] = None,
+        record_cycles: Optional[Iterable[int]] = None,
+    ):
+        """Simulate and record ``record_nets`` at ``record_cycles``.
+
+        The engines' ``run`` contract, within :meth:`_run_window`'s
+        bounds.  The stimulus must drive every needed primary input, with
+        each scheduled net held at its declared per-cycle constant.  The
+        simulator carries no mutable state between runs, so one instance
+        can evaluate many stimulus streams.
+        """
+        from repro.netlist.simulate import Trace
+
+        record_list, cycles = self._run_window(
+            n_cycles, record_nets, record_cycles
+        )
+        record_set = set(cycles)
         trace = Trace(self.n_lanes, record_list)
 
         netlist = self.netlist

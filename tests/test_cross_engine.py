@@ -164,10 +164,9 @@ class TestNativeEngineEquivalence:
     @settings(deadline=None, max_examples=10)
     @given(data=st.data())
     def test_native_agrees_with_scheduled_cone(self, data):
-        # The scheduled-cone simulator is its own execution path (not an
-        # engine behind the registry); with an empty schedule it reduces
-        # to a cycle-aware static cone and must still match the fused
-        # kernel at every recorded (root, cycle) pair.
+        # The compiled engine's scheduled cone; with an empty schedule it
+        # reduces to a cycle-aware static cone and must still match the
+        # fused kernel at every recorded (root, cycle) pair.
         from repro.netlist.slice import ScheduledSimulator
 
         nl, inputs, nets = data.draw(random_circuits())
@@ -180,7 +179,7 @@ class TestNativeEngineEquivalence:
 
         scheduled = ScheduledSimulator(
             nl, n_lanes, roots, record_cycles, n_cycles, {}
-        ).run(stimulus, record_nets=roots)
+        ).run(stimulus, n_cycles, record_nets=roots)
         native = NativeSimulator(
             nl, n_lanes, keep_nets=roots, record_nets=roots
         ).run(

@@ -25,13 +25,16 @@ from repro.engines import (
 )
 from repro.netlist.builder import CircuitBuilder
 from repro.netlist.native import (
+    NativeScheduledSimulator,
     NativeSimulator,
     clear_native_kernel_cache,
     native_available,
     native_kernel_cache_info,
     native_unavailable_reason,
+    pipeline_available,
 )
 from repro.netlist.simulate import SimulationError, pack_lanes
+from repro.netlist.slice import ControlSchedule, ScheduledSimulator
 
 needs_native = pytest.mark.skipif(
     not native_available(), reason="no C toolchain for the native engine"
@@ -181,6 +184,109 @@ class TestBuildSimulator:
                 ]
             )
         assert all(w == words[0] for w in words[1:])
+
+
+def _scheduled_toy():
+    """The toy netlist with input ``a`` on a public per-cycle schedule,
+    plus a stimulus holding ``a`` at it on every lane."""
+    netlist, (a, b), nets = _toy_netlist()
+    schedule = ControlSchedule({a: [1, 0, 1, 0]}, 4, (1, 3))
+    rng = np.random.default_rng(7)
+    frames = [
+        {
+            a: np.full(1, ~np.uint64(0) if bit else np.uint64(0)),
+            b: rng.integers(0, 2 ** 63, size=1, dtype=np.uint64),
+        }
+        for bit in schedule.values[a]
+    ]
+    return netlist, nets, schedule, lambda cycle: frames[cycle]
+
+
+class TestScheduledRungs:
+    """Given a control schedule, every rung builds its scheduled cone."""
+
+    @pytest.mark.skipif(
+        not pipeline_available(), reason="no native pipeline kernel"
+    )
+    def test_native_builds_the_native_scheduled_simulator(self):
+        netlist, nets, schedule, _ = _scheduled_toy()
+        sim, info = build_simulator(
+            "native", netlist, 64, keep_nets=[nets["r"]], schedule=schedule
+        )
+        assert info.name == "native"
+        assert isinstance(sim, NativeScheduledSimulator)
+
+    @pytest.mark.parametrize("cause", ["disabled", "fault"])
+    def test_native_degrades_to_the_compiled_scheduled_cone(
+        self, monkeypatch, cause
+    ):
+        if cause == "disabled":
+            monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
+        netlist, nets, schedule, stimulus = _scheduled_toy()
+        owner = engine_registry.EngineOwner()
+        owner._init_engine("native")
+        with pytest.warns(RuntimeWarning, match="native"):
+            sim, info = build_simulator(
+                "native", netlist, 64, keep_nets=[nets["r"]],
+                schedule=schedule,
+                decide=(
+                    (lambda site: site == "engine.native_build")
+                    if cause == "fault" else None
+                ),
+                on_degrade=owner._on_degrade,
+            )
+        assert info.name == "compiled"
+        assert isinstance(sim, ScheduledSimulator)
+        assert [d["kind"] for d in owner.degradations] == ["engine_compiled"]
+        direct = ScheduledSimulator(
+            netlist, 64, [nets["r"]], schedule.record_cycles,
+            schedule.n_cycles, schedule.values,
+        )
+        traces = [
+            simulator.run(
+                stimulus, 4, record_nets=[nets["r"]],
+                record_cycles=schedule.record_cycles,
+            )
+            for simulator in (sim, direct)
+        ]
+        for cycle in schedule.record_cycles:
+            assert np.array_equal(
+                traces[0].words(cycle, nets["r"]),
+                traces[1].words(cycle, nets["r"]),
+            )
+
+    def test_bitsliced_simulates_the_static_cone_identically(self):
+        """Bitsliced is not schedulable: it runs the static cone, and a
+        scheduled periodic evaluation reports the same bytes."""
+        from repro.leakage.periodic import PeriodicLeakageEvaluator
+
+        netlist, (a, b), nets = _toy_netlist()
+        rng = np.random.default_rng(3)
+        frames = [
+            {
+                a: np.full(4, ~np.uint64(0) * (cycle % 4 == 0)),
+                b: rng.integers(0, 2 ** 63, size=4, dtype=np.uint64),
+            }
+            for cycle in range(16)
+        ]
+
+        def evaluate(engine):
+            evaluator = PeriodicLeakageEvaluator(
+                netlist, 4, probe_nets=list(nets.values()),
+                control_schedule={a: [1, 0, 0, 0]}, engine=engine,
+            )
+            report = evaluator.evaluate(
+                lambda cycle: frames[cycle],
+                lambda cycle: frames[cycle + 8],
+                256, phases=[1, 2], n_periods=1,
+            )
+            return evaluator.last_slice_info["mode"], report.to_json(top=None)
+
+        (static, bitsliced), (scheduled, compiled) = (
+            evaluate("bitsliced"), evaluate("compiled")
+        )
+        assert (static, scheduled) == ("static", "scheduled")
+        assert bitsliced == compiled
 
 
 class TestToolchainAbsentDegradation:

@@ -25,6 +25,30 @@ from repro.netlist.simulate import Trace
 N_SIMS = 30_000  # leaks under test are enormous; modest N suffices
 
 
+class TestOneShotAccounting:
+    """One-shot reports check every table against lanes x windows."""
+
+    @pytest.mark.parametrize(
+        "method, options",
+        [("evaluate", {}), ("evaluate_pairs", {"max_pairs": 5})],
+    )
+    def test_skipped_block_never_reports(
+        self, kronecker_eq6, monkeypatch, method, options
+    ):
+        evaluator = LeakageEvaluator(
+            kronecker_eq6.dut, seed=1, block_lanes=64
+        )
+        accumulate = evaluator.accumulate
+
+        def skip_first_block(acc, fixed_secret, n_lanes, n_windows, **kw):
+            kw["blocks"] = range(1, evaluator.block_count(n_lanes))
+            accumulate(acc, fixed_secret, n_lanes, n_windows, **kw)
+
+        monkeypatch.setattr(evaluator, "accumulate", skip_first_block)
+        with pytest.raises(SimulationError, match="evidence"):
+            getattr(evaluator, method)(n_simulations=256, **options)
+
+
 class TestFirstOrder:
     def test_detects_eq6_leak_at_g7(self, kronecker_eq6):
         evaluator = LeakageEvaluator(
@@ -368,11 +392,13 @@ class TestBatchedExecutor:
             spec(3, hashed=True),
         ])
         branches = {rows.shape[2]: popcount
-                    for popcount, *_, rows, _, _ in plan._groups}
+                    for popcount, *_, rows, _, _ in plan._executor.groups}
         assert branches == {
             POPCOUNT_MAX_BITS: True, POPCOUNT_MAX_BITS + 1: False, 3: False
         }
-        assert not any(g[0] for g in _CountPlan([spec(2)], True)._groups)
+        assert not any(
+            g[0] for g in _CountPlan([spec(2)], True)._executor.groups
+        )
 
     def test_hamming_rows_are_bits_plus_one_wide(self):
         segment = tuple(_PLANES[p] + (p,) for p in range(12))

@@ -20,8 +20,6 @@ directly, plus end-to-end through the periodic evaluator and a
 checkpoint/resume campaign with the pipeline active.
 """
 
-import contextlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -398,11 +396,13 @@ class TestInKernelExtraction:
         sim = NativeScheduledSimulator(
             nl, n_lanes, roots, record_cycles, n_cycles, {}
         )
-        counts, _ = sim.run_pipeline(native_plan, roots, specs, hash_bits)
+        counts, _ = sim.run_pipeline(
+            native_plan, n_cycles, roots, record_cycles, specs, hash_bits
+        )
 
         trace = ScheduledSimulator(
             nl, n_lanes, roots, record_cycles, n_cycles, {}
-        ).run(python_plan, record_nets=roots)
+        ).run(python_plan, n_cycles, record_nets=roots)
         for spec, table, batched in zip(
             specs, counts, _batched_counts(trace, specs)
         ):
@@ -641,7 +641,7 @@ class TestPeriodicPipelineIdentity:
         _assert_identical_reports(compiled, native)
         assert evaluator.last_slice_info.get("pipeline") is True
         assert not evaluator.degradations
-        assert evaluator.last_stage_seconds["stimulus"] > 0.0
+        assert evaluator.stage_seconds["stimulus"] > 0.0
 
     def test_scheduled_cone_report_identical(self, aes_core_setup):
         core, harness, probes = aes_core_setup
@@ -681,39 +681,36 @@ class TestPipelineDegradation:
         self, aes_core_setup, monkeypatch
     ):
         """Scheduled periodic run under engine=native with no toolchain:
-        a scheduled_python degradation is recorded and the python path
-        produces the identical report -- the no-toolchain CI leg."""
+        the ladder records and warns about an engine_compiled
+        degradation and the compiled scheduled cone produces the
+        identical report -- the no-toolchain CI leg."""
         core, harness, probes = aes_core_setup
         monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
-        evaluator, degraded = _periodic_report(
-            core, harness, probes, "native", scheduled=True
-        )
+        with pytest.warns(RuntimeWarning, match="native"):
+            evaluator, degraded = _periodic_report(
+                core, harness, probes, "native", scheduled=True
+            )
         kinds = [d["kind"] for d in evaluator.degradations]
-        assert "scheduled_python" in kinds
-        assert evaluator.last_slice_info["engine"] == "python"
+        assert kinds == ["engine_compiled"]
+        assert evaluator.last_slice_info["mode"] == "scheduled"
+        assert evaluator.last_slice_info["engine"] == "compiled"
         assert evaluator.last_slice_info.get("pipeline") is None
         _, reference = _periodic_report(
             core, harness, probes, "compiled", scheduled=True
         )
         _assert_identical_reports(reference, degraded)
 
-    @pytest.mark.parametrize(
-        "scheduled, kind",
-        [(False, "engine_compiled"), (True, "scheduled_python")],
-    )
+    @pytest.mark.parametrize("scheduled", [False, True])
     def test_periodic_report_carries_degradations(
-        self, aes_core_setup, monkeypatch, scheduled, kind
+        self, aes_core_setup, monkeypatch, scheduled
     ):
         """The fall-back a periodic run took is its report's provenance:
         present in ``to_dict(provenance=True)`` and the summary, absent
         from the default JSON bytes."""
         core, harness, probes = aes_core_setup
         monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
-        warns = (
-            contextlib.nullcontext() if scheduled
-            else pytest.warns(RuntimeWarning, match="native")
-        )
-        with warns:
+        kind = "engine_compiled"
+        with pytest.warns(RuntimeWarning, match="native"):
             evaluator, degraded = _periodic_report(
                 core, harness, probes, "native", scheduled=scheduled
             )
@@ -729,3 +726,84 @@ class TestPipelineDegradation:
         )
         assert reference.degradations == []
         assert degraded.to_json(top=None) == reference.to_json(top=None)
+
+
+def _fail_call(monkeypatch, simulator_class, failing):
+    """Make the ``failing``-th ``run_pipeline`` call of a class raise."""
+    original = simulator_class.run_pipeline
+    calls = []
+
+    def run_pipeline(self, *args, **kwargs):
+        calls.append(args)
+        if len(calls) == failing:
+            raise SimulationError("injected pipeline failure")
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(simulator_class, "run_pipeline", run_pipeline)
+
+
+def _pipeline_failures(report):
+    return [d["kind"] for d in report.degradations].count("pipeline_python")
+
+
+@needs_pipeline
+class TestPipelineFailure:
+    """A ``run_pipeline`` failure on either group of a block reruns the
+    whole block in numpy: the undisturbed report bytes plus one
+    pipeline_python record, never a group counted twice."""
+
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_campaign(self, kronecker_eq6, monkeypatch, failing):
+        from repro.leakage.campaign import CampaignConfig, EvaluationCampaign
+        from repro.netlist.native import NativeSimulator
+
+        def report():
+            return EvaluationCampaign(
+                LeakageEvaluator(kronecker_eq6.dut, seed=11, engine="native"),
+                CampaignConfig(n_simulations=16_384, chunk_size=8_192),
+            ).run()
+
+        reference = report()
+        _fail_call(monkeypatch, NativeSimulator, failing)
+        degraded = report()
+        assert degraded.to_json(top=None) == reference.to_json(top=None)
+        assert _pipeline_failures(degraded) == 1
+
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_evaluate(self, kronecker_eq6, monkeypatch, failing):
+        from repro.netlist.native import NativeSimulator
+
+        def report():
+            return LeakageEvaluator(
+                kronecker_eq6.dut, seed=11, engine="native"
+            ).evaluate(n_simulations=8_192)
+
+        reference = report()
+        _fail_call(monkeypatch, NativeSimulator, failing)
+        degraded = report()
+        assert degraded.to_json(top=None) == reference.to_json(top=None)
+        assert _pipeline_failures(degraded) == 1
+
+    @pytest.mark.parametrize("failing", [1, 2])
+    @pytest.mark.parametrize("scheduled", [False, True])
+    def test_periodic(self, aes_core_setup, monkeypatch, scheduled, failing):
+        from repro.netlist.native import (
+            NativeScheduledSimulator,
+            NativeSimulator,
+        )
+
+        core, harness, probes = aes_core_setup
+        _, reference = _periodic_report(
+            core, harness, probes, "native", scheduled
+        )
+        _fail_call(
+            monkeypatch,
+            NativeScheduledSimulator if scheduled else NativeSimulator,
+            failing,
+        )
+        evaluator, degraded = _periodic_report(
+            core, harness, probes, "native", scheduled
+        )
+        assert degraded.to_json(top=None) == reference.to_json(top=None)
+        assert _pipeline_failures(degraded) == 1
+        assert evaluator.last_slice_info.get("pipeline") is None

@@ -542,7 +542,7 @@ class TestScheduledSimulator:
             self._build()
         )
         replay = [stimulus(c) for c in range(self.N_CYCLES)]
-        sliced = simulator.run(lambda c: replay[c])
+        sliced = simulator.run(lambda c: replay[c], self.N_CYCLES)
         full = BitslicedSimulator(nl, 130).run(
             lambda c: replay[c], self.N_CYCLES, record_nets=roots
         )
@@ -557,7 +557,7 @@ class TestScheduledSimulator:
         for seed in (11, 12):
             stimulus = _driven_stimulus(nl, schedule, simulator.n_words, seed)
             replay = [stimulus(c) for c in range(self.N_CYCLES)]
-            sliced = simulator.run(lambda c: replay[c])
+            sliced = simulator.run(lambda c: replay[c], self.N_CYCLES)
             full = BitslicedSimulator(nl, 130).run(
                 lambda c: replay[c], self.N_CYCLES, record_nets=roots
             )
@@ -574,7 +574,7 @@ class TestScheduledSimulator:
         with pytest.raises(
             SimulationError, match="does not match its declared value"
         ):
-            simulator.run(bad)
+            simulator.run(bad, self.N_CYCLES)
 
     def test_missing_input_raises(self):
         nl, nets, schedule, *_, simulator, stimulus = self._build()
@@ -585,12 +585,25 @@ class TestScheduledSimulator:
             return values
 
         with pytest.raises(SimulationError, match="missing primary input"):
-            simulator.run(broken)
+            simulator.run(broken, self.N_CYCLES)
 
     def test_record_net_must_be_a_root(self):
         nl, nets, *_ , simulator, stimulus = self._build()
         with pytest.raises(SimulationError, match="not a root"):
-            simulator.run(stimulus, record_nets=[nets["mixed"]])
+            simulator.run(
+                stimulus, self.N_CYCLES, record_nets=[nets["mixed"]]
+            )
+
+    def test_run_must_fit_the_cone(self):
+        *_, record, simulator, stimulus = self._build()
+        with pytest.raises(SimulationError, match="covers 6 cycles"):
+            simulator.run(stimulus, self.N_CYCLES + 1)
+        with pytest.raises(SimulationError, match="not a record cycle"):
+            simulator.run(stimulus, self.N_CYCLES, record_cycles=[4])
+        trace = simulator.run(stimulus, self.N_CYCLES, record_cycles=[3])
+        assert [bool(cycle) for cycle in trace.values] == [
+            t == 3 for t in range(self.N_CYCLES)
+        ]
 
     def test_stats_report_savings(self):
         *_, simulator, _ = self._build()
@@ -634,7 +647,7 @@ class TestScheduledBitIdentity:
         replay = [stimulus(c) for c in range(n_cycles)]
         sliced = ScheduledSimulator(
             nl, 128, probes, record, n_cycles, schedule
-        ).run(lambda c: replay[c])
+        ).run(lambda c: replay[c], n_cycles)
         full = BitslicedSimulator(nl, 128).run(
             lambda c: replay[c], n_cycles, record_nets=probes
         )
