@@ -21,11 +21,12 @@ engine on the E11 whole-core workload, gated on **bit-identity**:
   in C).  The two reports must be byte-identical; a per-stage breakdown
   is printed and recorded so regressions are attributable.  Carries the
   ``--require-full-eval-speedup`` gate.
-* **scheduled full-evaluation leg** (informational) -- the same
-  evaluation on the scheduled cone, where the native side lowers
-  :class:`ScheduledSimulator` onto the scheduled-cone interpreter and
-  keeps the pipeline; the compiled scheduled path is already cheap, so
-  this leg's speedup is structurally smaller.
+* **scheduled full-evaluation leg** -- the same evaluation on the
+  scheduled cone, the path E11 runs in the product: the native side
+  lowers :class:`ScheduledSimulator` onto the scheduled-cone
+  interpreter and keeps the pipeline; the compiled scheduled path is
+  already cheap, so this leg's speedup is structurally smaller.
+  Carries the ``--require-scheduled-speedup`` gate.
 * **threads leg** -- the native kernel's in-kernel thread pool at 1 and
   ``min(4, max(2, cpu_count))`` threads, plus the best threaded-native
   configuration against the serial ``compiled`` baseline
@@ -34,15 +35,16 @@ engine on the E11 whole-core workload, gated on **bit-identity**:
   0.801x of serial.
 
 Usage (CI's ``native-smoke`` job gates at ``--require-speedup 8.0``,
-leaving headroom for slower runners; the committed record is generated
-locally with ``--require-speedup 10``)::
+``--require-full-eval-speedup 3.0`` and ``--require-scheduled-speedup
+1.0``, leaving headroom for slower runners; the committed record is
+generated locally with ``--require-speedup 10``)::
 
     PYTHONPATH=src python benchmarks/bench_native.py \
         --lanes 6000 --require-speedup 10 --out BENCH_native.json
 
 Exit codes: 0 success, 1 cross-engine mismatch (a correctness bug), 2
-speedup below ``--require-speedup`` or threaded-native not beating the
-serial compiled baseline.
+a speedup below one of the ``--require-*`` gates or threaded-native not
+beating the serial compiled baseline.
 """
 
 from __future__ import annotations
@@ -329,6 +331,11 @@ def main(argv=None) -> int:
                         help="fail (exit 2) if the end-to-end full_eval "
                              "leg (static cone + in-kernel pipeline) "
                              "speedup is below this")
+    parser.add_argument("--require-scheduled-speedup", type=float,
+                        default=0.0,
+                        help="fail (exit 2) if the scheduled-cone "
+                             "full-evaluation leg (the path E11 runs) "
+                             "speedup is below this")
     parser.add_argument("--out", default="BENCH_native.json")
     args = parser.parse_args(argv)
 
@@ -381,7 +388,7 @@ def main(argv=None) -> int:
 
     print(
         f"[4/5] full evaluation, scheduled cone + native scheduled "
-        f"interpreter (lanes={args.full_eval_lanes}, informational)..."
+        f"interpreter (lanes={args.full_eval_lanes})..."
     )
     full_sched = bench_full_eval(
         core, harness, probes, args.full_eval_lanes, full_repeats
@@ -447,6 +454,13 @@ def main(argv=None) -> int:
         print(
             f"FAIL: full_eval speedup {full['speedup']}x below "
             f"required {args.require_full_eval_speedup}x",
+            file=sys.stderr,
+        )
+        return 2
+    if full_sched["speedup"] < args.require_scheduled_speedup:
+        print(
+            f"FAIL: scheduled full_eval speedup {full_sched['speedup']}x "
+            f"below required {args.require_scheduled_speedup}x",
             file=sys.stderr,
         )
         return 2

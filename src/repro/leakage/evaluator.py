@@ -79,6 +79,10 @@ POPCOUNT_MAX_BITS = 4
 #: whatever the spec count.
 PASS_ELEMENTS = 1 << 20
 
+#: Dense-table columns :meth:`HistogramAccumulator.state_members` scans
+#: in one pass (512 KiB of counts); a wider table is a batch alone.
+STATE_BATCH_COLUMNS = 1 << 15
+
 
 def _mix_hash(keys: np.ndarray) -> np.ndarray:
     """SplitMix64-style bit mixer used for observation bucketing."""
@@ -93,7 +97,9 @@ def _mix_hash(keys: np.ndarray) -> np.ndarray:
 
 def _check_hash_bits(hash_bits: int) -> None:
     """Reject a bucket width the key arithmetic cannot honour."""
-    if not (isinstance(hash_bits, int) and 1 <= hash_bits <= 64):
+    if isinstance(hash_bits, bool) or not (
+        isinstance(hash_bits, int) and 1 <= hash_bits <= 64
+    ):
         raise SimulationError(
             f"hash_bits must be an integer from 1 to 64, got {hash_bits!r}"
         )
@@ -413,6 +419,29 @@ def _capacity(size: int) -> int:
     return 1 << max(size - 1, 0).bit_length()
 
 
+def _packed_cells(
+    batch: List[Tuple[Optional[np.ndarray], np.ndarray]],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(keys, counts, n_keys)`` of the occupied cells of a batch of
+    ``(keys, counts)`` tables: consecutive dense ones, or one keyed one.
+
+    One vector pass over the tables' columns side by side: the occupied
+    columns, how many fall in each table, and each one's key -- its
+    column within a dense table, ``keys[column]`` in a keyed one.
+    """
+    counts = np.concatenate([c for _, c in batch], axis=1)
+    starts = np.cumsum([0] + [c.shape[1] for _, c in batch])
+    cells = np.flatnonzero(counts.any(axis=0))
+    n_keys = np.diff(np.searchsorted(cells, starts)).astype(np.int64)
+    columns = cells - np.repeat(starts[:-1], n_keys)
+    keys = batch[0][0]
+    return (
+        columns.astype(np.uint64) if keys is None else keys[columns],
+        counts[:, cells],
+        n_keys,
+    )
+
+
 def _sparse_cells(dense: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Occupied ``(keys, counts)`` of a dense ``(2, n)`` table."""
     keys = np.flatnonzero(dense.any(axis=0))
@@ -574,27 +603,40 @@ class HistogramAccumulator:
         """The packed state layout as ``name -> (dtype, shape, chunks)``.
 
         Concatenating a member's chunks gives the array of
-        :meth:`state_arrays`.  The chunks are per-table slices, so the
-        checkpoint streams the tables into its NPZ without ever holding
-        the packed arrays whole.
+        :meth:`state_arrays`.  Consecutive dense tables are scanned for
+        occupied cells in one pass per batch of at most
+        :data:`STATE_BATCH_COLUMNS` columns, and a keyed table alone, so
+        the chunks are per-batch slices: the checkpoint streams the
+        tables into its NPZ without ever holding the packed arrays whole.
         """
         ids = self.table_ids()
-        tables = []
+        batches: List[list] = []
+        width = 0
         for table_id in ids:
             keys, counts = self._tables[table_id]
-            cells = np.flatnonzero(counts.any(axis=0))
-            tables.append((
-                cells.astype(np.uint64) if keys is None else keys[cells],
-                counts[:, cells],
-            ))
-        n_keys = np.asarray([k.size for k, _ in tables], dtype=np.int64)
+            width += counts.shape[1]
+            # A dense table joins the last batch while that holds dense
+            # tables within the column bound; a keyed table sits alone.
+            if not (
+                keys is None
+                and batches
+                and batches[-1][-1][0] is None
+                and width <= STATE_BATCH_COLUMNS
+            ):
+                batches.append([])
+                width = counts.shape[1]
+            batches[-1].append((keys, counts))
+        cells = [_packed_cells(batch) for batch in batches]
+        n_keys = np.concatenate(
+            [np.zeros(0, np.int64)] + [n for _, _, n in cells]
+        )
         size = int(n_keys.sum())
         return ids, {
-            "keys": (np.uint64, (size,), [k for k, _ in tables]),
+            "keys": (np.uint64, (size,), [k for k, _, _ in cells]),
             "counts": (
                 np.int64,
                 (2, size),
-                [c[row] for row in (0, 1) for _, c in tables],
+                [c[row] for row in (0, 1) for _, c, _ in cells],
             ),
             "n_keys": (np.int64, (len(ids),), [n_keys]),
         }
@@ -809,6 +851,23 @@ def _count_block(
     return traces
 
 
+class _Selection(NamedTuple):
+    """What :meth:`LeakageEvaluator.accumulate` counts for one probe
+    selection, kept while ``key`` stays the same."""
+
+    #: classes, pairs, offsets, eval cycles, bucket width, observation.
+    key: tuple
+    #: the CountSpec of each observed ``(probe class, offset)``.
+    specs: Dict[Tuple[ProbeClass, int], object]
+    #: the first-order specs, in class order.
+    class_specs: list
+    #: class positions of the tables ``plan`` counts, and of those too
+    #: wide for dense rows.
+    dense: List[int]
+    wide: List[int]
+    plan: _CountPlan
+
+
 class LeakageEvaluator(engine_registry.EngineOwner):
     """Fixed-vs-random evaluation of a design under a probing model."""
 
@@ -872,6 +931,14 @@ class LeakageEvaluator(engine_registry.EngineOwner):
         self.probe_classes, self.skipped_classes = extract_probe_classes(
             dut.netlist, model, max_support_bits=max_support_bits
         )
+        #: the last probe selection's specs and count plan
+        #: (:meth:`_count_selection`); never pickled.
+        self._selection: Optional[_Selection] = None
+
+    def __getstate__(self) -> Dict:
+        state = self.__dict__.copy()
+        state["_selection"] = None
+        return state
 
     @property
     def _bucket_bits(self) -> Optional[int]:
@@ -1127,39 +1194,16 @@ class LeakageEvaluator(engine_registry.EngineOwner):
             blocks = range(self.block_count(n_lanes))
         stage = self.stage_seconds
         hamming = self.observation == "hamming"
-        # One CountSpec per observed (probe class, offset): first-order
-        # tables observe offset 0, and the second class of a pair sits
-        # ``delta`` cycles earlier.
         all_classes = self.probe_classes
-        observed = (
-            {(probe_class, 0) for probe_class in classes}
-            | {(all_classes[i], 0) for i, _ in pairs}
-            | {(all_classes[j], delta) for _, j in pairs for delta in offsets}
-        )
-        specs = {
-            (probe_class, delta): _count_spec(
-                probe_class,
-                [t - delta for t in eval_cycles],
-                self._bucket_bits,
-            )
-            for probe_class, delta in observed
-        }
-        class_specs = [specs[(probe_class, 0)] for probe_class in classes]
         # First-order tables: the dense ones count through one plan into
         # (2, plan.size) totals, folded into ``acc`` once per call; tables
         # too wide for dense rows keep _observe + add.  Each block counts
         # in C through the in-kernel pipeline when it can (tuple
         # observations only: pairs and Hamming weights run numpy), and a
         # pipeline failure runs the rest of the call in numpy.
-        dense = [
-            k for k, spec in enumerate(class_specs)
-            if spec.n_bins <= gtest.DENSE_KEY_LIMIT
-        ]
-        wide = [
-            k for k, spec in enumerate(class_specs)
-            if spec.n_bins > gtest.DENSE_KEY_LIMIT
-        ]
-        plan = _CountPlan([class_specs[k] for k in dense], hamming)
+        _, specs, class_specs, dense, wide, plan = self._count_selection(
+            classes, pairs, offsets, eval_cycles
+        )
         totals = np.zeros((2, plan.size), dtype=np.int64)
         pipeline = (
             not pairs
@@ -1266,6 +1310,61 @@ class LeakageEvaluator(engine_registry.EngineOwner):
             if totals[:, start:stop].any():
                 acc._fold(f"c{class_indices[k]}", None, totals[:, start:stop])
         stage["histogram"] += perf_counter() - t0
+
+    def _count_selection(
+        self,
+        classes: List[ProbeClass],
+        pairs: List[Tuple[int, int]],
+        offsets: List[int],
+        eval_cycles: List[int],
+    ) -> _Selection:
+        """The specs, dense/wide split and count plan of a probe selection.
+
+        One CountSpec per observed (probe class, offset): first-order
+        tables observe offset 0, and the second class of a pair sits
+        ``delta`` cycles earlier.  Building them costs tens of
+        milliseconds for hundreds of classes, so the last selection's
+        are reused while its classes, pairs, offsets, eval cycles, bucket
+        width and observation stay the same (adaptive pruning changes the
+        selection, and the next call rebuilds).
+        """
+        key = (
+            tuple(classes), tuple(pairs), tuple(offsets), tuple(eval_cycles),
+            self._bucket_bits, self.observation,
+        )
+        cached = self._selection
+        if cached is not None and cached.key == key:
+            return cached
+        all_classes = self.probe_classes
+        observed = (
+            {(probe_class, 0) for probe_class in classes}
+            | {(all_classes[i], 0) for i, _ in pairs}
+            | {(all_classes[j], delta) for _, j in pairs for delta in offsets}
+        )
+        specs = {
+            (probe_class, delta): _count_spec(
+                probe_class,
+                [t - delta for t in eval_cycles],
+                self._bucket_bits,
+            )
+            for probe_class, delta in observed
+        }
+        class_specs = [specs[(probe_class, 0)] for probe_class in classes]
+        dense = [
+            k for k, spec in enumerate(class_specs)
+            if spec.n_bins <= gtest.DENSE_KEY_LIMIT
+        ]
+        wide = [
+            k for k, spec in enumerate(class_specs)
+            if spec.n_bins > gtest.DENSE_KEY_LIMIT
+        ]
+        plan = _CountPlan(
+            [class_specs[k] for k in dense], self.observation == "hamming"
+        )
+        self._selection = _Selection(
+            key, specs, class_specs, dense, wide, plan
+        )
+        return self._selection
 
     # ----------------------------------------------------------- first order
 

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.stats import chi2
+from scipy import special
 
 #: PROLEAD's default detection threshold on -log10(p).
 DEFAULT_THRESHOLD = 5.0
 
-#: Reported -log10(p) is capped here (scipy's logsf underflows beyond).
+#: Reported -log10(p) is capped here (:func:`chi2_logsf` underflows
+#: beyond).
 MLOG10P_CAP = 100_000.0
 
 _LN10 = float(np.log(10.0))
@@ -26,6 +27,31 @@ _LN10 = float(np.log(10.0))
 #: Observation keys below this bound are histogrammed densely (bin index ==
 #: key); bucketed observations are < 2^hash_bits, far below it.
 DENSE_KEY_LIMIT = 1 << 16
+
+
+def chi2_logsf(g, dof):
+    """``log`` of the chi-square survival function at ``g`` with ``dof``
+    degrees of freedom: ``scipy.stats.chi2.logsf(g, dof)``, bit for bit.
+
+    It makes the ufunc calls scipy's ``rv_continuous.logsf`` makes, so
+    the ``scipy.stats`` import (about a second per process) is never
+    paid.  Above the median ``2 * gammaincinv(dof / 2, 0.5)`` it is
+    ``log(chdtrc)``, which keeps precision for astronomically small
+    p-values (strong leaks); at or below it ``log1p(-chdtr)``.  As in
+    scipy, ``g <= 0`` gives 0.0, NaN gives NaN and ``+inf`` gives
+    ``-inf``.  Scalars give a numpy scalar, arrays an array.
+    """
+    g = np.asarray(g, dtype=np.float64)
+    median = 2 * special.gammaincinv(np.divide(dof, 2), 0.5)
+    with np.errstate(divide="ignore"):
+        out = np.where(
+            g > median,
+            np.log(special.chdtrc(dof, g)),
+            np.log1p(-special.chdtr(dof, g)),
+        )
+    out = np.where(g < np.inf, out, -np.inf)
+    out = np.where(g > 0, out, np.where(g <= 0, 0.0, np.nan))
+    return out[()]
 
 
 def occupied_cells(
@@ -193,14 +219,14 @@ def _g_batch_from_compact(
 def _finish_batch(
     partial: "list[tuple[float, int, int, int, int]]",
 ) -> "list[GTestResult]":
-    """One vectorized ``chi2.logsf`` pass over (G, dof, ...) tuples."""
+    """One vectorized :func:`chi2_logsf` pass over (G, dof, ...) tuples."""
     g_values = np.asarray([p[0] for p in partial], dtype=np.float64)
     dofs = np.asarray([p[1] for p in partial], dtype=np.int64)
     mlog10p = np.zeros(len(partial), dtype=np.float64)
     testable = dofs >= 1
     if np.any(testable):
         mlog10p[testable] = (
-            -chi2.logsf(g_values[testable], dofs[testable]) / _LN10
+            -chi2_logsf(g_values[testable], dofs[testable]) / _LN10
         )
     mlog10p = np.minimum(mlog10p, MLOG10P_CAP)
     return [
@@ -280,9 +306,8 @@ def g_test_from_counts(
     )
     if dof < 1:
         return GTestResult(g, dof, 0.0, n_categories, n_fixed, n_random)
-    # logsf keeps precision for astronomically small p-values (strong
-    # leaks); a cap keeps the result finite when even logsf underflows.
-    mlog10p = float(-chi2.logsf(g, dof) / _LN10)
+    # A cap keeps the result finite when even the log p-value underflows.
+    mlog10p = float(-chi2_logsf(g, dof) / _LN10)
     mlog10p = min(mlog10p, MLOG10P_CAP)
     return GTestResult(g, dof, mlog10p, n_categories, n_fixed, n_random)
 

@@ -166,8 +166,10 @@ def run_spec(
 
     Returns ``(report, progress)``: ``progress`` is the campaign's
     :class:`~repro.leakage.campaign.CampaignProgress`, ``None`` for an
-    exact sweep.
+    exact sweep.  A spec that fails :meth:`EvaluationSpec.validate`
+    raises :class:`~repro.errors.SpecError` before any work.
     """
+    spec.validate()
     if spec.mode == "exact":
         from repro.leakage.certify import run_exact_analysis
 

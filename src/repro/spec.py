@@ -81,6 +81,16 @@ ADAPTIVE_FIELDS = (
 )
 
 
+def _is_int(value) -> bool:
+    """An integer field value; ``bool`` is not one, though ``True == 1``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A number field value: an int or a float, never a ``bool``."""
+    return _is_int(value) or isinstance(value, float)
+
+
 @dataclass(frozen=True)
 class EvaluationSpec:
     """Validated parameters of one leakage evaluation.
@@ -165,8 +175,10 @@ class EvaluationSpec:
         merged = dict(data)
         if "pair_offsets" in merged:
             try:
+                # Booleans pass through for validate() to reject.
                 merged["pair_offsets"] = tuple(
-                    int(v) for v in merged["pair_offsets"]
+                    v if isinstance(v, bool) else int(v)
+                    for v in merged["pair_offsets"]
                 )
             except (TypeError, ValueError) as exc:
                 raise SpecError(
@@ -249,22 +261,26 @@ class EvaluationSpec:
             if not isinstance(getattr(self, name), str):
                 raise SpecError(f"{name} must be a string")
         for name in ("fixed_secret", "seed", "pair_seed"):
-            if not isinstance(getattr(self, name), int):
+            if not _is_int(getattr(self, name)):
                 raise SpecError(f"{name} must be an integer")
-        if not isinstance(self.threshold, (int, float)):
+        if not isinstance(self.pair_offsets, (tuple, list)) or not all(
+            _is_int(v) for v in self.pair_offsets
+        ):
+            raise SpecError("pair_offsets must be a list of integers")
+        if not _is_number(self.threshold):
             raise SpecError("threshold must be a number")
         if self.max_pairs is not None and (
-            not isinstance(self.max_pairs, int) or self.max_pairs < 1
+            not _is_int(self.max_pairs) or self.max_pairs < 1
         ):
             raise SpecError("max_pairs must be a positive integer")
-        if not isinstance(self.n_simulations, int) or self.n_simulations < 1:
+        if not _is_int(self.n_simulations) or self.n_simulations < 1:
             raise SpecError("n_simulations must be a positive integer")
-        if not isinstance(self.n_windows, int) or self.n_windows < 1:
+        if not _is_int(self.n_windows) or self.n_windows < 1:
             raise SpecError("n_windows must be a positive integer")
-        if not isinstance(self.workers, int) or self.workers < 1:
+        if not _is_int(self.workers) or self.workers < 1:
             raise SpecError("workers must be a positive integer")
         if self.chunk_size is not None and (
-            not isinstance(self.chunk_size, int) or self.chunk_size < 1
+            not _is_int(self.chunk_size) or self.chunk_size < 1
         ):
             raise SpecError("chunk_size must be a positive integer")
         if not isinstance(self.slice, bool):
@@ -273,30 +289,30 @@ class EvaluationSpec:
             raise SpecError("adaptive must be a boolean")
         for name in ("decide_threshold", "null_threshold"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or value <= 0:
+            if not _is_number(value) or value <= 0:
                 raise SpecError(f"{name} must be a positive number")
         if self.null_threshold > self.decide_threshold:
             raise SpecError(
                 "null_threshold must not exceed decide_threshold "
                 "(the band between them stays undecided)"
             )
-        if not isinstance(self.decide_chunks, int) or self.decide_chunks < 1:
+        if not _is_int(self.decide_chunks) or self.decide_chunks < 1:
             raise SpecError("decide_chunks must be a positive integer")
         if (
-            not isinstance(self.min_null_samples, int)
+            not _is_int(self.min_null_samples)
             or self.min_null_samples < 1
         ):
             raise SpecError("min_null_samples must be a positive integer")
         if (
-            not isinstance(self.max_budget_factor, (int, float))
+            not _is_number(self.max_budget_factor)
             or self.max_budget_factor < 1.0
         ):
             raise SpecError("max_budget_factor must be at least 1.0")
-        if not isinstance(self.max_enum_bits, int) or not (
+        if not _is_int(self.max_enum_bits) or not (
             1 <= self.max_enum_bits <= 40
         ):
             raise SpecError("max_enum_bits must be an integer in [1, 40]")
-        if not isinstance(self.shard_lane_bits, int) or not (
+        if not _is_int(self.shard_lane_bits) or not (
             1 <= self.shard_lane_bits <= 32
         ):
             raise SpecError("shard_lane_bits must be an integer in [1, 32]")

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
+from repro.leakage import evaluator as evaluator_module
 from repro.leakage.evaluator import HistogramAccumulator
 from repro.leakage.gtest import DENSE_KEY_LIMIT
 
@@ -440,3 +441,98 @@ class TestPackedState:
         arrays["counts"][:] = 7
         arrays["keys"][:] = 0
         assert _snapshot(acc) == before
+
+
+def _per_table_state(acc):
+    """The packed state built one table at a time: the reference for the
+    batched scan of :meth:`HistogramAccumulator.state_members`."""
+    ids = acc.table_ids()
+    keys, counts = [np.zeros(0, np.uint64)], [np.zeros((2, 0), np.int64)]
+    for table_id in ids:
+        table_keys, table_counts = acc._tables[table_id]
+        cells = np.flatnonzero(table_counts.any(axis=0))
+        keys.append(
+            cells.astype(np.uint64) if table_keys is None
+            else table_keys[cells]
+        )
+        counts.append(table_counts[:, cells])
+    return ids, {
+        "keys": np.concatenate(keys),
+        "counts": np.concatenate(counts, axis=1),
+        "n_keys": np.array([k.size for k in keys[1:]], dtype=np.int64),
+    }
+
+
+def _tables(kind):
+    """Accumulators whose ids sort ``c0 < c1 < c10 < c11 < c2 < ...``."""
+    acc = HistogramAccumulator()
+    for index in range(12):
+        dense = kind == "dense" or (kind == "mixed" and index % 3 != 1)
+        base = 0 if dense else DENSE_KEY_LIMIT + 3
+        # Sparse keys, so a dense table's capacity (a power of two
+        # above its largest key) exceeds its occupied cells.
+        keys = base + np.array([index, 3 * index + 1, 40 + index])
+        acc.add(f"c{index}", keys.astype(np.uint64), FIXED)
+        acc.add(f"c{index}", keys[1:].astype(np.uint64), RANDOM)
+    # A dense table grown wide with one occupied cell, an empty one and
+    # a keyed one holding a column of zeros (as from_state may load).
+    acc.add_counts("c20", np.eye(1, 5000, 4999, dtype=np.int64)[0], FIXED)
+    empty = HistogramAccumulator.from_state(
+        ["c21", "p0:1:0"],
+        {
+            "keys": np.array([DENSE_KEY_LIMIT, DENSE_KEY_LIMIT + 9],
+                             dtype=np.uint64),
+            "counts": np.array([[0, 2], [0, 1]], dtype=np.int64),
+            "n_keys": np.array([0, 2], dtype=np.int64),
+        },
+    )
+    if kind != "dense":
+        acc.merge(empty)
+    return acc
+
+
+class TestStateMembersBatches:
+    """The batched occupied-cell scan packs exactly the per-table state."""
+
+    @pytest.mark.parametrize("columns", [1, 64, 1 << 15])
+    @pytest.mark.parametrize("kind", ["dense", "keyed", "mixed"])
+    def test_equals_the_per_table_reference(
+        self, monkeypatch, kind, columns
+    ):
+        monkeypatch.setattr(evaluator_module, "STATE_BATCH_COLUMNS", columns)
+        acc = _tables(kind)
+        ids, arrays = acc.state_arrays()
+        ref_ids, reference = _per_table_state(acc)
+        assert ids == ref_ids
+        assert ids[:5] == ["c0", "c1", "c10", "c11", "c2"]
+        for name in reference:
+            assert arrays[name].dtype == reference[name].dtype
+            assert np.array_equal(arrays[name], reference[name]), name
+        if kind != "keyed":
+            capacity = acc._tables["c0"][1].shape[1]
+            assert capacity > arrays["n_keys"][ids.index("c0")]
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["c0", "c1", "c10", "c2", "p0:1:2"]),
+                st.sampled_from([FIXED, RANDOM]),
+                keys_strategy,
+            ),
+            max_size=12,
+        ),
+        columns=st.sampled_from([1, 8, 1 << 15]),
+    )
+    def test_random_tables(self, ops, columns):
+        original = evaluator_module.STATE_BATCH_COLUMNS
+        evaluator_module.STATE_BATCH_COLUMNS = columns
+        try:
+            acc = _build(ops)
+            ids, arrays = acc.state_arrays()
+        finally:
+            evaluator_module.STATE_BATCH_COLUMNS = original
+        ref_ids, reference = _per_table_state(acc)
+        assert ids == ref_ids
+        for name in reference:
+            assert np.array_equal(arrays[name], reference[name])

@@ -1,5 +1,6 @@
 """Tests for chunked, checkpointable evaluation campaigns."""
 
+import hashlib
 import io
 import json
 import os
@@ -23,6 +24,7 @@ from repro.leakage.campaign import (
     run_campaign,
     unpack_checkpoint,
 )
+from repro.leakage import evaluator as evaluator_module
 from repro.leakage.adaptive import AdaptiveConfig
 from repro.leakage.evaluator import HistogramAccumulator, LeakageEvaluator
 from repro.leakage.model import ProbingModel
@@ -594,3 +596,153 @@ class TestReportAccounting:
         assert not campaign.run().passed
         # The check reads the same tables on every later report.
         assert campaign._report("complete").max_mlog10p > 5.0
+
+
+#: Blocks of the third of five one-block chunks after each mutation:
+#: the block lost, or counted twice.
+MUTATED_BLOCKS = {"drop_block": [], "double_block": [2, 2]}
+
+
+class TestMissingEvidenceOnTheCachedPlan:
+    """A serial campaign's later chunks count on the plan its first chunk
+    built; a block lost or counted twice there, or a table dropped, must
+    raise and never become a report."""
+
+    def _campaign(self, design, evaluator=None):
+        return EvaluationCampaign(
+            evaluator or _evaluator(design),
+            CampaignConfig(n_simulations=N_SIMS, chunk_size=4_096),
+        )
+
+    def test_later_chunks_reuse_the_plan(self, kronecker_eq6):
+        evaluator = _evaluator(kronecker_eq6)
+        accumulate = evaluator.accumulate
+        selections = []
+
+        def recording(acc, *args, **kw):
+            accumulate(acc, *args, **kw)
+            selections.append(evaluator._selection)
+
+        evaluator.accumulate = recording
+        report = self._campaign(kronecker_eq6, evaluator).run()
+        assert len(selections) == 5
+        assert all(s is selections[0] for s in selections)
+        single = _evaluator(kronecker_eq6).evaluate(n_simulations=N_SIMS)
+        assert report.to_json(top=None) == single.to_json(top=None)
+
+    @pytest.mark.parametrize(
+        "how", ["drop_block", "double_block", "drop_table"]
+    )
+    def test_mutated_later_chunk_never_reports(self, kronecker_eq6, how):
+        evaluator = _evaluator(kronecker_eq6)
+        accumulate = evaluator.accumulate
+        selections = []
+
+        def broken(acc, *args, blocks, **kw):
+            third = list(blocks) == [2]
+            if third:
+                blocks = MUTATED_BLOCKS.get(how, blocks)
+            accumulate(acc, *args, blocks=blocks, **kw)
+            selections.append(evaluator._selection)
+            if third and how == "drop_table":
+                del acc._tables["c3"]
+
+        evaluator.accumulate = broken
+        with pytest.raises(SimulationError, match="missing evidence"):
+            self._campaign(kronecker_eq6, evaluator).run()
+        assert len(selections) == 5
+        assert all(s is selections[0] for s in selections)
+
+
+class TestResumeFromBatchPackedTables:
+    """Checkpoint tables packed in batches: one lacking a block, holding
+    one twice or missing a table never resumes into a report."""
+
+    @pytest.mark.parametrize(
+        "how", ["drop_block", "double_block", "drop_table"]
+    )
+    def test_mutated_checkpoint_is_refused(
+        self, kronecker_eq6, tmp_path, monkeypatch, how
+    ):
+        # Small batches, so the tables span several packing passes.
+        monkeypatch.setattr(evaluator_module, "STATE_BATCH_COLUMNS", 16)
+        path = str(tmp_path / "ck.npz")
+
+        def campaign():
+            return EvaluationCampaign(
+                _evaluator(kronecker_eq6),
+                CampaignConfig(
+                    n_simulations=N_SIMS, chunk_size=8_192, checkpoint=path
+                ),
+            )
+
+        writer = campaign()
+        evaluator = writer.evaluator
+        acc = HistogramAccumulator()
+        blocks = [0, 1, 2] if how == "drop_block" else [0, 1, 2, 3]
+        evaluator.accumulate(acc, 0, writer._n_lanes, 1, blocks=blocks)
+        if how == "double_block":
+            again = HistogramAccumulator()
+            evaluator.accumulate(again, 0, writer._n_lanes, 1, blocks=[3])
+            acc.merge(again)
+        if how == "drop_table":
+            del acc._tables["c3"]
+        writer.accumulator = acc
+        writer.progress.blocks_total = writer._blocks_total()
+        writer._save_checkpoint(path, 4)
+        with pytest.raises(CheckpointError):
+            campaign()._load_checkpoint(path)
+        # Resume quarantines the file and simulates every block afresh.
+        resumed = campaign()
+        report = resumed.run(resume=True)
+        assert resumed.progress.resumed_from_block == 0
+        assert os.path.exists(path + ".corrupt")
+        fresh = EvaluationCampaign(
+            _evaluator(kronecker_eq6),
+            CampaignConfig(n_simulations=N_SIMS, chunk_size=8_192),
+        ).run()
+        assert report.to_json(top=None) == fresh.to_json(top=None)
+
+
+#: sha256 of the final checkpoint file of the two campaigns below,
+#: computed before checkpoint tables were packed in batches.  A change
+#: here breaks every checkpoint written earlier: treat it as a format
+#: change.
+CHECKPOINT_DIGESTS = {
+    "first": "7c0be7c5410e32e87fbd87812113b668d0b16c6dfd733dc6b7cdc85bb0ef78d7",
+    "both": "1f2bd6ac91d49f8a964a99d84d63c870092e04cd2187e7f033e3aee0aae71262",
+}
+
+
+class TestCheckpointFormat:
+    @pytest.mark.parametrize(
+        "name, evaluator_options, config",
+        [
+            ("first", {}, {}),
+            # Pair tables at two offsets; at 4 hash bits the 5-bit classes
+            # and the wider pairs are hashed.
+            (
+                "both",
+                {"hash_bits": 4},
+                {"mode": "both", "max_pairs": 6, "pair_offsets": (0, 1)},
+            ),
+        ],
+    )
+    def test_checkpoint_bytes_are_pinned(
+        self, kronecker_eq6, tmp_path, name, evaluator_options, config
+    ):
+        path = str(tmp_path / "ck.npz")
+        evaluator = LeakageEvaluator(
+            kronecker_eq6.dut, ProbingModel.GLITCH, seed=7,
+            **evaluator_options,
+        )
+        EvaluationCampaign(
+            evaluator,
+            CampaignConfig(
+                n_simulations=8_192, chunk_size=4_096, checkpoint=path,
+                **config,
+            ),
+        ).run()
+        with open(path, "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
+        assert digest == CHECKPOINT_DIGESTS[name]

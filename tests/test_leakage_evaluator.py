@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo fixed-vs-random evaluator."""
 
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -47,6 +48,70 @@ class TestOneShotAccounting:
         monkeypatch.setattr(evaluator, "accumulate", skip_first_block)
         with pytest.raises(SimulationError, match="evidence"):
             getattr(evaluator, method)(n_simulations=256, **options)
+
+
+def _state(acc):
+    """An accumulator's tables as comparable plain lists."""
+    ids, arrays = acc.state_arrays()
+    return ids, {name: array.tolist() for name, array in arrays.items()}
+
+
+class TestSelectionCache:
+    """``accumulate`` builds the specs and count plan of a probe selection
+    once and reuses them while nothing they depend on changes."""
+
+    PAIRS = [(0, 5), (3, 9), (8, 12)]
+
+    def _accumulate(self, evaluator, **kw):
+        acc = HistogramAccumulator()
+        evaluator.accumulate(
+            acc, 0, 512, 1, pairs=self.PAIRS, pair_offsets=(0, 1), **kw
+        )
+        return acc
+
+    def test_plan_reused_until_the_selection_changes(self, kronecker_eq6):
+        evaluator = LeakageEvaluator(
+            kronecker_eq6.dut, seed=3, block_lanes=256
+        )
+        self._accumulate(evaluator, blocks=[0])
+        selection = evaluator._selection
+        self._accumulate(evaluator, blocks=[1])
+        assert evaluator._selection is selection
+        # Pruning a class changes the selection: the next call rebuilds.
+        self._accumulate(
+            evaluator, class_indices=range(1, 20), blocks=[1]
+        )
+        assert evaluator._selection is not selection
+
+    @pytest.mark.parametrize(
+        "change", [{"hash_bits": 2}, {"observation": "hamming"}]
+    )
+    def test_changed_settings_give_a_fresh_evaluators_tables(
+        self, kronecker_eq6, change
+    ):
+        evaluator = LeakageEvaluator(
+            kronecker_eq6.dut, seed=3, block_lanes=256
+        )
+        self._accumulate(evaluator, blocks=[0])
+        for name, value in change.items():
+            setattr(evaluator, name, value)
+        fresh = LeakageEvaluator(
+            kronecker_eq6.dut, seed=3, block_lanes=256, **change
+        )
+        assert _state(self._accumulate(evaluator)) == _state(
+            self._accumulate(fresh)
+        )
+
+    def test_cache_stays_out_of_the_pickle(self, kronecker_eq6):
+        evaluator = LeakageEvaluator(
+            kronecker_eq6.dut, seed=3, block_lanes=256
+        )
+        expected = _state(self._accumulate(evaluator))
+        assert evaluator._selection is not None
+        copy = pickle.loads(pickle.dumps(evaluator))
+        assert copy._selection is None
+        assert evaluator._selection is not None
+        assert _state(self._accumulate(copy)) == expected
 
 
 class TestFirstOrder:
@@ -204,6 +269,11 @@ class TestHashing:
         """A zero or negative width used to shift every hashed key to
         bin 0 -- a false PASS on the leaky eq6 design -- and 65 raised
         an untyped OverflowError mid-run."""
+        with pytest.raises(SimulationError, match="hash_bits"):
+            LeakageEvaluator(kronecker_eq6.dut, hash_bits=hash_bits)
+
+    @pytest.mark.parametrize("hash_bits", [True, False])
+    def test_boolean_hash_bits_rejected(self, kronecker_eq6, hash_bits):
         with pytest.raises(SimulationError, match="hash_bits"):
             LeakageEvaluator(kronecker_eq6.dut, hash_bits=hash_bits)
 

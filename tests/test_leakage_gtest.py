@@ -1,9 +1,21 @@
 """Tests for the G-test statistics."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy import special
+from scipy.stats import chi2
 
-from repro.leakage.gtest import DEFAULT_THRESHOLD, MLOG10P_CAP, g_test
+from repro.leakage import gtest
+from repro.leakage.gtest import (
+    DEFAULT_THRESHOLD,
+    MLOG10P_CAP,
+    chi2_logsf,
+    g_test,
+)
 
 
 class TestNullBehaviour:
@@ -95,3 +107,79 @@ class TestPooling:
         result = g_test(a, b)
         assert result.n_fixed == 10
         assert result.n_random == 20
+
+
+#: Degrees of freedom of the p-value oracle checks.
+DOFS = list(range(1, 1101)) + [65_535]
+
+
+def _bits(values) -> np.ndarray:
+    """Bit patterns, so that NaN payloads and the sign of zero count."""
+    return np.asarray(values, dtype=np.float64).reshape(-1).view(np.uint64)
+
+
+def _points(dof: int) -> list:
+    """G values around every branch of ``chi2.logsf`` at ``dof``."""
+    median = 2 * special.gammaincinv(dof / 2, 0.5)
+    return [
+        0.0, -0.0, -1e-12, 5e-324, -np.inf, np.inf, np.nan,
+        np.nextafter(median, 0.0), median, np.nextafter(median, np.inf),
+        0.5 * dof, 2.0 * dof, 10.0 * dof + 100.0,
+        1e3, 3e4, 1e5, 1e6, 1e7,
+    ]
+
+
+class TestChi2Logsf:
+    """``chi2_logsf`` is ``scipy.stats.chi2.logsf`` without importing
+    ``scipy.stats``: equal bit for bit, the oracle kept here."""
+
+    def test_scalars_match_scipy_bit_for_bit(self):
+        mismatches = [
+            (g, dof)
+            for dof in DOFS
+            for g in _points(dof)
+            if _bits(chi2_logsf(g, dof)) != _bits(chi2.logsf(g, dof))
+        ]
+        assert mismatches == []
+
+    def test_scalar_in_scalar_out(self):
+        assert np.ndim(chi2_logsf(3.0, 2)) == 0
+        assert np.ndim(chi2_logsf(np.float64(3.0), np.int64(2))) == 0
+
+    def test_arrays_match_scipy_bit_for_bit(self):
+        g = np.concatenate([_points(dof) for dof in DOFS])
+        dof = np.repeat(DOFS, len(_points(1)))
+        rng = np.random.default_rng(0)
+        g = np.concatenate([g, rng.uniform(0.0, 3_000.0, 100_000)])
+        dof = np.concatenate([dof, rng.integers(1, 1_101, 100_000)])
+        ours = chi2_logsf(g, dof)
+        assert ours.shape == g.shape
+        assert np.array_equal(_bits(ours), _bits(chi2.logsf(g, dof)))
+
+    def test_far_tail_is_capped(self):
+        """Where the log p-value underflows, -log10(p) is the cap."""
+        assert chi2_logsf(1e7, 3) == -np.inf
+        results = gtest._finish_batch(
+            [(1e7, 3, 4, 10, 10), (1e3, 3, 4, 10, 10)]
+        )
+        assert results[0].mlog10p == MLOG10P_CAP
+        assert 0 < results[1].mlog10p < MLOG10P_CAP
+
+    def test_product_imports_no_scipy_stats(self):
+        """Importing ``scipy.stats`` costs most of a second and tens of
+        MiB per process; no product module imports it."""
+        code = (
+            "import sys\n"
+            "import repro, repro.cli, repro.service\n"
+            "import repro.leakage.campaign, repro.service.runner\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[:2] == ['scipy', 'stats']))\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True, timeout=120,
+        )
+        assert out.stdout.strip() == "[]"

@@ -403,6 +403,15 @@ class TestServiceEndToEnd:
         _get(f"{base}/v1/jobs/{job_id}?wait=120")
 
 
+class TestBooleanSpecFields:
+    def test_boolean_seed_is_400(self, service):
+        status, body = _post(
+            f"{service.address}/v1/jobs", dict(E4_SPEC, seed=True)
+        )
+        assert status == 400
+        assert "seed" in json.loads(body)["error"]
+
+
 class TestWaitParameterValidation:
     """``?wait=`` is validated and bounded, never trusted."""
 

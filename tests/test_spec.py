@@ -136,6 +136,52 @@ class TestValidation:
             EvaluationSpec.from_dict("not a dict")
 
 
+#: Every integer or number field; ``True == 1`` must not pass for one.
+NUMERIC_FIELDS = (
+    "n_simulations", "n_windows", "fixed_secret", "threshold", "max_pairs",
+    "pair_seed", "seed", "workers", "chunk_size", "decide_threshold",
+    "null_threshold", "decide_chunks", "min_null_samples",
+    "max_budget_factor", "max_enum_bits", "shard_lane_bits",
+)
+
+
+class TestBooleansAreNotNumbers:
+    """A JSON ``true`` in a numeric field is a bad spec (HTTP 400), not a
+    1: accepted, it ran seed 1 under a second cache key."""
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("name", NUMERIC_FIELDS)
+    def test_from_dict_rejects(self, name, value):
+        with pytest.raises(SpecError, match=name):
+            EvaluationSpec.from_dict({name: value})
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("name", NUMERIC_FIELDS)
+    def test_validate_rejects(self, name, value):
+        with pytest.raises(SpecError, match=name):
+            EvaluationSpec(**{name: value}).validate()
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_pair_offset_entries_rejected(self, value):
+        with pytest.raises(SpecError, match="pair_offsets"):
+            EvaluationSpec.from_dict({"pair_offsets": [0, value]})
+        with pytest.raises(SpecError, match="pair_offsets"):
+            EvaluationSpec(pair_offsets=(0, value)).validate()
+
+    def test_run_spec_validates_first(self):
+        from repro.service.runner import run_spec
+
+        with pytest.raises(SpecError, match="seed"):
+            run_spec(EvaluationSpec(seed=True))
+
+    def test_integers_still_accepted(self):
+        spec = EvaluationSpec.from_dict(
+            {name: 2 for name in NUMERIC_FIELDS}
+            | {"pair_offsets": [0, 2], "null_threshold": 1.5}
+        )
+        assert spec.seed == 2 and spec.pair_offsets == (0, 2)
+
+
 class TestFromArgs:
     def _namespace(self, **overrides):
         ns = argparse.Namespace(
