@@ -18,7 +18,9 @@ SIGKILLed only after the checkpoint has rotated at least once (so a
 ``.prev`` generation exists), the current checkpoint is then overwritten
 with garbage (a write torn mid-flight by the kill), and the resumed run
 must quarantine the corrupt file, fall back one generation, and still
-produce a report byte-identical to an uninterrupted reference run.
+produce a report byte-identical to an uninterrupted reference run.  The
+same drill then runs on an exact sweep (``campaign --exact --scheme eq6
+--shard-lane-bits 10``), whose checkpoints rotate the same way.
 
 With ``--workers N`` the resumed run goes through the multiprocessing
 executor, exercising checkpoint interoperability between the serial and
@@ -28,8 +30,8 @@ default) runs both the victim and the resumed campaign with cone-sliced
 simulation; ``--no-slice`` uses full-netlist simulation.  The slice flag
 joins the checkpoint fingerprint, so both legs must agree.
 
-Exits 0 on success, 1 on failure.  The whole exercise takes well under 30
-seconds.
+Exits 0 on success, 1 on failure.  Each leg takes well under a minute
+(about 30 seconds on a 2-core host).
 """
 
 import argparse
@@ -68,36 +70,56 @@ def campaign_args(checkpoint, resume=False, workers=1, slice_cones=True,
     return args
 
 
-def run_torn_checkpoint_leg(env, options):
+def exact_args(checkpoint, resume=False, workers=1, as_json=False):
+    args = [
+        sys.executable,
+        "-m",
+        "repro.cli",
+        "campaign",
+        "--exact",
+        "--scheme", "eq6",
+        "--shard-lane-bits", "10",
+        "--workers", str(workers),
+    ]
+    if checkpoint is not None:
+        args += ["--checkpoint", checkpoint]
+    if resume:
+        args.append("--resume")
+    if as_json:
+        args.append("--json")
+    return args
+
+
+def torn_checkpoint_drill(env, label, checkpoint, reference, victim, resume):
     """SIGKILL during checkpoint writes, then corrupt the current generation.
 
-    Proves generation rotation: the victim is killed only after the
-    previous-generation checkpoint (``.prev``) exists, the *current*
-    checkpoint is then overwritten with garbage (simulating a write torn
-    mid-flight by the kill), and the resumed run must quarantine the
-    corrupt file, fall back one generation, and still produce a report
-    byte-identical to an uninterrupted reference run.
+    ``reference``, ``victim`` and ``resume`` are the argv of the
+    uninterrupted run, the run to kill (writing ``checkpoint``) and the
+    resumed run; the reference and the resumed run print JSON.  The
+    victim is killed only after the previous-generation checkpoint
+    (``.prev``) exists, the *current* checkpoint is then overwritten with
+    garbage (simulating a write torn mid-flight by the kill), and the
+    resumed run must quarantine the corrupt file, fall back one
+    generation, and still produce a report byte-identical to the
+    reference.
     """
-    workdir = tempfile.mkdtemp(prefix="kill_resume_torn_")
-    checkpoint = os.path.join(workdir, "campaign.npz")
-
-    print("[1/4] computing reference report (no checkpoint, no kill)")
+    print(f"[{label} 1/4] computing reference report (no checkpoint, "
+          "no kill)")
     golden = subprocess.run(
-        campaign_args(None, workers=options.workers,
-                      slice_cones=options.slice, as_json=True),
+        reference,
         env=env,
         capture_output=True,
         text=True,
         timeout=DEADLINE_SECONDS * 10,
     )
     if golden.returncode != 1:
-        print(f"FAIL: reference campaign exited {golden.returncode}, "
+        print(f"FAIL: reference {label} exited {golden.returncode}, "
               "expected 1 (leakage detected)")
         return 1
 
-    print(f"[2/4] starting victim campaign (checkpoint: {checkpoint})")
-    victim = subprocess.Popen(
-        campaign_args(checkpoint, slice_cones=options.slice),
+    print(f"[{label} 2/4] starting victim (checkpoint: {checkpoint})")
+    process = subprocess.Popen(
+        victim,
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
@@ -107,24 +129,23 @@ def run_torn_checkpoint_leg(env, options):
         # Wait for the second generation: once ``.prev`` exists there is a
         # known-good checkpoint to fall back to when we tear the current one.
         while not os.path.exists(checkpoint + ".prev"):
-            if victim.poll() is not None:
-                print("FAIL: campaign finished before it could be killed; "
-                      "raise N_SIMULATIONS")
+            if process.poll() is not None:
+                print(f"FAIL: {label} finished before it could be killed")
                 return 1
             if time.monotonic() > deadline:
                 print("FAIL: no rotated checkpoint appeared in time")
                 return 1
             time.sleep(0.01)
-        victim.kill()  # SIGKILL: no cleanup handlers run
+        process.kill()  # SIGKILL: no cleanup handlers run
     finally:
-        victim.wait()
+        process.wait()
     with open(checkpoint, "wb") as handle:
         handle.write(b"RPCKPT01 torn mid-write by a crash")
-    print("[3/4] victim SIGKILLed; current checkpoint torn to garbage")
+    print(f"[{label} 3/4] victim SIGKILLed; current checkpoint torn to "
+          "garbage")
 
     result = subprocess.run(
-        campaign_args(checkpoint, resume=True, workers=options.workers,
-                      slice_cones=options.slice, as_json=True),
+        resume,
         env=env,
         capture_output=True,
         text=True,
@@ -132,19 +153,49 @@ def run_torn_checkpoint_leg(env, options):
     )
     sys.stderr.write(result.stderr)
     if result.returncode != 1:
-        print(f"FAIL: resumed campaign exited {result.returncode}, "
+        print(f"FAIL: resumed {label} exited {result.returncode}, "
               "expected 1 (leakage detected)")
         return 1
     if not os.path.exists(checkpoint + ".corrupt"):
         print("FAIL: torn checkpoint was not quarantined to .corrupt")
         return 1
     if result.stdout != golden.stdout:
-        print("FAIL: resumed report is not byte-identical to the "
+        print(f"FAIL: resumed {label} report is not byte-identical to the "
               "uninterrupted reference report")
         return 1
-    print("[4/4] torn checkpoint quarantined; resume fell back one "
-          "generation and produced a byte-identical report")
+    print(f"[{label} 4/4] torn checkpoint quarantined; resume fell back "
+          "one generation and produced a byte-identical report")
     return 0
+
+
+def run_torn_checkpoint_leg(env, options):
+    """The torn-checkpoint drill on a sampled campaign, then on an exact
+    sweep: both write, rotate and load checkpoints the same way."""
+    workdir = tempfile.mkdtemp(prefix="kill_resume_torn_")
+    checkpoint = os.path.join(workdir, "campaign.npz")
+    failed = torn_checkpoint_drill(
+        env,
+        "campaign",
+        checkpoint,
+        reference=campaign_args(None, workers=options.workers,
+                                slice_cones=options.slice, as_json=True),
+        victim=campaign_args(checkpoint, slice_cones=options.slice),
+        resume=campaign_args(checkpoint, resume=True,
+                             workers=options.workers,
+                             slice_cones=options.slice, as_json=True),
+    )
+    if failed:
+        return failed
+    checkpoint = os.path.join(workdir, "exact.ckpt")
+    return torn_checkpoint_drill(
+        env,
+        "exact sweep",
+        checkpoint,
+        reference=exact_args(None, workers=options.workers, as_json=True),
+        victim=exact_args(checkpoint),
+        resume=exact_args(checkpoint, resume=True, workers=options.workers,
+                          as_json=True),
+    )
 
 
 def main():

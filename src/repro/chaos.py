@@ -32,7 +32,7 @@ Three pieces enforce and exercise that contract:
 
 The resilience counterpart (what the injected faults are survived *by*)
 lives where the state lives: CRC-checked generation-rotated checkpoints in
-:mod:`repro.leakage.campaign`, verified-on-read verdict records in
+:mod:`repro.leakage.durable`, verified-on-read verdict records in
 :mod:`repro.service.store`, the watchdog/dead-letter ladder in
 :mod:`repro.service.runner`, and :func:`retry_io` below for transient IO.
 See ``docs/robustness.md`` for the full fault model.

@@ -14,6 +14,8 @@ netlist IR:
 * :mod:`repro.leakage.evaluator` -- the Monte-Carlo evaluator.
 * :mod:`repro.leakage.campaign` -- chunked, checkpointable evaluation
   campaigns over the evaluator (resume, budgets, early stop).
+* :mod:`repro.leakage.durable` -- crash-safe files: atomic writes, the
+  checkpoint container, generation fallback and quarantine.
 * :mod:`repro.leakage.adaptive` -- per-probe adaptive scheduling: decide
   easy probes early, prune them, spend the budget on uncertain ones.
 * :mod:`repro.leakage.faults` -- fault-injection self-validation: the

@@ -43,27 +43,24 @@ canonical sampling blocks:
 
 from __future__ import annotations
 
-import io
 import json
-import os
-import struct
-import tempfile
 import time
-import zipfile
-import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.chaos import DEFAULT_RETRY, FaultPlane, RetryPolicy, retry_io
+from repro.chaos import DEFAULT_RETRY, FaultPlane, RetryPolicy
 from repro.errors import (
     BudgetExceeded,
     CheckpointCorrupt,
     CheckpointError,
     SimulationError,
 )
+from repro.leakage import durable
 from repro.leakage.adaptive import AdaptiveConfig, AdaptiveScheduler
+# Re-exported: callers import the checkpoint container from here.
+from repro.leakage.durable import pack_checkpoint, unpack_checkpoint
 from repro.leakage.evaluator import (
     HistogramAccumulator,
     LeakageEvaluator,
@@ -76,76 +73,9 @@ from repro.leakage.report import LeakageReport
 #: Checkpoint format version; bumped on incompatible layout changes.
 #: Version 2 stores the tables as the three packed arrays of
 #: :meth:`HistogramAccumulator.state_arrays`; version 1 (two NPZ members
-#: per table) still loads.  The CRC container below is transparent to
-#: the version, and bare legacy NPZ files still load.
+#: per table) still loads.  The CRC container is transparent to the
+#: version, and bare legacy NPZ files still load.
 CHECKPOINT_VERSION = 2
-
-#: Leading magic of the checkpoint integrity container.
-CHECKPOINT_MAGIC = b"RPCKPT01"
-
-
-def _write_npz(file, members: Dict[str, Tuple[type, tuple, list]]) -> None:
-    """An uncompressed NPZ, as ``np.savez`` writes, from member chunks.
-
-    ``members`` maps each array name to ``(dtype, shape, chunks)``: the
-    array is the concatenation of its chunks (see
-    :meth:`HistogramAccumulator.state_members`).  Each chunk is written
-    straight from its buffer, so the packed arrays never exist whole.
-    """
-    with zipfile.ZipFile(file, "w", zipfile.ZIP_STORED, True) as archive:
-        for name, (dtype, shape, chunks) in members.items():
-            header = {
-                "descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
-                "fortran_order": False,
-                "shape": shape,
-            }
-            with archive.open(f"{name}.npy", "w", force_zip64=True) as out:
-                np.lib.format.write_array_header_1_0(out, header)
-                for chunk in chunks:
-                    chunk = np.ascontiguousarray(chunk, dtype=dtype)
-                    out.write(memoryview(chunk).cast("B"))
-
-
-def pack_checkpoint(payload: bytes) -> bytes:
-    """Wrap an NPZ payload in the CRC32 integrity container.
-
-    Layout: 8-byte magic, ``<IQ`` (CRC32 of the payload, payload length),
-    payload.  The length catches torn/truncated writes cheaply; the CRC
-    catches bit rot and flipped bits anywhere in the payload.
-    """
-    header = struct.pack(
-        "<IQ", zlib.crc32(payload) & 0xFFFFFFFF, len(payload)
-    )
-    return CHECKPOINT_MAGIC + header + payload
-
-
-def unpack_checkpoint(blob: bytes, path: str = "<memory>") -> bytes:
-    """Verify a checkpoint container and return its NPZ payload.
-
-    Raises :class:`CheckpointCorrupt` on any integrity failure (bad magic,
-    torn payload, CRC mismatch).  A blob starting with the zip magic is a
-    legacy bare-NPZ checkpoint (pre-container) and passes through
-    unchecked -- NPZ's own zip CRCs still apply when it is parsed.
-    """
-    if blob[:2] == b"PK":
-        return blob
-    header_len = len(CHECKPOINT_MAGIC) + struct.calcsize("<IQ")
-    if len(blob) < header_len or not blob.startswith(CHECKPOINT_MAGIC):
-        raise CheckpointCorrupt(
-            f"checkpoint {path!r} has no valid container header"
-        )
-    crc, length = struct.unpack_from("<IQ", blob, len(CHECKPOINT_MAGIC))
-    payload = blob[header_len:]
-    if len(payload) != length:
-        raise CheckpointCorrupt(
-            f"checkpoint {path!r} is torn: {len(payload)} of {length} "
-            "payload bytes present"
-        )
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise CheckpointCorrupt(
-            f"checkpoint {path!r} failed its CRC32 integrity check"
-        )
-    return payload
 
 
 @dataclass
@@ -421,15 +351,13 @@ class EvaluationCampaign:
         self.progress = CampaignProgress(blocks_total=base_blocks)
         self.accumulator = HistogramAccumulator()
         next_block = 0
-        if (
-            resume
-            and cfg.checkpoint
-            and (
-                os.path.exists(cfg.checkpoint)
-                or os.path.exists(cfg.checkpoint + ".prev")
+        if resume and cfg.checkpoint:
+            # The blocks a surviving generation lacks are re-simulated, so
+            # every generation (or none) gives the same report.
+            found = durable.load_checkpoint(
+                cfg.checkpoint, self._load_checkpoint, self.hook
             )
-        ):
-            next_block = self._resume_from_checkpoint(cfg.checkpoint)
+            next_block = found or 0
             self.progress.resumed_from_block = next_block
             self.progress.blocks_done = next_block
         escalated = next_block > base_blocks
@@ -800,16 +728,7 @@ class EvaluationCampaign:
     # ------------------------------------------------------------ checkpoints
 
     def _save_checkpoint(self, path: str, next_block: int) -> None:
-        """Persist tables plus campaign state, CRC'd and generation-rotated.
-
-        The NPZ payload is serialized in memory, wrapped in the
-        :func:`pack_checkpoint` integrity container, and written to a temp
-        file (retried on transient :class:`OSError` per :attr:`retry`);
-        only then does the previous checkpoint rotate to ``path + ".prev"``
-        and the temp file rename over ``path``.  Every step is atomic, so a
-        kill at any instant leaves at least one intact generation on disk
-        -- resume falls back one generation and stays bit-identical.
-        """
+        """Persist tables plus campaign state as the current generation."""
         ids, members = self.accumulator.state_members()
         meta = {
             "version": CHECKPOINT_VERSION,
@@ -820,190 +739,60 @@ class EvaluationCampaign:
         }
         if self.scheduler is not None:
             meta["adaptive"] = self.scheduler.to_state()
-        meta_bytes = np.frombuffer(json.dumps(meta).encode("utf-8"), np.uint8)
-        members["meta"] = (np.uint8, meta_bytes.shape, [meta_bytes])
-        # The tables stream into the NPZ, which is packed in place, and
-        # each intermediate is dropped once consumed, so at most two
-        # serialized copies of the tables exist at once.
-        buffer = io.BytesIO()
-        _write_npz(buffer, members)
-        del members
-        with buffer.getbuffer() as payload:
-            blob = pack_checkpoint(payload)
-        del buffer
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-
-        def write_attempt() -> str:
-            data = blob
-            if self.fault_plane is not None:
-                # May raise InjectedFault (retried like real EIO/ENOSPC)
-                # or return torn/bit-flipped bytes that "write fine" and
-                # only the read-side CRC can catch.
-                data = self.fault_plane.filter_write("checkpoint.write", data)
-            fd, attempt_path = tempfile.mkstemp(
-                prefix=os.path.basename(path) + ".",
-                suffix=".tmp",
-                dir=directory,
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(data)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-            except BaseException:
-                if os.path.exists(attempt_path):
-                    os.unlink(attempt_path)
-                raise
-            return attempt_path
-
-        tmp_path: Optional[str] = None
-        try:
-            tmp_path = retry_io(
-                write_attempt,
-                self.retry,
-                site="checkpoint.write",
-                hook=self.hook,
-            )
-            if os.path.exists(path):
-                os.replace(path, path + ".prev")
-            os.replace(tmp_path, path)
-            tmp_path = None
-        except OSError as exc:
-            raise CheckpointError(
-                f"could not write checkpoint {path!r}: {exc}"
-            ) from exc
-        finally:
-            if tmp_path is not None and os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-
-    def _resume_from_checkpoint(self, path: str) -> int:
-        """Load the newest intact checkpoint generation.
-
-        Tries the current generation, then ``path + ".prev"``.  A
-        generation failing its integrity checks is quarantined to
-        ``<generation>.corrupt`` (for post-mortems -- it is never loaded
-        again) and the next one takes over; with no intact generation left
-        the campaign restarts from block 0.  Every outcome re-simulates
-        exactly the blocks the surviving state is missing, so the final
-        report is bit-identical regardless of which path was taken.
-        Configuration mismatches (:class:`CheckpointError` proper) still
-        raise: falling back on those would silently mix incompatible
-        samples.
-        """
-        for generation, candidate in ((0, path), (1, path + ".prev")):
-            if not os.path.exists(candidate):
-                continue
-            try:
-                next_block = self._load_checkpoint(candidate)
-            except CheckpointCorrupt as exc:
-                quarantine: Optional[str] = candidate + ".corrupt"
-                try:
-                    os.replace(candidate, quarantine)
-                except OSError:  # pragma: no cover - quarantine best-effort
-                    quarantine = None
-                self._emit(
-                    "checkpoint_corrupt",
-                    path=candidate,
-                    quarantine=quarantine,
-                    error=str(exc),
-                )
-                continue
-            if generation:
-                self._emit(
-                    "checkpoint_fallback",
-                    path=candidate,
-                    generation="prev",
-                    next_block=next_block,
-                )
-            return next_block
-        self._emit(
-            "checkpoint_fallback", path=path, generation="fresh", next_block=0
+        members["meta"] = np.frombuffer(
+            json.dumps(meta).encode("utf-8"), np.uint8
         )
-        return 0
+        durable.save_checkpoint(
+            path, members, retry=self.retry, fault_plane=self.fault_plane,
+            hook=self.hook,
+        )
 
     def _load_checkpoint(self, path: str) -> int:
         """Restore tables and return the next block to simulate.
 
-        Integrity failures (unreadable file, bad container, CRC mismatch,
-        unparseable payload) raise :class:`CheckpointCorrupt` so resume can
-        fall back a generation; configuration problems (version or
-        fingerprint mismatch) raise :class:`CheckpointError` and always
-        surface.
+        Raises as :func:`~repro.leakage.durable.read_checkpoint`;
+        tables short of the samples of their blocks are corrupt too.
         """
 
-        def read_attempt() -> bytes:
-            if self.fault_plane is not None:
-                self.fault_plane.maybe_fail("checkpoint.read")
-            with open(path, "rb") as handle:
-                return handle.read()
-
-        try:
-            blob = retry_io(
-                read_attempt,
-                self.retry,
-                site="checkpoint.read",
-                hook=self.hook,
-            )
-        except OSError as exc:
-            raise CheckpointCorrupt(
-                f"could not read checkpoint {path!r}: {exc}"
-            ) from exc
-        payload = unpack_checkpoint(blob, path)
-        try:
-            with np.load(io.BytesIO(payload)) as data:
-                meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-                if meta.get("version") not in (1, CHECKPOINT_VERSION):
-                    raise CheckpointError(
-                        f"checkpoint {path!r} has version "
-                        f"{meta.get('version')!r}, expected 1 or "
-                        f"{CHECKPOINT_VERSION}"
-                    )
-                if meta["fingerprint"] != self.fingerprint():
-                    raise CheckpointError(
-                        f"checkpoint {path!r} was written by a campaign "
-                        "with a different configuration; refusing to mix "
-                        "incompatible samples"
-                    )
-                arrays = {
-                    key: data[key] for key in data.files if key != "meta"
-                }
-            # Malformed tables (SimulationError) are corruption too.
+        def parse(meta: Dict, data):
+            arrays = {key: data[key] for key in data.files if key != "meta"}
             ids = meta["table_ids"]
+            # Malformed tables (SimulationError) are corruption too.
             accumulator = HistogramAccumulator.from_state(ids, arrays)
-        except CheckpointError:
-            raise
-        except Exception as exc:  # zip/JSON/key/table errors -> corrupt file
-            raise CheckpointCorrupt(
-                f"could not parse checkpoint {path!r}: {exc}"
-            ) from exc
-        scheduler = self.scheduler
-        if scheduler is not None:
-            if "adaptive" not in meta:
+            scheduler = self.scheduler
+            if scheduler is not None:
+                if "adaptive" not in meta:
+                    raise CheckpointError(
+                        f"checkpoint {path!r} has no adaptive scheduler state"
+                    )
+                scheduler = AdaptiveScheduler.from_state(meta["adaptive"])
+            next_block = int(meta["next_block"])
+            max_blocks = self.evaluator.block_count(self._esc_lanes)
+            if not 0 <= next_block <= max_blocks:
                 raise CheckpointError(
-                    f"checkpoint {path!r} has no adaptive scheduler state"
+                    f"checkpoint {path!r} points at block {next_block} of "
+                    f"{max_blocks}"
                 )
-            scheduler = AdaptiveScheduler.from_state(meta["adaptive"])
-        next_block = int(meta["next_block"])
-        max_blocks = self.evaluator.block_count(self._esc_lanes)
-        if not 0 <= next_block <= max_blocks:
-            raise CheckpointError(
-                f"checkpoint {path!r} points at block {next_block} of "
-                f"{max_blocks}"
-            )
-        if "n_keys" not in arrays:  # version-1 layout
-            ids, arrays = accumulator.state_arrays()
-        expected = self._expected_samples(next_block, scheduler)
-        totals = packed_totals(arrays)
-        if sorted(ids) != sorted(expected) or any(
-            (totals[:, index] != expected[table_id]).any()
-            for index, table_id in enumerate(ids)
-        ):
-            raise CheckpointCorrupt(
-                f"checkpoint {path!r}: its tables do not hold the samples "
-                f"of its {next_block} blocks"
-            )
-        self.accumulator = accumulator
-        self.scheduler = scheduler
+            if "n_keys" not in arrays:  # version-1 layout
+                ids, arrays = accumulator.state_arrays()
+            expected = self._expected_samples(next_block, scheduler)
+            totals = packed_totals(arrays)
+            if sorted(ids) != sorted(expected) or any(
+                (totals[:, index] != expected[table_id]).any()
+                for index, table_id in enumerate(ids)
+            ):
+                raise CheckpointCorrupt(
+                    f"checkpoint {path!r}: its tables do not hold the "
+                    f"samples of its {next_block} blocks"
+                )
+            return next_block, accumulator, scheduler
+
+        loaded = durable.read_checkpoint(
+            path, parse, fingerprint=self.fingerprint(),
+            versions=(1, CHECKPOINT_VERSION), retry=self.retry,
+            fault_plane=self.fault_plane, hook=self.hook,
+        )
+        next_block, self.accumulator, self.scheduler = loaded
         return next_block
 
     def _expected_samples(

@@ -7,7 +7,7 @@ Two engines turn the sampled verdicts of the evaluation campaigns into
   assignment space of each probe class into lane-aligned shards, executes
   them across worker processes, and merges the per-shard exact counts --
   bit-identical to the serial single-shot enumeration for any shard size or
-  worker count, with checkpoint/resume in the campaign container format.
+  worker count, with checkpoint/resume as in the campaigns.
   This raises the feasible enumeration budget well past what a single
   bitsliced call can hold in memory.
 
@@ -28,10 +28,9 @@ Two engines turn the sampled verdicts of the evaluation campaigns into
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import io
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -40,10 +39,10 @@ import numpy as np
 from repro import engines as engine_registry
 from repro.errors import (
     CheckpointCorrupt,
-    CheckpointError,
     ExactAnalysisInfeasible,
     MaskingError,
 )
+from repro.leakage import durable
 from repro.leakage.dut import DesignUnderTest
 from repro.leakage.exact import EnumerationSetup, ExactAnalyzer, ExactReport
 from repro.leakage.model import ProbingModel
@@ -201,7 +200,7 @@ class ShardedExactAnalyzer:
     enumeration setups share their stimulus, so one simulation per
     ``(setup, shard)`` counts all of them.  Exact-count merges commute, so
     results are bit-identical to the serial analyzer for any worker count.
-    Checkpoints use the campaign CRC container (:func:`pack_checkpoint`):
+    Checkpoints (:mod:`repro.leakage.durable`, as for campaigns) hold
     per-class merged histograms plus the set of completed shards,
     fingerprinted by the netlist hash and analysis configuration.
     """
@@ -259,8 +258,6 @@ class ShardedExactAnalyzer:
         and ``hist`` (every class's flattened histogram), both
         concatenated in ascending class order.
         """
-        from repro.leakage.campaign import pack_checkpoint
-
         order = sorted(state)
         meta = {
             "version": 2,
@@ -275,97 +272,55 @@ class ShardedExactAnalyzer:
                 for ci in order
             },
         }
-        buffer = io.BytesIO()
-        np.savez(
-            buffer,
-            meta=np.frombuffer(
-                json.dumps(meta, sort_keys=True).encode("utf-8"),
-                dtype=np.uint8,
-            ),
-            keys=np.concatenate(
-                [np.zeros(0, np.uint64)] + [state[ci]["keys"] for ci in order]
-            ),
-            hist=np.concatenate(
-                [np.zeros(0, np.int64)]
-                + [state[ci]["histogram"].ravel() for ci in order]
-            ),
+        durable.save_checkpoint(
+            path,
+            {
+                "meta": np.frombuffer(
+                    json.dumps(meta, sort_keys=True).encode("utf-8"),
+                    dtype=np.uint8,
+                ),
+                "keys": np.concatenate(
+                    [np.zeros(0, np.uint64)]
+                    + [state[ci]["keys"] for ci in order]
+                ),
+                "hist": np.concatenate(
+                    [np.zeros(0, np.int64)]
+                    + [state[ci]["histogram"].ravel() for ci in order]
+                ),
+            },
         )
-        blob = pack_checkpoint(buffer.getvalue())
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as handle:
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-
-    def _load_checkpoint(
-        self, path: str, fingerprint: str, hook: Optional[Hook]
-    ) -> Dict[int, Dict]:
-        if not os.path.exists(path):
-            return {}
-        try:
-            return self._read_checkpoint(path, fingerprint)
-        except CheckpointCorrupt:
-            quarantine = path + ".corrupt"
-            os.replace(path, quarantine)
-            if hook is not None:
-                hook(
-                    "checkpoint_corrupt",
-                    {"path": path, "quarantined": quarantine},
-                )
-            return {}
 
     def _read_checkpoint(self, path: str, fingerprint: str) -> Dict[int, Dict]:
         """Parse and validate a version 1 or 2 checkpoint.
 
-        A fingerprint or version mismatch raises :class:`CheckpointError`.
-        Anything else wrong -- container, zip, meta, a missing member, or
-        counts this analysis cannot have produced -- raises
-        :class:`CheckpointCorrupt`.
+        Raises as :func:`~repro.leakage.durable.read_checkpoint`;
+        counts this analysis cannot have produced are corrupt too.
         """
-        from repro.leakage.campaign import unpack_checkpoint
 
-        with open(path, "rb") as handle:
-            blob = handle.read()
-        payload = unpack_checkpoint(blob, path)
-        try:
-            with np.load(io.BytesIO(payload)) as data:
-                meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-                if meta.get("fingerprint") != fingerprint:
-                    raise CheckpointError(
-                        f"checkpoint {path} was written by a differently-"
-                        "configured exact analysis; refusing to resume"
-                    )
-                classes = {
-                    int(key): entry for key, entry in meta["classes"].items()
-                }
-                if meta.get("version") == 1:
-                    state = {
-                        ci: {
-                            "done": set(entry["done"]),
-                            "keys": np.array(data[f"keys_{ci}"]),
-                            "histogram": np.array(data[f"hist_{ci}"]),
-                        }
-                        for ci, entry in classes.items()
+        def parse(meta: Dict, data) -> Dict[int, Dict]:
+            classes = {
+                int(key): entry for key, entry in meta["classes"].items()
+            }
+            if meta["version"] == 1:
+                state = {
+                    ci: {
+                        "done": set(entry["done"]),
+                        "keys": np.array(data[f"keys_{ci}"]),
+                        "histogram": np.array(data[f"hist_{ci}"]),
                     }
-                elif meta.get("version") == 2:
-                    state = _unpack_classes(
-                        classes, np.array(data["keys"]), np.array(data["hist"])
-                    )
-                else:
-                    raise CheckpointError(
-                        f"checkpoint {path} has version "
-                        f"{meta.get('version')!r}, expected 1 or 2"
-                    )
+                    for ci, entry in classes.items()
+                }
+            else:
+                state = _unpack_classes(
+                    classes, np.array(data["keys"]), np.array(data["hist"])
+                )
             for ci, entry in state.items():
                 self._check_entry(ci, entry)
-        except CheckpointError:
-            raise
-        except Exception as exc:  # zip/JSON/key/shape errors -> corrupt file
-            raise CheckpointCorrupt(
-                f"could not parse checkpoint {path!r}: {exc}"
-            ) from exc
-        return state
+            return state
+
+        return durable.read_checkpoint(
+            path, parse, fingerprint=fingerprint, versions=(1, 2)
+        )
 
     def _check_entry(self, ci: int, entry: Dict) -> None:
         """Reject a loaded class whose counts this analysis cannot produce."""
@@ -476,7 +431,10 @@ class ShardedExactAnalyzer:
         fingerprint = self._fingerprint(fixed_secret)
         state: Dict[int, Dict] = {}
         if checkpoint and resume:
-            state = self._load_checkpoint(checkpoint, fingerprint, hook)
+            read = functools.partial(
+                self._read_checkpoint, fingerprint=fingerprint
+            )
+            state = durable.load_checkpoint(checkpoint, read, hook) or {}
 
         groups: Dict[Tuple, List[int]] = {}
         for ci, setup in setups.items():

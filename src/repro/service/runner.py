@@ -28,7 +28,6 @@ Execution contract:
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 import traceback
@@ -40,6 +39,7 @@ from repro.core.optimizations import (
     SecondOrderScheme,
 )
 from repro.errors import FleetInterrupted, ReproError, ServiceError
+from repro.leakage import durable
 from repro.leakage.campaign import EvaluationCampaign
 from repro.leakage.evaluator import LeakageEvaluator
 from repro.leakage.model import ProbingModel
@@ -396,7 +396,7 @@ class JobRunner:
             self.telemetry.emit(
                 "job_recovered",
                 job_id=job_id,
-                had_checkpoint=os.path.exists(
+                had_checkpoint=durable.checkpoint_exists(
                     self.store.checkpoint_path(job_id)
                 ),
             )
@@ -625,19 +625,18 @@ class JobRunner:
     ) -> None:
         """Settle a job that stopped on request before its verdict.
 
-        Cancellation ends it and deletes its checkpoint.  A watchdog stall
-        restarts it from its checkpoint, or dead-letters it.  A service
-        shutdown returns it to the durable queue image the next boot
-        resumes.  ``progress`` is the stopped campaign's (``None`` for an
-        exact sweep or an aborted fleet wait).
+        Cancellation ends it and deletes every generation of its
+        checkpoint.  A watchdog stall restarts it from its checkpoint, or
+        dead-letters it.  A service shutdown returns it to the durable
+        queue image the next boot resumes.  ``progress`` is the stopped
+        campaign's (``None`` for an exact sweep or an aborted fleet wait).
         """
         if cancel_event.is_set():
+            durable.discard_checkpoint(checkpoint)  # before it shows cancelled
             self.store.update_job(
                 job_id, state="cancelled", finished_at=round(time.time(), 3)
             )
             self.telemetry.emit("job_cancelled", job_id=job_id)
-            if os.path.exists(checkpoint):
-                os.unlink(checkpoint)
         elif stall_event.is_set():
             # The watchdog reaped this run; its checkpoint is the durable
             # image the restart resumes from.
@@ -668,6 +667,7 @@ class JobRunner:
         degradations, or an exact sweep's count of infeasible probes.
         """
         self.store.put_result(cache_key, report.to_json(top=None))
+        durable.discard_checkpoint(checkpoint)  # before it shows done
         summary = verdict_summary(report.to_dict(top=0))
         fields, resumed = {}, {}
         if progress is None:
@@ -699,8 +699,6 @@ class JobRunner:
             status=summary["status"],
             **resumed,
         )
-        if os.path.exists(checkpoint):
-            os.unlink(checkpoint)
 
 
 def _json_loads(data: Optional[bytes]) -> Dict:

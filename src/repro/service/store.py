@@ -39,15 +39,15 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 import time
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.chaos import DEFAULT_RETRY, FaultPlane, RetryPolicy, retry_io
+from repro.chaos import DEFAULT_RETRY, FaultPlane, RetryPolicy
 from repro.errors import ServiceError
+from repro.leakage import durable
 from repro.leakage.report import SCHEMA_VERSION
 from repro.spec import EvaluationSpec, canonical_key  # noqa: F401
 
@@ -63,32 +63,6 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled", "dead_letter")
 
 #: States in which a job record is final and its report (if any) immutable.
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled", "dead_letter"})
-
-
-def _atomic_write_raw(path: str, data: bytes) -> None:
-    """Write ``data`` to ``path`` atomically; raises bare :class:`OSError`
-    so callers can retry transient failures before giving up."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    finally:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-
-
-def _atomic_write(path: str, data: bytes) -> None:
-    """Write ``data`` to ``path`` atomically (temp file + rename)."""
-    try:
-        _atomic_write_raw(path, data)
-    except OSError as exc:
-        raise ServiceError(f"could not write {path!r}: {exc}") from exc
 
 
 @dataclass
@@ -148,15 +122,11 @@ class JobStore:
 
     def _write(self, path: str, data: bytes) -> None:
         """Atomic write with bounded retry and chaos injection."""
-
-        def attempt() -> None:
-            payload = data
-            if self.fault_plane is not None:
-                payload = self.fault_plane.filter_write("store.write", payload)
-            _atomic_write_raw(path, payload)
-
         try:
-            retry_io(attempt, self.retry, site="store.write", hook=self.hook)
+            durable.write_atomic(
+                path, data, site="store.write", retry=self.retry,
+                fault_plane=self.fault_plane, hook=self.hook,
+            )
         except OSError as exc:
             raise ServiceError(f"could not write {path!r}: {exc}") from exc
 
@@ -200,17 +170,13 @@ class JobStore:
 
     def _quarantine(self, path: str, reason: str) -> None:
         """Move a failed-verification file aside and report it."""
-        quarantine: Optional[str] = path + ".corrupt"
-        try:
-            os.replace(path, quarantine)
-        except OSError:  # pragma: no cover - best-effort
-            quarantine = None
+        moved = durable.quarantine(path)
         with self._lock:
             self.stats.corruptions += 1
         if self.hook is not None:
             self.hook(
                 "store_corruption",
-                {"path": path, "quarantine": quarantine, "reason": reason},
+                {"path": path, "quarantine": moved, "reason": reason},
             )
 
     def new_job(self, spec: JobSpec, cache_key: str) -> Dict:

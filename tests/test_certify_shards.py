@@ -3,6 +3,7 @@ checkpoint/resume, cancellation, and hypothesis properties on random
 masked netlists.
 """
 
+import hashlib
 import io
 import json
 import multiprocessing
@@ -194,6 +195,58 @@ class TestCheckpointResume:
         assert "checkpoint_corrupt" in events
         assert os.path.exists(path + ".corrupt")
 
+    def test_torn_current_falls_back_to_prev_generation(self, tmp_path):
+        """A torn current generation is quarantined and the sweep resumes
+        from ``.prev``, as campaigns do, to the bytes of a fresh sweep."""
+        design, subset = _eq6_subset()
+        path = str(tmp_path / "exact.ckpt")
+        merges, saves = [], []
+
+        def hook(event, payload):
+            if event == "shard_done":
+                merges.append(event)
+            elif event == "checkpoint_saved":
+                saves.append(event)
+
+        ShardedExactAnalyzer(
+            design.dut, max_enum_bits=23, shard_lane_bits=7
+        ).analyze(
+            probe_classes=subset,
+            checkpoint=path,
+            hook=hook,
+            should_stop=lambda: len(merges) >= 20,
+        )
+        assert len(saves) >= 2
+        assert os.path.exists(path + ".prev")
+        with open(path, "wb") as handle:
+            handle.write(b"RPCKPT01 torn mid-write")
+
+        events = []
+        resumed = ShardedExactAnalyzer(
+            design.dut, max_enum_bits=23, shard_lane_bits=7
+        ).analyze(
+            probe_classes=subset,
+            checkpoint=path,
+            resume=True,
+            hook=lambda event, payload: events.append((event, payload)),
+        )
+        kinds = [event for event, _ in events]
+        assert kinds[:3] == [
+            "checkpoint_corrupt",
+            "checkpoint_fallback",
+            "certify_start",
+        ]
+        corrupt, fallback, start = (payload for _, payload in events[:3])
+        assert set(corrupt) == {"path", "quarantine", "error"}
+        assert corrupt["quarantine"] == path + ".corrupt"
+        assert os.path.exists(path + ".corrupt")
+        assert fallback["generation"] == "prev"
+        assert start["resumed_shards"] > 0
+        fresh = ShardedExactAnalyzer(
+            design.dut, max_enum_bits=23, shard_lane_bits=7
+        ).analyze(probe_classes=subset)
+        assert resumed.to_json(top=None) == fresh.to_json(top=None)
+
     def test_fingerprint_mismatch_rejected(self, tmp_path):
         design, subset = _eq6_subset()
         path = str(tmp_path / "exact.ckpt")
@@ -213,6 +266,36 @@ class TestCheckpointResume:
             ShardedExactAnalyzer(
                 design.dut, max_enum_bits=23, shard_lane_bits=9
             ).analyze(probe_classes=subset, checkpoint=path, resume=True)
+
+
+#: sha256 of the checkpoint file a ``_eq6_subset`` sweep at
+#: ``shard_lane_bits=7`` leaves when stopped after 20 class-shard merges
+#: (saves at merges 8, 16 and 20).  Recorded with ``np.savez`` writing
+#: the NPZ; the bytes must not change.
+EXACT_CHECKPOINT_DIGEST = (
+    "d8ea537e20b48ab3c1765d9454d120f937bd9a3e2295452cfbf41b66a013e2f0"
+)
+
+
+class TestExactCheckpointFormat:
+    def test_checkpoint_bytes_are_pinned(self, tmp_path):
+        design, subset = _eq6_subset()
+        path = str(tmp_path / "exact.ckpt")
+        merges = []
+        report = ShardedExactAnalyzer(
+            design.dut, max_enum_bits=23, shard_lane_bits=7
+        ).analyze(
+            probe_classes=subset,
+            checkpoint=path,
+            hook=lambda event, payload: merges.append(event)
+            if event == "shard_done"
+            else None,
+            should_stop=lambda: len(merges) >= 20,
+        )
+        assert report.status == "truncated:cancelled"
+        with open(path, "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
+        assert digest == EXACT_CHECKPOINT_DIGEST
 
 
 class TestRandomNetlistProperties:

@@ -333,6 +333,24 @@ class TestExitCodesOnErrors:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [
+                "campaign", "--scheme", "eq6",
+                "--simulations", "8192", "--chunk-size", "4096",
+            ],
+            ["campaign", "--exact", "--scheme", "eq6", "--max-enum-bits", "12"],
+        ],
+        ids=["sampled", "exact"],
+    )
+    def test_unwritable_checkpoint_exits_two(self, tmp_path, capsys, argv):
+        """A checkpoint that cannot be written is an error, not a verdict."""
+        path = str(tmp_path / "no" / "such" / "dir" / "x.ckpt")
+        assert main(argv + ["--checkpoint", path]) == 2
+        err = capsys.readouterr().err
+        assert f"error: could not write checkpoint {path!r}" in err
+
 
 _SIMS = ["--simulations", "20000", "--seed", "7"]
 

@@ -25,6 +25,7 @@ from repro.leakage.report import SCHEMA_VERSION
 from repro.service import (
     EvaluationService,
     JobQueue,
+    JobRunner,
     JobSpec,
     JobStore,
     QueueFull,
@@ -401,6 +402,63 @@ class TestServiceEndToEnd:
         status, body = _get(f"{base}/v1/jobs/{job_id}/report")
         assert status == 409
         _get(f"{base}/v1/jobs/{job_id}?wait=120")
+
+
+class TestCheckpointCleanup:
+    """A finished or cancelled job leaves no checkpoint generation."""
+
+    def test_completed_multi_chunk_job_removes_every_generation(
+        self, service
+    ):
+        spec = dict(E4_SPEC, chunk_size=4_096)
+        status, body = _post(f"{service.address}/v1/jobs", spec)
+        assert status == 201
+        job_id = json.loads(body)["job_id"]
+        status, body = _get(f"{service.address}/v1/jobs/{job_id}?wait=60")
+        finished = json.loads(body)
+        assert finished["state"] == "done"
+        assert finished["progress"]["chunks_done"] >= 2
+        assert os.listdir(service.store.checkpoints_dir) == []
+
+    def test_cancelled_multi_chunk_job_removes_every_generation(
+        self, service
+    ):
+        spec = {
+            "design": "kronecker",
+            "scheme": "full",
+            "n_simulations": 400_000,
+            "seed": 17,
+            "chunk_size": 8_192,
+        }
+        status, body = _post(f"{service.address}/v1/jobs", spec)
+        assert status == 201
+        job_id = json.loads(body)["job_id"]
+        previous = service.store.checkpoint_path(job_id) + ".prev"
+        deadline = time.monotonic() + 60
+        while not os.path.exists(previous):
+            assert time.monotonic() < deadline, "no rotated checkpoint"
+            time.sleep(0.02)
+        status, _ = _post(f"{service.address}/v1/jobs/{job_id}/cancel", {})
+        assert status == 202
+        status, body = _get(f"{service.address}/v1/jobs/{job_id}?wait=60")
+        assert json.loads(body)["state"] == "cancelled"
+        assert os.listdir(service.store.checkpoints_dir) == []
+
+    def test_recovery_counts_the_previous_generation(self, tmp_path):
+        """A job whose only checkpoint is ``.prev`` (killed mid-rotation)
+        is recovered with ``had_checkpoint`` true."""
+        store = JobStore(str(tmp_path / "state"))
+        record = store.new_job(JobSpec.from_dict(dict(E4_SPEC)), "k" * 64)
+        store.update_job(record["job_id"], state="running")
+        previous = store.checkpoint_path(record["job_id"]) + ".prev"
+        with open(previous, "wb") as handle:
+            handle.write(b"RPCKPT01")
+        path = str(tmp_path / "events.jsonl")
+        with Telemetry(path) as telemetry:
+            assert JobRunner(store, JobQueue(), telemetry).recover() == 1
+        events = [json.loads(line) for line in open(path)]
+        [recovered] = [e for e in events if e["event"] == "job_recovered"]
+        assert recovered["had_checkpoint"] is True
 
 
 class TestBooleanSpecFields:
