@@ -36,6 +36,7 @@ Exits 0 on success, 1 on failure.  Each leg takes well under a minute
 
 import argparse
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -168,10 +169,9 @@ def torn_checkpoint_drill(env, label, checkpoint, reference, victim, resume):
     return 0
 
 
-def run_torn_checkpoint_leg(env, options):
+def run_torn_checkpoint_leg(env, options, workdir):
     """The torn-checkpoint drill on a sampled campaign, then on an exact
     sweep: both write, rotate and load checkpoints the same way."""
-    workdir = tempfile.mkdtemp(prefix="kill_resume_torn_")
     checkpoint = os.path.join(workdir, "campaign.npz")
     failed = torn_checkpoint_drill(
         env,
@@ -198,32 +198,9 @@ def run_torn_checkpoint_leg(env, options):
     )
 
 
-def main():
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for the resumed run")
-    parser.add_argument(
-        "--slice", action=argparse.BooleanOptionalAction, default=True,
-        help="cone-sliced simulation for both legs (default; --no-slice "
-             "runs the full netlist)",
-    )
-    parser.add_argument(
-        "--torn-checkpoint", action="store_true",
-        help="instead of the plain kill/resume leg, SIGKILL during "
-             "checkpointing, corrupt the current checkpoint, and require "
-             "a bit-identical recovery from the previous generation",
-    )
-    options = parser.parse_args()
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH")])
-    )
-    if options.torn_checkpoint:
-        return run_torn_checkpoint_leg(env, options)
-    checkpoint = os.path.join(
-        tempfile.mkdtemp(prefix="kill_resume_"), "campaign.npz"
-    )
-
+def run_kill_resume_leg(env, options, workdir):
+    """SIGKILL a campaign after its first checkpoint, then resume it."""
+    checkpoint = os.path.join(workdir, "campaign.npz")
     mode = "sliced" if options.slice else "full"
     print(f"[1/3] starting campaign (checkpoint: {checkpoint}, {mode})")
     victim = subprocess.Popen(
@@ -271,6 +248,40 @@ def main():
     print("[3/3] resumed campaign completed from checkpoint with the "
           "expected leakage verdict")
     return 0
+
+
+def main():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--workers", type=int, default=1,
+                        help="worker processes for the resumed run")
+    parser.add_argument(
+        "--slice", action=argparse.BooleanOptionalAction, default=True,
+        help="cone-sliced simulation for both legs (default; --no-slice "
+             "runs the full netlist)",
+    )
+    parser.add_argument(
+        "--torn-checkpoint", action="store_true",
+        help="instead of the plain kill/resume leg, SIGKILL during "
+             "checkpointing, corrupt the current checkpoint, and require "
+             "a bit-identical recovery from the previous generation",
+    )
+    options = parser.parse_args()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH")])
+    )
+    # The checkpoints, their .prev and .corrupt generations go with the
+    # work directory, whether the run passes or fails.
+    workdir = tempfile.mkdtemp(
+        prefix="kill_resume_torn_" if options.torn_checkpoint
+        else "kill_resume_"
+    )
+    try:
+        if options.torn_checkpoint:
+            return run_torn_checkpoint_leg(env, options, workdir)
+        return run_kill_resume_leg(env, options, workdir)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -249,14 +249,19 @@ class ShardedExactAnalyzer:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def _save_checkpoint(
-        self, path: str, state: Dict[int, Dict], fingerprint: str
+        self,
+        path: str,
+        state: Dict[int, Dict],
+        fingerprint: str,
+        hook: Optional[Hook] = None,
     ) -> None:
         """Write ``state`` in the packed layout (version 2).
 
         Three members whatever the class count: ``meta`` (per-class
         ``done``, ``n_keys``, ``n_rows``), ``keys`` (every class's keys)
         and ``hist`` (every class's flattened histogram), both
-        concatenated in ascending class order.
+        concatenated in ascending class order.  ``hook`` sees each write
+        retry (``io_retry``) and then ``checkpoint_saved``.
         """
         order = sorted(state)
         meta = {
@@ -288,13 +293,18 @@ class ShardedExactAnalyzer:
                     + [state[ci]["histogram"].ravel() for ci in order]
                 ),
             },
+            hook=hook,
         )
+        self._emit(hook, "checkpoint_saved", {"path": path})
 
-    def _read_checkpoint(self, path: str, fingerprint: str) -> Dict[int, Dict]:
+    def _read_checkpoint(
+        self, path: str, fingerprint: str, hook: Optional[Hook] = None
+    ) -> Dict[int, Dict]:
         """Parse and validate a version 1 or 2 checkpoint.
 
         Raises as :func:`~repro.leakage.durable.read_checkpoint`;
         counts this analysis cannot have produced are corrupt too.
+        ``hook`` sees each read retry (``io_retry``).
         """
 
         def parse(meta: Dict, data) -> Dict[int, Dict]:
@@ -319,7 +329,7 @@ class ShardedExactAnalyzer:
             return state
 
         return durable.read_checkpoint(
-            path, parse, fingerprint=fingerprint, versions=(1, 2)
+            path, parse, fingerprint=fingerprint, versions=(1, 2), hook=hook
         )
 
     def _check_entry(self, ci: int, entry: Dict) -> None:
@@ -432,7 +442,7 @@ class ShardedExactAnalyzer:
         state: Dict[int, Dict] = {}
         if checkpoint and resume:
             read = functools.partial(
-                self._read_checkpoint, fingerprint=fingerprint
+                self._read_checkpoint, fingerprint=fingerprint, hook=hook
             )
             state = durable.load_checkpoint(checkpoint, read, hook) or {}
 
@@ -499,9 +509,8 @@ class ShardedExactAnalyzer:
                 },
             )
             if checkpoint and merges_since_save >= self.checkpoint_every:
-                self._save_checkpoint(checkpoint, state, fingerprint)
+                self._save_checkpoint(checkpoint, state, fingerprint, hook)
                 merges_since_save = 0
-                self._emit(hook, "checkpoint_saved", {"path": checkpoint})
 
         if tasks:
             stopped = self._run_tasks(
@@ -531,7 +540,7 @@ class ShardedExactAnalyzer:
         if stopped:
             report.status = "truncated:cancelled"
         if checkpoint and (stopped or merges_since_save):
-            self._save_checkpoint(checkpoint, state, fingerprint)
+            self._save_checkpoint(checkpoint, state, fingerprint, hook)
 
         self._emit(
             hook,

@@ -79,6 +79,11 @@ POPCOUNT_MAX_BITS = 4
 #: whatever the spec count.
 PASS_ELEMENTS = 1 << 20
 
+#: Keys per pass of :class:`_PairPlan`.  A pass gathers two key rows per
+#: table and forms their joint keys; passes this small stay in cache,
+#: and measured faster than :data:`PASS_ELEMENTS` passes.
+PAIR_PASS_ELEMENTS = 1 << 15
+
 #: Dense-table columns :meth:`HistogramAccumulator.state_members` scans
 #: in one pass (512 KiB of counts); a wider table is a batch alone.
 STATE_BATCH_COLUMNS = 1 << 15
@@ -166,23 +171,20 @@ def _observe(
     spec,
     bit_cache: Optional[Dict[Tuple[int, int], np.ndarray]] = None,
     hamming: bool = False,
-    raw: bool = False,
     dtype: type = np.uint64,
 ) -> np.ndarray:
     """Single-spec numpy executor: each lane's bin, segment by segment.
 
     ``numpy.bincount`` of the result is the count table the C executor
     (``repro_extract``) and the batched :class:`_CountPlan` return for
-    the same spec; pair tables, exact shards and wide tables use it
-    because they need the keys themselves.  ``bit_cache`` (keyed
-    by ``(cycle, net)``) shares unpacked lane bits across specs: probe
-    supports overlap heavily, so each recorded net is unpacked once per
-    trace.  ``hamming`` sums the bits instead of placing them (the
-    Hamming-weight observation; its specs are unhashed).  ``raw`` returns
-    the keys before bucketing, for callers that bucket them later or
-    combine them first.  ``dtype`` is the key dtype, uint64 unless an
-    unhashed spec's keys fit a narrower one (the cache then holds bits of
-    that dtype).
+    the same spec; exact shards and wide tables use it because they
+    need the keys themselves.  ``bit_cache`` (keyed by ``(cycle,
+    net)``) shares unpacked lane bits across specs: probe supports
+    overlap heavily, so each recorded net is unpacked once per trace.
+    ``hamming`` sums the bits instead of placing them (the
+    Hamming-weight observation; its specs are unhashed).  ``dtype`` is
+    the key dtype, uint64 unless an unhashed spec's keys fit a narrower
+    one (the cache then holds bits of that dtype).
     """
     if bit_cache is None:
         bit_cache = {}
@@ -203,8 +205,7 @@ def _observe(
             else:
                 key |= bits << word(position)
         segments.append(key)
-    keys = np.concatenate(segments)
-    return keys if raw else _bucket(keys, spec.hashed, spec.n_bins)
+    return _bucket(np.concatenate(segments), spec.hashed, spec.n_bins)
 
 
 def _key_dtype(bits: int) -> type:
@@ -284,20 +285,10 @@ class _CountPlan:
     def _executor(self) -> _Executor:
         """The executor, built on first use."""
         planes: Dict[Tuple[int, int], int] = {}
-        # shape -> [(spec index, plane rows, bit positions)]; rows of a
-        # segment shorter than the longest are -1 (the zero plane).
+        # shape -> [(spec index, plane rows, bit positions)].
         members: Dict[tuple, list] = {}
         for index, spec in enumerate(self.specs):
-            n_bits = max(map(len, spec.segments), default=0)
-            rows = [
-                [planes.setdefault((c, n), len(planes)) for c, n, _ in seg]
-                + [-1] * (n_bits - len(seg))
-                for seg in spec.segments
-            ]
-            positions = [
-                [p for _, _, p in seg] + [0] * (n_bits - len(seg))
-                for seg in spec.segments
-            ]
+            n_bits, rows, positions = _spec_rows(spec, planes)
             popcount = (
                 not (self.hamming or spec.hashed)
                 and n_bits <= POPCOUNT_MAX_BITS
@@ -347,14 +338,8 @@ class _CountPlan:
             out = np.zeros(self.size, dtype=np.int64)
         n_lanes = trace.n_lanes
         n_words = (n_lanes + 63) // 64
-        # One (planes, words) stack; its last row is the zero plane.
-        words = np.zeros((len(planes) + 1, n_words), np.uint64)
-        for row, (cycle, net) in enumerate(planes):
-            words[row] = trace.words(cycle, net)
-        bits = np.unpackbits(
-            words[lane_planes].view(np.uint8), axis=1,
-            count=n_lanes, bitorder="little",
-        )
+        words = _plane_words(trace, planes)
+        bits = _unpack_planes(words[lane_planes], n_lanes)
         lanemask = np.full(n_words, ~np.uint64(0))
         if n_lanes % 64:
             lanemask[-1] = (np.uint64(1) << np.uint64(n_lanes % 64)) - 1
@@ -385,6 +370,63 @@ def _popcount_rows(words, lanemask, group: _SpecGroup, out) -> None:
         out[cells] += counts.T
 
 
+def _spec_rows(
+    spec, planes: Dict[Tuple[int, int], int]
+) -> Tuple[int, list, list]:
+    """A spec's key width in sources and its ``(segments, n_bits)`` plane
+    rows and bit positions.
+
+    ``planes`` numbers each distinct ``(cycle, net)`` on first sight.  A
+    segment shorter than the longest is padded with row -1 (the zero
+    plane) at position 0.
+    """
+    n_bits = max(map(len, spec.segments), default=0)
+    rows = [
+        [planes.setdefault((c, n), len(planes)) for c, n, _ in seg]
+        + [-1] * (n_bits - len(seg))
+        for seg in spec.segments
+    ]
+    positions = [
+        [p for _, _, p in seg] + [0] * (n_bits - len(seg))
+        for seg in spec.segments
+    ]
+    return n_bits, rows, positions
+
+
+def _plane_words(trace: Trace, planes: Sequence[Tuple[int, int]]):
+    """One ``(planes + 1, words)`` stack of the trace's packed planes;
+    its last row is the zero plane."""
+    words = np.zeros((len(planes) + 1, (trace.n_lanes + 63) // 64), np.uint64)
+    for row, (cycle, net) in enumerate(planes):
+        words[row] = trace.words(cycle, net)
+    return words
+
+
+def _unpack_planes(words: np.ndarray, n_lanes: int) -> np.ndarray:
+    """``(planes, n_lanes)`` uint8 lane bits of packed plane words."""
+    return np.unpackbits(
+        words.view(np.uint8), axis=1, count=n_lanes, bitorder="little"
+    )
+
+
+def _lane_keys(bits, rows, positions, hamming: bool, out) -> np.ndarray:
+    """Unbucketed per-lane keys of ``(specs, segments, n_bits)`` plane
+    ``rows`` into ``out``, shaped ``(specs, segments, lanes)``: each
+    key's plane bits shift-OR'ed at ``positions`` (summed for
+    ``hamming``) in ``out``'s dtype."""
+    out[...] = 0
+    dtype = out.dtype.type
+    for e in range(rows.shape[2]):
+        plane = bits[rows[:, :, e]]
+        if hamming:
+            out += plane
+        else:
+            out |= plane.astype(dtype, copy=False) << positions[
+                :, :, e, None
+            ].astype(dtype)
+    return out
+
+
 def _lane_key_rows(
     bits, n_lanes: int, group: _SpecGroup, hamming: bool, out
 ) -> None:
@@ -394,16 +436,10 @@ def _lane_key_rows(
     step = max(1, PASS_ELEMENTS // max(1, n_segments * n_lanes))
     for start in range(0, n_specs, step):
         stop = min(start + step, n_specs)
-        keys = np.zeros((stop - start, n_segments, n_lanes), group.dtype)
-        for e in range(n_bits):
-            plane = bits[group.rows[start:stop, :, e]]
-            if hamming:
-                keys += plane
-            else:
-                shift = group.positions[start:stop, :, e, None]
-                keys |= plane.astype(group.dtype, copy=False) << shift.astype(
-                    group.dtype
-                )
+        keys = _lane_keys(
+            bits, group.rows[start:stop], group.positions[start:stop],
+            hamming, np.empty((stop - start, n_segments, n_lanes), group.dtype),
+        )
         if group.hashed:
             keys = _bucket(keys.astype(np.uint64), True, group.width)
         offsets = np.arange(stop - start)[:, None, None] * group.width
@@ -412,6 +448,195 @@ def _lane_key_rows(
         out[cells] += np.bincount(
             flat.ravel(), minlength=(stop - start) * group.width
         ).reshape(-1, group.width)
+
+
+class _PairShape(NamedTuple):
+    """How :class:`_PairPlan` counts one pair table."""
+
+    hashed: bool
+    #: joint width above 63 bits: the key is the two-hash mix.
+    mixed: bool
+    #: row width; the table is dense when it is at most
+    #: :data:`~repro.leakage.gtest.DENSE_KEY_LIMIT`, else keyed.
+    width: int
+
+
+def _pair_shape(
+    bits_a: int, bits_b: int, hamming: bool, hash_bits: Optional[int]
+) -> _PairShape:
+    """The shape of a pair table of ``bits_a``- and ``bits_b``-bit keys.
+
+    The joint key is bucketed by :func:`_table_shape` on the joint
+    width, and the row is ``n_bins`` wide, except that a Hamming joint
+    key ``a | b << bits_a`` (``a <= bits_a``, ``b <= bits_b``) is at most
+    ``(bits_b << bits_a) + bits_a``.
+    """
+    total = bits_a + bits_b
+    hashed, n_bins = _table_shape(total, hash_bits)
+    mixed = total > 63
+    if hamming and not (hashed or mixed):
+        n_bins = (bits_b << bits_a) + bits_a + 1
+    return _PairShape(hashed, mixed, n_bins)
+
+
+class _PairGroup(NamedTuple):
+    """Pair tables of one shape that :class:`_PairPlan` counts together."""
+
+    shape: _PairShape
+    #: per table: its index in the plan, the key-matrix rows of its two
+    #: observations, and the first one's width in the joint-key dtype.
+    tables: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    shift: np.ndarray
+    #: where the group's consecutive dense rows start; -1 when keyed.
+    start: int
+
+
+class _PairPlan:
+    """Batched numpy executor of pair tables.
+
+    Table ``k`` is the joint observation of the unbucketed keys of two
+    CountSpecs, ``pairs[k] = (a, b)`` indexing ``specs``, whose keys are
+    ``bits[a]`` and ``bits[b]`` bits wide: ``a | b << bits_a``, or, when
+    the joint width is above 63 bits, the two-hash mix ``_mix_hash(a) ^
+    _mix_hash(b ^ 0xA5A5A5A5A5A5A5A5)``, then bucketed as
+    :func:`_pair_shape` says.  All specs have equally many segments.
+
+    Per trace, :meth:`count` builds every spec's keys once, into one key
+    matrix, with :func:`_lane_keys` (the shift-OR of :class:`_CountPlan`'s
+    lane-key groups).  Then, for tables of one shape at a time, each
+    pass forms the joint keys of several tables, buckets them, and adds
+    one offset ``bincount`` into their dense rows; a keyed table (row
+    wider than :data:`~repro.leakage.gtest.DENSE_KEY_LIMIT`) hands its
+    bins to ``add`` instead.  Passes hold at most
+    :data:`PAIR_PASS_ELEMENTS` keys.
+    """
+
+    def __init__(
+        self,
+        specs: Sequence,
+        bits: Sequence[int],
+        pairs: Sequence[Tuple[int, int]],
+        hamming: bool = False,
+        hash_bits: Optional[int] = None,
+    ):
+        self.specs = list(specs)
+        self.hamming = hamming
+        self._n_segments = len(self.specs[0].segments) if self.specs else 0
+        planes: Dict[Tuple[int, int], int] = {}
+        members: Dict[int, list] = {}
+        for index, spec in enumerate(self.specs):
+            n_bits, rows, positions = _spec_rows(spec, planes)
+            members.setdefault(n_bits, []).append((index, rows, positions))
+        self._planes = list(planes)
+        # Keys of equal width build together, as consecutive rows of the
+        # key matrix: ``(first row, plane rows, bit positions)``.
+        key_row = np.zeros(len(self.specs), np.intp)
+        self._key_groups = []
+        n_keys = key_bits = 0
+        for n_bits, entries in members.items():
+            key_row[[index for index, _, _ in entries]] = np.arange(
+                n_keys, n_keys + len(entries)
+            )
+            rows, positions = (
+                np.array([entry[k] for entry in entries], np.intp).reshape(
+                    len(entries), self._n_segments, n_bits
+                )
+                for k in (1, 2)
+            )
+            rows[rows < 0] = len(planes)
+            self._key_groups.append((n_keys, rows, positions))
+            n_keys += len(entries)
+            key_bits = max(
+                key_bits,
+                n_bits.bit_length() if hamming
+                else 1 + int(positions.max(initial=0)),
+            )
+        self._key_dtype = _key_dtype(key_bits)
+        shapes = [
+            _pair_shape(bits[a], bits[b], hamming, hash_bits)
+            for a, b in pairs
+        ]
+        by_shape: Dict[_PairShape, List[int]] = {}
+        for k in sorted(range(len(shapes)), key=shapes.__getitem__):
+            by_shape.setdefault(shapes[k], []).append(k)
+        #: dense tables in row order, and each one's ``(start, stop)``.
+        self.dense: List[int] = []
+        self.bounds: List[Tuple[int, int]] = []
+        self._groups: List[_PairGroup] = []
+        size = 0
+        for shape, tables in by_shape.items():
+            hashed, mixed, width = shape
+            dtype = (
+                np.uint64 if hashed or mixed
+                else _key_dtype((width - 1).bit_length())
+            )
+            dense = width <= gtest.DENSE_KEY_LIMIT
+            self._groups.append(_PairGroup(
+                shape,
+                np.array(tables, np.intp),
+                key_row[[pairs[k][0] for k in tables]],
+                key_row[[pairs[k][1] for k in tables]],
+                np.array([bits[pairs[k][0]] for k in tables], dtype),
+                size if dense else -1,
+            ))
+            if dense:
+                for k in tables:
+                    self.dense.append(k)
+                    self.bounds.append((size, size + width))
+                    size += width
+        #: length of the dense count vector.
+        self.size = size
+
+    def count(self, trace: Trace, out: np.ndarray, add) -> None:
+        """Add ``trace``'s dense rows into ``out`` (laid out by
+        :attr:`bounds`) and call ``add(k, bins)`` for each keyed table."""
+        n_lanes = trace.n_lanes
+        bits = _unpack_planes(_plane_words(trace, self._planes), n_lanes)
+        keys = np.empty(
+            (len(self.specs), self._n_segments, n_lanes), self._key_dtype
+        )
+        step = max(
+            1, PAIR_PASS_ELEMENTS // max(1, self._n_segments * n_lanes)
+        )
+        for first, rows, positions in self._key_groups:
+            for start in range(0, len(rows), step):
+                stop = min(start + step, len(rows))
+                _lane_keys(
+                    bits, rows[start:stop], positions[start:stop],
+                    self.hamming, keys[first + start: first + stop],
+                )
+        keys = keys.reshape(len(self.specs), -1)
+        for group in self._groups:
+            hashed, mixed, width = group.shape
+            for start in range(0, group.tables.size, step):
+                stop = min(start + step, group.tables.size)
+                a, b = keys[group.a[start:stop]], keys[group.b[start:stop]]
+                if mixed:
+                    # Injective packing impossible; mix both into one
+                    # word.  Collisions only ever merge cells
+                    # (conservative).
+                    joint = _mix_hash(a.astype(np.uint64)) ^ _mix_hash(
+                        b.astype(np.uint64) ^ np.uint64(0xA5A5A5A5A5A5A5A5)
+                    )
+                else:
+                    shift = group.shift[start:stop, None]
+                    joint = a.astype(shift.dtype, copy=False)
+                    joint |= b.astype(shift.dtype, copy=False) << shift
+                bins = _bucket(joint, hashed, width)
+                if group.start < 0:
+                    for k, row in zip(group.tables[start:stop], bins):
+                        add(k, row)
+                    continue
+                n_cells = (stop - start) * width
+                offsets = np.arange(0, n_cells, width)[:, None]
+                lo = group.start + start * width
+                out[lo: lo + n_cells] += np.bincount(
+                    np.add(bins, offsets, dtype=np.intp, casting="unsafe")
+                    .ravel(),
+                    minlength=n_cells,
+                )
 
 
 def _capacity(size: int) -> int:
@@ -857,8 +1082,6 @@ class _Selection(NamedTuple):
 
     #: classes, pairs, offsets, eval cycles, bucket width, observation.
     key: tuple
-    #: the CountSpec of each observed ``(probe class, offset)``.
-    specs: Dict[Tuple[ProbeClass, int], object]
     #: the first-order specs, in class order.
     class_specs: list
     #: class positions of the tables ``plan`` counts, and of those too
@@ -866,6 +1089,9 @@ class _Selection(NamedTuple):
     dense: List[int]
     wide: List[int]
     plan: _CountPlan
+    #: the pair tables' plan, and their table ids in its table order.
+    pair_plan: _PairPlan
+    pair_ids: List[str]
 
 
 class LeakageEvaluator(engine_registry.EngineOwner):
@@ -1115,10 +1341,12 @@ class LeakageEvaluator(engine_registry.EngineOwner):
         indices into the evaluator's own probe classes) are evaluated
         against the same recorded trace.  Dense first-order tables count
         through one :class:`_CountPlan`, in numpy or in the in-kernel
-        pipeline, into one array folded into ``acc`` once per call; raw
-        per-class observation keys for pair tables are computed once per
-        (class, offset) and reused across every pair that touches the
-        class.
+        pipeline, and dense pair tables through one :class:`_PairPlan`,
+        which builds each observed (class, offset) key once per trace
+        and counts the tables of many pairs per array pass.  Both count
+        into arrays folded into ``acc`` once per call; tables too wide
+        for dense rows add their keys per block.  ``stage_seconds``
+        books pair counting, like the wide tables, as ``extract``.
 
         Probe selection, in precedence order:
 
@@ -1194,17 +1422,18 @@ class LeakageEvaluator(engine_registry.EngineOwner):
             blocks = range(self.block_count(n_lanes))
         stage = self.stage_seconds
         hamming = self.observation == "hamming"
-        all_classes = self.probe_classes
-        # First-order tables: the dense ones count through one plan into
-        # (2, plan.size) totals, folded into ``acc`` once per call; tables
-        # too wide for dense rows keep _observe + add.  Each block counts
-        # in C through the in-kernel pipeline when it can (tuple
-        # observations only: pairs and Hamming weights run numpy), and a
-        # pipeline failure runs the rest of the call in numpy.
-        _, specs, class_specs, dense, wide, plan = self._count_selection(
-            classes, pairs, offsets, eval_cycles
+        # Dense first-order tables count through one plan, and dense pair
+        # tables through one pair plan, into (2, size) totals folded into
+        # ``acc`` once per call; tables too wide for dense rows add their
+        # keys.  Each block counts in C through the in-kernel pipeline
+        # when it can (tuple observations only: pairs and Hamming weights
+        # run numpy), and a pipeline failure runs the rest of the call in
+        # numpy.
+        _, class_specs, dense, wide, plan, pair_plan, pair_ids = (
+            self._count_selection(classes, pairs, offsets, eval_cycles)
         )
         totals = np.zeros((2, plan.size), dtype=np.int64)
+        pair_totals = np.zeros((2, pair_plan.size), dtype=np.int64)
         pipeline = (
             not pairs
             and not hamming
@@ -1239,76 +1468,35 @@ class LeakageEvaluator(engine_registry.EngineOwner):
             pipeline = traces is None
             if traces is None:
                 continue
-            trace_fixed, trace_random = traces
-            # Per-group memoization this block: unpacked bits per
-            # (cycle, net) for the wide and pair tables, raw keys per
-            # (class, offset) for the pair tables.
-            raw_fixed: Dict[Tuple[ProbeClass, int], np.ndarray] = {}
-            raw_random: Dict[Tuple[ProbeClass, int], np.ndarray] = {}
-            bits_fixed: Dict[Tuple[int, int], np.ndarray] = {}
-            bits_random: Dict[Tuple[int, int], np.ndarray] = {}
-
-            def raw(memo, bit_cache, trace, probe_class, delta):
-                key = (probe_class, delta)
-                keys = memo.get(key)
-                if keys is None:
-                    t0 = perf_counter()
-                    keys = _observe(
-                        trace, specs[key], bit_cache, hamming, raw=True
-                    )
-                    memo[key] = keys
-                    stage["extract"] += perf_counter() - t0
-                return keys
-
-            for k in wide:
-                table_id = f"c{class_indices[k]}"
-                for group, trace, bit_cache in (
-                    (HistogramAccumulator.GROUP_FIXED, trace_fixed,
-                     bits_fixed),
-                    (HistogramAccumulator.GROUP_RANDOM, trace_random,
-                     bits_random),
-                ):
-                    t0 = perf_counter()
-                    keys = _observe(trace, class_specs[k], bit_cache, hamming)
-                    t1 = perf_counter()
-                    acc.add(table_id, keys, group)
-                    stage["extract"] += t1 - t0
-                    stage["histogram"] += perf_counter() - t1
-
-            for i, j in pairs:
-                bits_i = all_classes[i].observation_bits
-                bits_j = all_classes[j].observation_bits
-                for delta in offsets:
-                    keys_fixed = self._combine(
-                        raw(raw_fixed, bits_fixed, trace_fixed,
-                            all_classes[i], 0),
-                        raw(raw_fixed, bits_fixed, trace_fixed,
-                            all_classes[j], delta),
-                        bits_i,
-                        bits_j,
-                    )
-                    keys_random = self._combine(
-                        raw(raw_random, bits_random, trace_random,
-                            all_classes[i], 0),
-                        raw(raw_random, bits_random, trace_random,
-                            all_classes[j], delta),
-                        bits_i,
-                        bits_j,
-                    )
-                    table_id = f"p{i}:{j}:{delta}"
-                    t0 = perf_counter()
+            t0 = perf_counter()
+            for group, trace in zip(
+                (HistogramAccumulator.GROUP_FIXED,
+                 HistogramAccumulator.GROUP_RANDOM),
+                traces,
+            ):
+                bit_cache: Dict[Tuple[int, int], np.ndarray] = {}
+                for k in wide:
                     acc.add(
-                        table_id, keys_fixed, HistogramAccumulator.GROUP_FIXED
+                        f"c{class_indices[k]}",
+                        _observe(trace, class_specs[k], bit_cache, hamming),
+                        group,
                     )
-                    acc.add(
-                        table_id, keys_random, HistogramAccumulator.GROUP_RANDOM
+                if pairs:
+                    pair_plan.count(
+                        trace, pair_totals[group],
+                        lambda k, keys: acc.add(pair_ids[k], keys, group),
                     )
-                    stage["histogram"] += perf_counter() - t0
+            stage["extract"] += perf_counter() - t0
         t0 = perf_counter()
-        for k, (start, stop) in zip(dense, plan.bounds):
-            # A table no lane reached stays absent, as with add().
-            if totals[:, start:stop].any():
-                acc._fold(f"c{class_indices[k]}", None, totals[:, start:stop])
+        for table_ids, bounds, rows in (
+            ((f"c{class_indices[k]}" for k in dense), plan.bounds, totals),
+            ((pair_ids[k] for k in pair_plan.dense), pair_plan.bounds,
+             pair_totals),
+        ):
+            for table_id, (start, stop) in zip(table_ids, bounds):
+                # A table no lane reached stays absent, as with add().
+                if rows[:, start:stop].any():
+                    acc._fold(table_id, None, rows[:, start:stop])
         stage["histogram"] += perf_counter() - t0
 
     def _count_selection(
@@ -1318,7 +1506,7 @@ class LeakageEvaluator(engine_registry.EngineOwner):
         offsets: List[int],
         eval_cycles: List[int],
     ) -> _Selection:
-        """The specs, dense/wide split and count plan of a probe selection.
+        """The specs, dense/wide split and count plans of a probe selection.
 
         One CountSpec per observed (probe class, offset): first-order
         tables observe offset 0, and the second class of a pair sits
@@ -1336,11 +1524,15 @@ class LeakageEvaluator(engine_registry.EngineOwner):
         if cached is not None and cached.key == key:
             return cached
         all_classes = self.probe_classes
-        observed = (
-            {(probe_class, 0) for probe_class in classes}
-            | {(all_classes[i], 0) for i, _ in pairs}
-            | {(all_classes[j], delta) for _, j in pairs for delta in offsets}
-        )
+        # The pair plan's key rows: (class index, offset) -> row.
+        rows: Dict[Tuple[int, int], int] = {}
+        for i, j in pairs:
+            rows.setdefault((i, 0), len(rows))
+            for delta in offsets:
+                rows.setdefault((j, delta), len(rows))
+        observed = {(probe_class, 0) for probe_class in classes} | {
+            (all_classes[k], delta) for k, delta in rows
+        }
         specs = {
             (probe_class, delta): _count_spec(
                 probe_class,
@@ -1350,6 +1542,15 @@ class LeakageEvaluator(engine_registry.EngineOwner):
             for probe_class, delta in observed
         }
         class_specs = [specs[(probe_class, 0)] for probe_class in classes]
+        pair_plan = _PairPlan(
+            [specs[(all_classes[k], delta)] for k, delta in rows],
+            [all_classes[k].observation_bits for k, _ in rows],
+            [(rows[i, 0], rows[j, delta]) for i, j in pairs
+             for delta in offsets],
+            self.observation == "hamming",
+            self._bucket_bits,
+        )
+        pair_ids = [f"p{i}:{j}:{delta}" for i, j in pairs for delta in offsets]
         dense = [
             k for k, spec in enumerate(class_specs)
             if spec.n_bins <= gtest.DENSE_KEY_LIMIT
@@ -1362,7 +1563,7 @@ class LeakageEvaluator(engine_registry.EngineOwner):
             [class_specs[k] for k in dense], self.observation == "hamming"
         )
         self._selection = _Selection(
-            key, specs, class_specs, dense, wide, plan
+            key, class_specs, dense, wide, plan, pair_plan, pair_ids
         )
         return self._selection
 
@@ -1604,26 +1805,6 @@ class LeakageEvaluator(engine_registry.EngineOwner):
         )
         report.results.extend(pair_report.results)
         return report
-
-    def _combine(
-        self,
-        keys_a: np.ndarray,
-        keys_b: np.ndarray,
-        bits_a: int,
-        bits_b: int,
-    ) -> np.ndarray:
-        """Joint observation key of two probes' raw keys, bucketed by
-        the rule of :func:`_table_shape` on the joint width."""
-        total_bits = bits_a + bits_b
-        if total_bits <= 63:
-            joint = keys_a | (keys_b << np.uint64(bits_a))
-        else:
-            # Injective packing impossible; mix both into one word.  Hash
-            # collisions only ever merge table cells (conservative).
-            joint = _mix_hash(keys_a) ^ (
-                _mix_hash(keys_b ^ np.uint64(0xA5A5A5A5A5A5A5A5))
-            )
-        return _bucket(joint, *_table_shape(total_bits, self._bucket_bits))
 
     # -------------------------------------------------------------- helpers
 

@@ -298,6 +298,83 @@ class TestExactCheckpointFormat:
         assert digest == EXACT_CHECKPOINT_DIGEST
 
 
+class TestExactCheckpointEvents:
+    """An exact sweep's checkpoint writes and reads reach its hook, as a
+    sampled campaign's do."""
+
+    def test_every_generation_emits_checkpoint_saved(self, tmp_path):
+        """Stopped after 20 merges, the sweep writes generations at
+        merges 8, 16 and 20: the last one, after the task loop, too."""
+        design, subset = _eq6_subset()
+        path = str(tmp_path / "exact.ckpt")
+        merges, saves = [], []
+
+        def hook(event, payload):
+            if event == "shard_done":
+                merges.append(payload)
+            elif event == "checkpoint_saved":
+                saves.append(payload)
+
+        ShardedExactAnalyzer(
+            design.dut, max_enum_bits=23, shard_lane_bits=7
+        ).analyze(
+            probe_classes=subset,
+            checkpoint=path,
+            hook=hook,
+            should_stop=lambda: len(merges) >= 20,
+        )
+        assert len(merges) == 20
+        assert saves == [{"path": path}] * 3
+
+    def test_unwritable_checkpoint_retries_reach_the_hook(
+        self, kronecker_eq6
+    ):
+        from repro.chaos import DEFAULT_RETRY
+        from repro.leakage.campaign import CampaignConfig, EvaluationCampaign
+        from repro.leakage.evaluator import LeakageEvaluator
+
+        path = "/no/such/dir/x.ckpt"
+
+        def retries(run):
+            events = []
+            with pytest.raises(CheckpointError):
+                run(lambda event, payload: events.append((event, payload)))
+            return [p["site"] for event, p in events if event == "io_retry"]
+
+        sampled = retries(lambda hook: EvaluationCampaign(
+            LeakageEvaluator(kronecker_eq6.dut),
+            CampaignConfig(n_simulations=4_096, checkpoint=path),
+            hook=hook,
+        ).run())
+        exact_sweep = retries(lambda hook: run_exact_analysis(
+            kronecker_eq6.dut, max_enum_bits=12, checkpoint=path, hook=hook
+        ))
+        assert exact_sweep == sampled == (
+            ["checkpoint.write"] * (DEFAULT_RETRY.attempts - 1)
+        )
+
+    def test_unreadable_checkpoint_retries_reach_the_hook(
+        self, kronecker_eq6, tmp_path
+    ):
+        from repro.chaos import DEFAULT_RETRY
+
+        path = tmp_path / "x.ckpt"
+        path.mkdir()  # opening it fails, as for an unreadable file
+        events = []
+        run_exact_analysis(
+            kronecker_eq6.dut, max_enum_bits=12, checkpoint=str(path),
+            resume=True,
+            hook=lambda event, payload: events.append((event, payload)),
+        )
+        assert [
+            (event, payload.get("site")) for event, payload in events
+            if event in ("io_retry", "checkpoint_corrupt")
+        ] == (
+            [("io_retry", "checkpoint.read")] * (DEFAULT_RETRY.attempts - 1)
+            + [("checkpoint_corrupt", None)]
+        )
+
+
 class TestRandomNetlistProperties:
     """Hypothesis: sharded counts merge bit-identically to single-shot on
     random bounded-randomness netlists, for random shard splits."""

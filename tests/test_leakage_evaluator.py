@@ -15,10 +15,15 @@ from repro.leakage.evaluator import (
     POPCOUNT_MAX_BITS,
     HistogramAccumulator,
     LeakageEvaluator,
+    _bucket,
     _CountPlan,
     _mix_hash,
     _observe,
+    _pair_shape,
+    _PairPlan,
+    _table_shape,
 )
+from repro.leakage.gtest import DENSE_KEY_LIMIT
 from repro.leakage.model import ProbingModel
 from repro.netlist.native import CountSpec
 from repro.netlist.simulate import Trace
@@ -341,6 +346,53 @@ class TestHammingReportPin:
         assert _digest(report) == digest
 
 
+class TestPairBranchPins:
+    """Byte pins (sbox/full, two windows of 1,500 lanes, offsets 0-1) of
+    the pair-table branches no other pin reaches, recorded while pair
+    tables were still counted pair by pair: a tuple pair wider than 63
+    bits, whose joint key is the two-hash mix, and a Hamming pair whose
+    row is too wide to be dense, so its table is keyed."""
+
+    @pytest.mark.parametrize(
+        "model, observation, pairs, digest",
+        [
+            (
+                ProbingModel.GLITCH_TRANSITION, "tuple",
+                [(241, 354), (563, 694)],
+                "d9bd845dc53003f8071e49c32861449d"
+                "d15a933184e32748b580bb73c1372444",
+            ),
+            (
+                ProbingModel.GLITCH, "hamming",
+                [(241, 354), (234, 347)],
+                "857ea97423c7e5fba2ef05b8c69a2cce"
+                "98c3828d1ceef097ee297970f7ebf3ce",
+            ),
+        ],
+    )
+    def test_pairs_report_bytes(
+        self, sbox_full, model, observation, pairs, digest
+    ):
+        evaluator = LeakageEvaluator(
+            sbox_full.dut, model, seed=3, observation=observation
+        )
+        classes = evaluator.probe_classes
+        widths = [
+            classes[i].observation_bits + classes[j].observation_bits
+            for i, j in pairs
+        ]
+        assert min(widths) > (63 if observation == "tuple" else 16)
+        acc = HistogramAccumulator()
+        n_lanes = evaluator.n_lanes_for(3_000, 2)
+        evaluator.accumulate(
+            acc, 0, n_lanes, 2, classes=(), pairs=pairs, pair_offsets=(0, 1)
+        )
+        keyed = {acc._tables[t][0] is not None for t in acc.table_ids()}
+        assert keyed == {observation == "hamming"}
+        report = evaluator.pairs_report(acc, 0, n_lanes * 2, pairs, (0, 1))
+        assert _digest(report) == digest
+
+
 # ------------------------------------------------------ batched executor
 
 #: (cycle, net) planes the random specs draw from: few, so specs repeat
@@ -490,3 +542,137 @@ class TestBatchedExecutor:
             _plan_rows(trace, specs), _reference_rows(trace, specs, False)
         ):
             assert np.array_equal(got, expected)
+
+
+# ------------------------------------------------------------ pair tables
+
+
+def _combine(keys_a, keys_b, bits_a, bits_b, hash_bits):
+    """The joint bins of two raw key arrays, by the per-pair formula pair
+    tables were once counted with: the oracle of :class:`_PairPlan`."""
+    total_bits = bits_a + bits_b
+    if total_bits <= 63:
+        joint = keys_a | (keys_b << np.uint64(bits_a))
+    else:
+        joint = _mix_hash(keys_a) ^ (
+            _mix_hash(keys_b ^ np.uint64(0xA5A5A5A5A5A5A5A5))
+        )
+    return _bucket(joint, *_table_shape(total_bits, hash_bits))
+
+
+def _check_pair_plan(trace, specs, bits, pairs, hamming, hash_bits):
+    """Every dense row of a _PairPlan is np.bincount of the oracle's
+    joint bins, and every keyed table gets exactly the oracle's bins."""
+    plan = _PairPlan(specs, bits, pairs, hamming, hash_bits)
+    out = np.zeros(plan.size, np.int64)
+    keyed = {}
+
+    def add(k, keys):
+        assert k not in keyed
+        keyed[k] = np.asarray(keys, np.uint64)
+
+    plan.count(trace, out, add)
+    raw = [
+        _observe(trace, CountSpec(spec.segments, False, 0), {}, hamming)
+        for spec in specs
+    ]
+    rows = dict(zip(plan.dense, plan.bounds))
+    assert sorted([*rows, *keyed]) == list(range(len(pairs)))
+    n_keys = trace.n_lanes * len(specs[0].segments)
+    for k, (a, b) in enumerate(pairs):
+        expected = _combine(raw[a], raw[b], bits[a], bits[b], hash_bits)
+        if k in rows:
+            start, stop = rows[k]
+            assert np.array_equal(
+                out[start:stop],
+                np.bincount(expected.astype(np.intp), minlength=stop - start),
+            ), (k, bits[a], bits[b])
+            assert stop - start <= DENSE_KEY_LIMIT
+        else:
+            assert np.array_equal(keyed[k], expected), (k, bits[a], bits[b])
+        assert expected.size == n_keys
+    return plan, keyed
+
+
+@st.composite
+def pair_selections(draw):
+    """Key specs as the evaluator builds them -- positions 0..k-1, one
+    segment per window, every spec with the same window count -- their
+    widths, and pairs of them."""
+    n_segments = draw(st.integers(1, 3))
+    specs, bits = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        n_bits = draw(st.one_of(st.integers(0, 8), st.integers(9, 40)))
+        specs.append(CountSpec(
+            tuple(
+                tuple(
+                    _PLANES[draw(st.integers(0, len(_PLANES) - 1))]
+                    + (position,)
+                    for position in range(n_bits)
+                )
+                for _ in range(n_segments)
+            ),
+            False, 1 << n_bits,
+        ))
+        bits.append(n_bits)
+    index = st.integers(0, len(specs) - 1)
+    pairs = draw(st.lists(st.tuples(index, index), min_size=1, max_size=8))
+    return specs, bits, pairs
+
+
+class TestPairPlan:
+    """_PairPlan rows == np.bincount of the per-pair joint keys."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        selection=pair_selections(),
+        n_lanes=st.sampled_from([1, 63, 100, 848]),
+        hamming=st.booleans(),
+        hash_bits=st.sampled_from([4, 10, 20]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_bincount_of_combined_keys(
+        self, selection, n_lanes, hamming, hash_bits, seed
+    ):
+        specs, bits, pairs = selection
+        _check_pair_plan(
+            _random_trace(n_lanes, seed), specs, bits, pairs, hamming,
+            None if hamming else hash_bits,
+        )
+
+    @pytest.mark.parametrize("hamming", [False, True])
+    def test_every_branch(self, hamming):
+        """Unhashed, hashed and mixed joint keys, dense and keyed rows,
+        three windows and a partial lane word."""
+        rng = np.random.default_rng(5)
+        widths = [0, 3, 5, 8, 16, 33, 40]
+        specs = [
+            CountSpec(
+                tuple(
+                    tuple(
+                        _PLANES[rng.integers(len(_PLANES))] + (p,)
+                        for p in range(n_bits)
+                    )
+                    for _ in range(3)
+                ),
+                False, 1 << n_bits,
+            )
+            for n_bits in widths
+        ]
+        n = len(widths)
+        pairs = [(a, b) for a in range(n) for b in range(a, n)]
+        trace = _random_trace(1000, 9)
+        shapes, n_dense, n_keyed = set(), 0, 0
+        for hash_bits in ((None,) if hamming else (10, 20)):
+            plan, keyed = _check_pair_plan(
+                trace, specs, widths, pairs, hamming, hash_bits
+            )
+            shapes |= {
+                _pair_shape(widths[a], widths[b], hamming, hash_bits)
+                for a, b in pairs
+            }
+            n_dense += len(plan.dense)
+            n_keyed += len(keyed)
+        assert {s.mixed for s in shapes} == {False, True}
+        assert {s.hashed for s in shapes} == {False, not hamming}
+        assert n_dense and n_keyed
