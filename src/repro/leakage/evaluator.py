@@ -75,9 +75,11 @@ BLOCK_LANES = 4096
 POPCOUNT_MAX_BITS = 4
 
 #: Key elements (specs x segments x lanes, or tree words) per pass of
-#: :class:`_CountPlan`, which bounds its scratch arrays to a few MiB
-#: whatever the spec count.
-PASS_ELEMENTS = 1 << 20
+#: :class:`_CountPlan` and of the exact packed counter, which bounds their
+#: scratch arrays to a few MiB whatever the spec count.  Larger passes
+#: count E11's 6,000-lane two-segment traces slower; smaller ones split
+#: E3's lane-key groups, each of which fits one pass here.
+PASS_ELEMENTS = 1 << 18
 
 #: Keys per pass of :class:`_PairPlan`.  A pass gathers two key rows per
 #: table and forms their joint keys; passes this small stay in cache,
@@ -351,6 +353,21 @@ class _CountPlan:
         return out
 
 
+def _minterm_popcounts(root: np.ndarray, planes: Iterable) -> np.ndarray:
+    """Per-word popcounts of the minterm tree of ``planes`` under ``root``.
+
+    Each plane splits every leaf ``m`` into ``m & ~b`` and ``m & b``, so
+    bit ``e`` of a leaf's index is plane ``e``'s bit: leaf ``i`` holds
+    the lanes of ``root`` whose plane bits spell ``i``.  ``root`` is
+    shaped ``(1, ...)`` and each plane broadcasts against ``root[0]``;
+    the result is the ``(2^len(planes), ...)`` uint8 popcounts.
+    """
+    tree = root
+    for plane in planes:
+        tree = np.concatenate([tree & ~plane, tree & plane])
+    return np.bitwise_count(tree)
+
+
 def _popcount_rows(words, lanemask, group: _SpecGroup, out) -> None:
     """Minterm-tree counts of a popcount group into its rows of ``out``."""
     n_specs, n_segments, n_bits = group.rows.shape
@@ -359,11 +376,10 @@ def _popcount_rows(words, lanemask, group: _SpecGroup, out) -> None:
     step = max(1, PASS_ELEMENTS // max(1, words_per_spec))
     for start in range(0, n_specs, step):
         rows = group.rows[start: start + step]
-        tree = np.broadcast_to(lanemask, (1,) + rows.shape[:2] + (n_words,))
-        for e in range(n_bits):
-            plane = words[rows[:, :, e]]
-            tree = np.concatenate([tree & ~plane, tree & plane])
-        counts = np.bitwise_count(tree).sum(axis=(2, 3), dtype=np.int64)
+        root = np.broadcast_to(lanemask, (1,) + rows.shape[:2] + (n_words,))
+        counts = _minterm_popcounts(
+            root, (words[rows[:, :, e]] for e in range(n_bits))
+        ).sum(axis=(2, 3), dtype=np.int64)
         cells = group.starts[start: start + step, None] + np.arange(
             1 << n_bits
         )

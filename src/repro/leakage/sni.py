@@ -160,18 +160,16 @@ class SniChecker:
     def _build_wire_tables(self) -> Dict[int, np.ndarray]:
         """Steady per-net bit over every assignment (shares low, masks high)."""
         from repro.engines import build_simulator
-        from repro.leakage.exact import _enum_pattern
+        from repro.leakage.exact import _shard_patterns
         from repro.netlist.simulate import unpack_lanes
 
         gadget = self.gadget
         share_nets = [n for group in gadget.input_shares for n in group]
         all_inputs = share_nets + list(gadget.mask_nets)
         n_lanes = 1 << (self.n_share_bits + self.n_mask_bits)
-        n_words = (n_lanes + 63) // 64
-        patterns = {
-            net: _enum_pattern(position, n_words)
-            for position, net in enumerate(all_inputs)
-        }
+        patterns = dict(zip(
+            all_inputs, _shard_patterns(len(all_inputs), len(all_inputs), 0)
+        ))
 
         needed = set()
         for nets in self._observables.values():

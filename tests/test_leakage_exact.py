@@ -10,7 +10,7 @@ import pytest
 from repro.core.kronecker import build_kronecker_delta
 from repro.core.optimizations import RandomnessScheme
 from repro.errors import ExactAnalysisInfeasible
-from repro.leakage.exact import ExactAnalyzer, _enum_pattern
+from repro.leakage.exact import ExactAnalyzer, _shard_patterns
 from repro.leakage.model import ProbingModel
 from repro.netlist.simulate import unpack_lanes
 
@@ -29,7 +29,7 @@ class TestEnumPattern:
     @pytest.mark.parametrize("index", [0, 1, 3, 5, 6, 7, 10])
     def test_pattern_bits(self, index):
         n_lanes = 1 << 11
-        words = _enum_pattern(index, n_lanes // 64)
+        words = _shard_patterns(11, 11, 0)[index]
         bits = unpack_lanes(words, n_lanes)
         expected = (np.arange(n_lanes) >> index) & 1
         assert (bits == expected).all()
