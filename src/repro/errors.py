@@ -108,8 +108,9 @@ class WorkItemError(ServiceError):
 
     Raised by the result checks of :mod:`repro.leakage.parallel` before
     anything merges: a ``blocks`` result with a missing, extra or
-    miscounted table, or an ``exact_shard`` result without the counts of
-    a listed class.  Subclasses :class:`ServiceError` because fleet
+    miscounted table, an ``exact_shard`` result without the counts of
+    a listed class, or a runner that returned without a stop while a
+    ``blocks`` item had no result.  Subclasses :class:`ServiceError` because fleet
     results were the first to be checked; handlers of that type keep
     working.
     """

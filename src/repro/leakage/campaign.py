@@ -21,11 +21,12 @@ canonical sampling blocks:
   flagging the partial report ``truncated:<reason>`` instead of losing it;
 * a ``MemoryError`` inside a chunk retries that chunk in halves instead of
   aborting the campaign;
-* with ``workers > 1`` each chunk's blocks run as ``blocks`` work items
-  on a local process pool (:mod:`repro.leakage.parallel`) -- blocks
-  sample from private ``SeedSequence`` streams and table accumulation
-  commutes, so parallel results are bit-identical to serial ones and remain
-  compatible with the same checkpoints;
+* with ``workers > 1`` (or a caller's ``runner``) each chunk's blocks run
+  as ``blocks`` work items on a local process pool (or that runner, see
+  :mod:`repro.leakage.parallel`) -- blocks sample from private
+  ``SeedSequence`` streams and table accumulation commutes, so parallel
+  results are bit-identical to serial ones and remain compatible with the
+  same checkpoints;
 * ``mode="both"`` evaluates first-order probe classes *and* probe pairs
   against one shared simulation per block (shared-trace probe batching)
   instead of simulating the campaign twice;
@@ -67,7 +68,7 @@ from repro.leakage.evaluator import (
     packed_totals,
 )
 from repro.leakage.gtest import DEFAULT_THRESHOLD
-from repro.leakage.parallel import BlockExecutor, PoolRunner, effective_workers
+from repro.leakage.parallel import BlockExecutor, PoolRunner, pool_workers
 from repro.leakage.report import LeakageReport
 
 #: Checkpoint format version; bumped on incompatible layout changes.
@@ -170,7 +171,10 @@ class EvaluationCampaign:
     callable polled at chunk boundaries; once it returns true the campaign
     stops cleanly with status ``truncated:cancelled`` -- this is how the
     evaluation service implements job cancellation and graceful shutdown
-    without killing the process.
+    without killing the process.  ``runner`` (the service's fleet, say)
+    runs every chunk's blocks as ``blocks`` work items through a
+    :class:`~repro.leakage.parallel.BlockExecutor`; the campaign does not
+    close it, and ``workers`` then sizes nothing.
     """
 
     def __init__(
@@ -181,7 +185,7 @@ class EvaluationCampaign:
         should_stop: Optional[Callable[[], bool]] = None,
         fault_plane: Optional[FaultPlane] = None,
         retry: Optional[RetryPolicy] = None,
-        executor=None,
+        runner=None,
     ):
         self.evaluator = evaluator
         self.config = config
@@ -203,11 +207,10 @@ class EvaluationCampaign:
         self.degradations: List[Dict[str, str]] = []
         self.accumulator = HistogramAccumulator()
         self.progress = CampaignProgress()
-        #: worker pool size actually used: the requested count capped at
-        #: the visible CPU count (oversubscription is counterproductive).
-        self.effective_workers = (
-            effective_workers(config.workers) if config.workers > 1 else 1
-        )
+        #: worker pool size of the last :meth:`run`: the requested count
+        #: capped at the visible CPU count (oversubscription is
+        #: counterproductive); with an injected ``runner``, the request.
+        self.effective_workers = config.workers
         self._n_lanes = evaluator.n_lanes_for(
             config.n_simulations, config.n_windows
         )
@@ -216,14 +219,11 @@ class EvaluationCampaign:
             if config.mode in ("pairs", "both")
             else []
         )
-        #: injected chunk executor (the service binds a
-        #: :class:`~repro.leakage.parallel.BlockExecutor` to its fleet).
-        #: When set, the campaign routes chunk accumulation through it
-        #: instead of owning a local process pool -- the caller owns its
-        #: lifecycle and ``workers`` degradation accounting does not
-        #: apply.  Any object with the ``BlockExecutor.accumulate``
-        #: signature works.
-        self._injected_executor = executor
+        #: injected runner (never closed here); ``None`` runs on a local
+        #: pool per :meth:`run` when ``workers`` allows one.
+        self.runner = runner
+        #: the chunk executor of a run on a runner; ``None`` accumulates
+        #: chunks in-process.
         self._executor: Optional[BlockExecutor] = None
         #: adaptive decision state; built fresh per :meth:`run` (or restored
         #: from the checkpoint), ``None`` for uniform campaigns.
@@ -241,11 +241,6 @@ class EvaluationCampaign:
     def _emit(self, event: str, **payload) -> None:
         if self.hook is not None:
             self.hook(event, payload)
-
-    def _note_degradation(self, kind: str, detail: str) -> None:
-        entry = {"kind": kind, "detail": detail}
-        self.degradations.append(entry)
-        self._emit("degradation", **entry)
 
     def _executor_hook(self, event: str, payload: Dict) -> None:
         """Forward pool telemetry, recording ladder steps as provenance."""
@@ -376,33 +371,24 @@ class EvaluationCampaign:
         status = "complete"
         finished_early = False
         chunk_blocks = self._chunk_blocks()
-        if self._injected_executor is not None:
-            self._executor = self._injected_executor
-        elif cfg.workers > 1 and self.effective_workers == 1:
-            # Satellite of the 0.801x BENCH_parallel regression: on hosts
-            # where the cap leaves a single effective worker, skip the
-            # process pool entirely (fork/pickle overhead with no core to
-            # spend it on) and say so in telemetry and provenance.
-            self._note_degradation(
-                "degraded_serial",
-                f"requested {cfg.workers} workers but only 1 is effective "
-                "on this host; running serially",
+        runner = self.runner
+        pool = None
+        if runner is None:
+            # One effective worker skips the process pool (fork and
+            # pickle overhead with no core to spend it on); a degradation
+            # says so in telemetry and provenance.
+            self.effective_workers = pool_workers(
+                cfg.workers, self._executor_hook
             )
-            self._emit(
-                "degraded_serial",
-                requested_workers=cfg.workers,
-                effective_workers=self.effective_workers,
-            )
-        if self._injected_executor is None and self.effective_workers > 1:
-            self._executor = BlockExecutor(
-                self.evaluator,
-                PoolRunner(
+            if self.effective_workers > 1:
+                runner = pool = PoolRunner(
                     self.evaluator,
                     self.effective_workers,
                     hook=self._executor_hook,
                     shard_timeout=cfg.stall_timeout,
-                ),
-            )
+                )
+        if runner is not None:
+            self._executor = BlockExecutor(self.evaluator, runner)
         self._emit(
             "campaign_start",
             blocks_total=self.progress.blocks_total,
@@ -548,11 +534,8 @@ class EvaluationCampaign:
                     **self.scheduler.counts(),
                 )
         finally:
-            if (
-                self._executor is not None
-                and self._executor is not self._injected_executor
-            ):
-                self._executor.close()
+            if pool is not None:
+                pool.close()
             self._executor = None
         self._emit(
             "campaign_end",

@@ -41,16 +41,13 @@ from repro.errors import (
     CheckpointCorrupt,
     ExactAnalysisInfeasible,
     MaskingError,
+    SimulationError,
 )
 from repro.leakage import durable
 from repro.leakage.dut import DesignUnderTest
 from repro.leakage.exact import EnumerationSetup, ExactAnalyzer, ExactReport
 from repro.leakage.model import ProbingModel
-from repro.leakage.parallel import (
-    PoolRunner,
-    effective_workers,
-    exact_dispatch,
-)
+from repro.leakage.parallel import PoolRunner, exact_dispatch, pool_workers
 from repro.leakage.probes import ProbeClass
 from repro.leakage.sni import (
     GadgetSpec,
@@ -81,6 +78,10 @@ DEFAULT_SHARD_LANE_BITS = 16
 #: Smallest allowed shard: 2^6 = 64 lanes = exactly one simulator word, so
 #: shard boundaries never split a lane word.
 MIN_SHARD_LANE_BITS = 6
+
+#: Class-shard merges between two checkpoint saves of an exact sweep (it
+#: also saves once at the end).
+CHECKPOINT_EVERY = 8
 
 
 # --------------------------------------------------------------- shard plan
@@ -194,12 +195,14 @@ class ShardedExactAnalyzer:
     """Parallel, checkpointed exhaustive enumeration of probe classes.
 
     Wraps an :class:`ExactAnalyzer` and runs each probe class's shard plan
-    serially, or as ``exact_shard`` work items on the local process pool
-    (``workers > 1``) or a caller's runner (``dispatch``, see
-    :func:`repro.leakage.parallel.exact_dispatch`).  Classes with equal
-    enumeration setups share their stimulus, so one simulation per
-    ``(setup, shard)`` counts all of them.  Exact-count merges commute, so
-    results are bit-identical to the serial analyzer for any worker count.
+    as ``exact_shard`` work items
+    (:func:`~repro.leakage.parallel.exact_dispatch`) on a caller's runner
+    or on a local :class:`~repro.leakage.parallel.PoolRunner`, which runs
+    them in-process at one worker; every result is checked before it
+    merges.  Classes with equal enumeration setups share their stimulus,
+    so one simulation per ``(setup, shard)`` counts all of them.
+    Exact-count merges commute, so results are bit-identical to the
+    single-shard analyzer for any runner or worker count.
     Checkpoints (:mod:`repro.leakage.durable`, as for campaigns) hold
     per-class merged histograms plus the set of completed shards,
     fingerprinted by the netlist hash and analysis configuration.
@@ -211,16 +214,12 @@ class ShardedExactAnalyzer:
         model: ProbingModel = ProbingModel.GLITCH,
         max_enum_bits: int = 24,
         shard_lane_bits: int = DEFAULT_SHARD_LANE_BITS,
-        max_window: int = 12,
-        checkpoint_every: int = 8,
         engine: str = engine_registry.DEFAULT_ENGINE,
     ):
         self.analyzer = ExactAnalyzer(
-            dut, model, max_enum_bits=max_enum_bits, max_window=max_window,
-            engine=engine,
+            dut, model, max_enum_bits=max_enum_bits, engine=engine
         )
         self.shard_lane_bits = shard_lane_bits
-        self.checkpoint_every = max(1, checkpoint_every)
 
     @property
     def dut(self) -> DesignUnderTest:
@@ -385,27 +384,26 @@ class ShardedExactAnalyzer:
         resume: bool = False,
         hook: Optional[Hook] = None,
         should_stop: Optional[Callable[[], bool]] = None,
-        dispatch: Optional[Callable] = None,
+        runner=None,
     ) -> ExactReport:
         """Run the sharded exact sweep.
 
         ``checkpoint`` names a container file written every
-        ``checkpoint_every`` class-shard merges and at the end; with
+        :data:`CHECKPOINT_EVERY` class-shard merges and at the end; with
         ``resume=True`` a matching checkpoint's completed class shards are
-        not recomputed.  ``should_stop`` is polled between shard tasks; a
-        stop saves the checkpoint and returns a
-        ``status="truncated:cancelled"`` report covering the classes that
-        finished.  A shard task is ``(class_indices, shard_index,
+        not recomputed.  A shard task is ``(class_indices, shard_index,
         lane_bits)``: the not-yet-done classes of one enumeration setup,
-        counted from one simulation of one shard.  ``workers > 1`` runs
-        them on the local process pool, capped at the CPU count like
-        campaign workers.  ``dispatch`` replaces the execution backend
-        (the service binds :func:`~repro.leakage.parallel.exact_dispatch`
-        to its fleet): called as ``dispatch(pending, merge, should_stop)
-        -> stopped`` with the pending task tuples, and ``merge(class_index,
-        shard_index, keys, rows, counts)`` per class -- shard-count merging
-        commutes, so any completion order yields identical final
-        histograms.
+        counted from one simulation of one shard, sent as one
+        ``exact_shard`` item to ``runner`` (the service's fleet, say),
+        which the sweep does not close.  Without one the sweep runs them
+        on its own :class:`~repro.leakage.parallel.PoolRunner` of
+        ``workers`` processes, capped at the CPU count and at the task
+        count like campaign workers; one worker runs them in-process.
+        ``should_stop`` is polled while tasks remain; a stop saves the
+        checkpoint and returns a ``status="truncated:cancelled"`` report
+        covering the classes that finished.  A sweep that was not stopped
+        and still lacks a shard of some class raises
+        :class:`SimulationError`: no verdict from missing evidence.
         """
         analyzer = self.analyzer
         all_classes = analyzer.probe_classes
@@ -508,25 +506,33 @@ class ShardedExactAnalyzer:
                     "total": plans[ci].n_shards,
                 },
             )
-            if checkpoint and merges_since_save >= self.checkpoint_every:
+            if checkpoint and merges_since_save >= CHECKPOINT_EVERY:
                 self._save_checkpoint(checkpoint, state, fingerprint, hook)
                 merges_since_save = 0
 
         if tasks:
-            stopped = self._run_tasks(
-                tasks,
-                workers,
-                merge,
-                hook,
-                should_stop,
-                dispatch=dispatch,
-            )
+            pool = None
+            if runner is None:
+                size = min(pool_workers(workers, hook), len(tasks))
+                runner = pool = PoolRunner(analyzer, size, hook=hook)
+            try:
+                stopped = exact_dispatch(runner)(tasks, merge, should_stop)
+            finally:
+                if pool is not None:
+                    pool.close()
 
         for ci in selected:
             if ci not in setups:
                 continue
             entry = state[ci]
             if len(entry["done"]) < plans[ci].n_shards:
+                if not stopped:
+                    name = all_classes[ci].member_names(analyzer.dut.netlist)
+                    raise SimulationError(
+                        f"exact sweep of {name} merged {len(entry['done'])} "
+                        f"of {plans[ci].n_shards} shards without being "
+                        "stopped; no verdict from missing evidence"
+                    )
                 continue  # truncated before completion
             report.results.append(
                 analyzer.finalize(
@@ -554,61 +560,6 @@ class ShardedExactAnalyzer:
         )
         return report
 
-    def _run_tasks(
-        self,
-        pending: List[ShardTask],
-        workers: int,
-        merge: Callable,
-        hook: Optional[Hook],
-        should_stop: Optional[Callable[[], bool]],
-        dispatch: Optional[Callable] = None,
-    ) -> bool:
-        """Execute shard tasks: through ``dispatch``, the local process
-        pool, or serially in-process.  True when stopped."""
-        if dispatch is not None:
-            return bool(dispatch(pending, merge, should_stop))
-        if workers > 1:
-            effective = effective_workers(workers)
-            if effective == 1:
-                self._emit(
-                    hook,
-                    "degradation",
-                    {
-                        "kind": "degraded_serial",
-                        "detail": f"requested {workers} workers but only 1 "
-                        "is effective on this host; running serially",
-                    },
-                )
-                self._emit(
-                    hook,
-                    "degraded_serial",
-                    {"requested_workers": workers, "effective_workers": 1},
-                )
-            workers = effective
-        if workers > 1 and len(pending) > 1:
-            with PoolRunner(self.analyzer, workers, hook=hook) as runner:
-                return exact_dispatch(runner)(pending, merge, should_stop)
-        return self._run_serial(pending, merge, should_stop)
-
-    def _run_serial(
-        self,
-        pending: List[ShardTask],
-        merge: Callable,
-        should_stop: Optional[Callable[[], bool]],
-    ) -> bool:
-        analyzer = self.analyzer
-        for class_indices, si, lane_bits in pending:
-            counts = analyzer.count_shard(
-                [analyzer.probe_classes[ci] for ci in class_indices],
-                shard_index=si,
-                shard_lane_bits=lane_bits,
-            )
-            for ci, (keys, rows, table) in zip(class_indices, counts):
-                merge(ci, si, keys, rows, table)
-            if should_stop is not None and should_stop():
-                return True
-        return False
-
     @staticmethod
     def _emit(hook: Optional[Hook], event: str, payload: Dict) -> None:
         if hook is not None:
@@ -626,7 +577,7 @@ def run_exact_analysis(
     resume: bool = False,
     hook: Optional[Hook] = None,
     should_stop: Optional[Callable[[], bool]] = None,
-    dispatch: Optional[Callable] = None,
+    runner=None,
     engine: str = engine_registry.DEFAULT_ENGINE,
 ) -> ExactReport:
     """One-call sharded exact sweep (the ``mode="exact"`` service path)."""
@@ -644,7 +595,7 @@ def run_exact_analysis(
         resume=resume,
         hook=hook,
         should_stop=should_stop,
-        dispatch=dispatch,
+        runner=runner,
     )
 
 
@@ -847,7 +798,6 @@ class CompositionalChecker:
         engine_registry.get_engine(engine)
         self.engine = engine
         self.regions = gadget_regions(dut.netlist)
-        self._roles = self._build_role_map()
         self._exact_analyzer: Optional[ExactAnalyzer] = None
 
     def _exact_region(
@@ -886,21 +836,6 @@ class CompositionalChecker:
                 infeasible.append(analyzer.wide_class_entry(probe_class))
         return leaking, infeasible
 
-    def _build_role_map(self) -> Dict[int, Tuple[str, object]]:
-        roles: Dict[int, Tuple[str, object]] = {}
-        for share, bus in enumerate(self.dut.share_buses):
-            for bit, net in enumerate(bus):
-                roles[net] = ("share", (share, bit))
-        for net in self.dut.mask_bits:
-            roles[net] = ("mask", net)
-        for bus_index, bus in enumerate(self.dut.uniform_byte_buses):
-            for bit, net in enumerate(bus):
-                roles[net] = ("uniform", (bus_index, bit))
-        for bus_index, bus in enumerate(self.dut.nonzero_byte_buses):
-            for bit, net in enumerate(bus):
-                roles[net] = ("nonzero", (bus_index, bit))
-        return roles
-
     # -------------------------------------------------- input classification
 
     def _classify_input(self, net: int) -> Tuple[str, frozenset]:
@@ -913,7 +848,7 @@ class CompositionalChecker:
         Returns kind "nonzero" for nets touched by non-zero-constrained
         bytes, which the enumeration cannot model.
         """
-        roles = self._roles
+        roles = self.dut.input_roles
         if net in roles:
             kind, detail = roles[net]
             if kind == "share":

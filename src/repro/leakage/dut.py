@@ -11,8 +11,9 @@ roles of the netlist ports.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.errors import SimulationError
 from repro.netlist.core import Netlist
@@ -79,6 +80,27 @@ class DesignUnderTest:
     def n_fresh_mask_bits(self) -> int:
         """Fresh single-bit randomness per cycle (the paper's headline cost)."""
         return len(self.mask_bits)
+
+    @functools.cached_property
+    def input_roles(self) -> Dict[int, Tuple[str, object]]:
+        """Protocol role of every primary input net, built once.
+
+        ``("share", (share, bit))``, ``("mask", net)``, ``("uniform",
+        (bus, bit))`` or ``("nonzero", (bus, bit))``.
+        """
+        roles: Dict[int, Tuple[str, object]] = {}
+        for share, bus in enumerate(self.share_buses):
+            for bit, net in enumerate(bus):
+                roles[net] = ("share", (share, bit))
+        for net in self.mask_bits:
+            roles[net] = ("mask", net)
+        for bus_index, bus in enumerate(self.uniform_byte_buses):
+            for bit, net in enumerate(bus):
+                roles[net] = ("uniform", (bus_index, bit))
+        for bus_index, bus in enumerate(self.nonzero_byte_buses):
+            for bit, net in enumerate(bus):
+                roles[net] = ("nonzero", (bus_index, bit))
+        return roles
 
     def share_bit(self, share: int, bit: int) -> int:
         """Net carrying bit ``bit`` of share ``share``."""

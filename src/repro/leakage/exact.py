@@ -68,6 +68,11 @@ _IN_WORD_PATTERNS = (
 )
 
 
+#: Cycles of register history traced back from a probe to the primary
+#: input variables it depends on.
+MAX_WINDOW = 12
+
+
 #: Widest minterm tree (key bits plus in-word secret bits) a dense class
 #: is counted from packed words; a wider class builds per-lane keys.  On
 #: a 65,536-lane shard a 5-bit tree counts at least twice as fast as
@@ -446,13 +451,11 @@ class ExactAnalyzer(engine_registry.EngineOwner):
         dut: DesignUnderTest,
         model: ProbingModel = ProbingModel.GLITCH,
         max_enum_bits: int = 24,
-        max_window: int = 12,
         engine: str = engine_registry.DEFAULT_ENGINE,
     ):
         self.dut = dut
         self.model = model
         self.max_enum_bits = max_enum_bits
-        self.max_window = max_window
         # Simulation engine for shard enumeration, resolved through
         # repro.engines; every registered engine is bit-identical, so
         # shard counts (and hence certificates) never depend on it.
@@ -460,27 +463,12 @@ class ExactAnalyzer(engine_registry.EngineOwner):
         self.probe_classes, self.wide_classes = extract_probe_classes(
             dut.netlist, model, max_support_bits=40
         )
-        self._roles = self._build_role_map()
         self._setups: Dict[ProbeClass, EnumerationSetup] = {}
-
-    # ------------------------------------------------------------- role map
-
-    def _build_role_map(self) -> Dict[int, Tuple[str, object]]:
-        """Map every primary input net to its protocol role."""
-        roles: Dict[int, Tuple[str, object]] = {}
-        dut = self.dut
-        for share, bus in enumerate(dut.share_buses):
-            for bit, net in enumerate(bus):
-                roles[net] = ("share", (share, bit))
-        for net in dut.mask_bits:
-            roles[net] = ("mask", net)
-        for bus_index, bus in enumerate(dut.uniform_byte_buses):
-            for bit, net in enumerate(bus):
-                roles[net] = ("uniform", (bus_index, bit))
-        for bus_index, bus in enumerate(dut.nonzero_byte_buses):
-            for bit, net in enumerate(bus):
-                roles[net] = ("nonzero", (bus_index, bit))
-        return roles
+        #: per setup key: each cycle's drive table, and the pattern rows
+        #: of every enumerated non-zero byte (:meth:`_drives`).
+        self._drive_tables: Dict[Tuple, Tuple[List, List[List[int]]]] = {}
+        #: per ``(probe class, observed cycle)``: its :func:`_count_spec`.
+        self._specs: Dict[Tuple[ProbeClass, int], object] = {}
 
     # -------------------------------------------------------- var collection
 
@@ -489,9 +477,7 @@ class ExactAnalyzer(engine_registry.EngineOwner):
         dut = self.dut
         raw_vars: Set[Tuple[int, int]] = set()
         for net in probe_class.support:
-            base = transitive_input_support(
-                dut.netlist, net, self.max_window
-            )
+            base = transitive_input_support(dut.netlist, net, MAX_WINDOW)
             for back in probe_class.cycles_back:
                 raw_vars.update((pi, age + back) for pi, age in base)
 
@@ -499,8 +485,9 @@ class ExactAnalyzer(engine_registry.EngineOwner):
         mask_vars: Set[Tuple[int, int]] = set()  # (net, age)
         uniform_vars: Set[Tuple[Tuple[int, int], int]] = set()
         nonzero_groups: Set[Tuple[int, int]] = set()  # (bus, age)
+        roles = dut.input_roles
         for pi, age in raw_vars:
-            kind, detail = self._roles[pi]
+            kind, detail = roles[pi]
             if kind == "share":
                 _, bit = detail
                 share_groups.add((bit, age))
@@ -593,16 +580,7 @@ class ExactAnalyzer(engine_registry.EngineOwner):
         probe_classes = list(probe_classes)
         if setup is None:
             setup = self.enumeration_setup(probe_classes[0])
-        free_vars = setup.free_vars
-        used_secret_bits = setup.used_secret_bits
-        share_groups = setup.share_groups
-        nonzero_groups = setup.nonzero_groups
-        max_age = setup.max_age
-        k = setup.n_free_bits
-        u = setup.n_secret_bits
         total_bits = setup.total_bits
-        netlist = self.dut.netlist
-
         lane_bits = (
             total_bits
             if shard_lane_bits is None
@@ -610,79 +588,38 @@ class ExactAnalyzer(engine_registry.EngineOwner):
         )
         n_lanes = 1 << lane_bits
         n_words = (n_lanes + 63) // 64
-        var_index = {var: i for i, var in enumerate(free_vars)}
-        secret_index = {bit: k + i for i, bit in enumerate(used_secret_bits)}
-
         patterns = _shard_patterns(total_bits, lane_bits, shard_index)
         zeros = np.zeros(n_words, dtype=np.uint64)
-
-        def secret_pattern(bit: int) -> np.ndarray:
-            if bit in secret_index:
-                return patterns[secret_index[bit]]
-            return zeros
-
-        share_group_set = set(share_groups)
-        n_shares = self.dut.n_shares
-        observe_cycle = max_age  # observation at the last simulated cycle
-        n_cycles = max_age + 1
+        ones = ~zeros
+        drives, nonzero_rows = self._drives(setup)
 
         def stimulus(cycle: int) -> Dict[int, np.ndarray]:
-            age = observe_cycle - cycle
-            values: Dict[int, np.ndarray] = {}
-            for share, bus in enumerate(self.dut.share_buses):
-                for bit, net in enumerate(bus):
-                    if (bit, age) in share_group_set:
-                        if share < n_shares - 1:
-                            values[net] = patterns[
-                                var_index[(("share", share, bit), age)]
-                            ]
-                        else:
-                            acc = secret_pattern(bit).copy()
-                            for other in range(n_shares - 1):
-                                acc = acc ^ patterns[
-                                    var_index[(("share", other, bit), age)]
-                                ]
-                            values[net] = acc
-                    else:
-                        # Consistent sharing of the same secret: shares
-                        # 0..d-1 are zero, the last carries the secret bit.
-                        if share < n_shares - 1:
-                            values[net] = zeros
-                        else:
-                            values[net] = secret_pattern(bit)
-            for net in self.dut.mask_bits:
-                var = (("mask", net), age)
-                values[net] = patterns[var_index[var]] if var in var_index else zeros
-            for bus_index, bus in enumerate(self.dut.uniform_byte_buses):
-                for bit, net in enumerate(bus):
-                    var = (("uniform", (bus_index, bit)), age)
-                    values[net] = (
-                        patterns[var_index[var]] if var in var_index else zeros
-                    )
-            for bus_index, bus in enumerate(self.dut.nonzero_byte_buses):
-                enumerated = (bus_index, age) in nonzero_groups
-                for bit, net in enumerate(bus):
-                    if enumerated:
-                        var = (("nonzero", bus_index, bit), age)
-                        values[net] = patterns[var_index[var]]
-                    else:
-                        # Unobserved non-zero byte: any valid constant works.
-                        values[net] = (
-                            ~zeros if bit == 0 else zeros
-                        )
+            zero_nets, one_nets, row_nets, xor_nets = drives[cycle]
+            values = dict.fromkeys(zero_nets, zeros)
+            values.update(dict.fromkeys(one_nets, ones))
+            values.update((net, patterns[row]) for net, row in row_nets)
+            # Chained XORs: np.bitwise_xor.reduce over a gathered copy of
+            # the rows made whole sweeps about 40% slower (performance.md
+            # section 9).
+            for net, (first, second, *rest) in xor_nets:
+                word = patterns[first] ^ patterns[second]
+                for row in rest:
+                    word ^= patterns[row]
+                values[net] = word
             return values
 
+        observe_cycle = setup.max_age  # observation at the last cycle
         record_nets = sorted(
             {net for probe_class in probe_classes for net in probe_class.support}
         )
         simulator, _ = engine_registry.build_simulator(
-            self.engine, netlist, n_lanes,
+            self.engine, self.dut.netlist, n_lanes,
             record_nets=record_nets,
             on_degrade=self._on_degrade,
         )
         trace = simulator.run(
             stimulus,
-            n_cycles,
+            observe_cycle + 1,
             record_nets=record_nets,
             record_cycles={
                 observe_cycle - back
@@ -690,16 +627,92 @@ class ExactAnalyzer(engine_registry.EngineOwner):
                 for back in probe_class.cycles_back
             },
         )
+        specs = []
+        for probe_class in probe_classes:
+            spec = self._specs.get((probe_class, observe_cycle))
+            if spec is None:
+                spec = _count_spec(probe_class, [observe_cycle], None)
+                self._specs[probe_class, observe_cycle] = spec
+            specs.append(spec)
+        return _count_trace(
+            trace, specs, patterns, nonzero_rows,
+            setup.n_free_bits, setup.n_secret_bits, shard_index,
+        )
 
+    def _drives(self, setup: EnumerationSetup) -> Tuple[List, List[List[int]]]:
+        """How a shard's patterns drive the inputs, once per setup.
+
+        Returns ``(drives, nonzero_rows)``.  ``drives[cycle]`` is
+        ``(zero_nets, one_nets, row_nets, xor_nets)``: nets taking the
+        all-zeros or all-ones word, ``(net, row)`` taking one pattern row,
+        and ``(net, rows)`` taking the XOR of several -- the last share of
+        an enumerated share bit, its secret bit XOR the free shares.
+        Every input net appears once per cycle.  ``nonzero_rows`` holds
+        the pattern rows of each enumerated non-zero byte.
+        """
+        cached = self._drive_tables.get(setup.key)
+        if cached is not None:
+            return cached
+        dut = self.dut
+        k = setup.n_free_bits
+        var_index = {var: i for i, var in enumerate(setup.free_vars)}
+        secret_index = {
+            bit: k + i for i, bit in enumerate(setup.used_secret_bits)
+        }
+        share_groups = set(setup.share_groups)
+        last_share = dut.n_shares - 1
+        drives = []
+        for cycle in range(setup.max_age + 1):
+            age = setup.max_age - cycle
+            # Per input net: the pattern rows whose XOR drives it (none:
+            # the all-zeros word), or None for the all-ones word.
+            sources: Dict[int, Optional[List[int]]] = {}
+            for share, bus in enumerate(dut.share_buses):
+                for bit, net in enumerate(bus):
+                    secret = [secret_index[bit]] if bit in secret_index else []
+                    if (bit, age) not in share_groups:
+                        # Consistent sharing of the same secret: shares
+                        # 0..d-1 are zero, the last carries the secret bit.
+                        sources[net] = secret if share == last_share else []
+                    elif share < last_share:
+                        sources[net] = [
+                            var_index[(("share", share, bit), age)]
+                        ]
+                    else:
+                        sources[net] = secret + [
+                            var_index[(("share", other, bit), age)]
+                            for other in range(last_share)
+                        ]
+            for net in dut.mask_bits:
+                var = (("mask", net), age)
+                sources[net] = [var_index[var]] if var in var_index else []
+            for bus_index, bus in enumerate(dut.uniform_byte_buses):
+                for bit, net in enumerate(bus):
+                    var = (("uniform", (bus_index, bit)), age)
+                    sources[net] = [var_index[var]] if var in var_index else []
+            for bus_index, bus in enumerate(dut.nonzero_byte_buses):
+                enumerated = (bus_index, age) in setup.nonzero_groups
+                for bit, net in enumerate(bus):
+                    if enumerated:
+                        var = (("nonzero", bus_index, bit), age)
+                        sources[net] = [var_index[var]]
+                    else:
+                        # Unobserved non-zero byte: any valid constant works.
+                        sources[net] = None if bit == 0 else []
+            drives.append((
+                [net for net, rows in sources.items() if rows == []],
+                [net for net, rows in sources.items() if rows is None],
+                [(net, rows[0]) for net, rows in sources.items()
+                 if rows and len(rows) == 1],
+                [(net, rows) for net, rows in sources.items()
+                 if rows and len(rows) > 1],
+            ))
         nonzero_rows = [
             [var_index[(("nonzero", bus_index, bit), age)] for bit in range(8)]
-            for bus_index, age in nonzero_groups
+            for bus_index, age in setup.nonzero_groups
         ]
-        return _count_trace(
-            trace,
-            [_count_spec(pc, [observe_cycle], None) for pc in probe_classes],
-            patterns, nonzero_rows, k, u, shard_index,
-        )
+        self._drive_tables[setup.key] = drives, nonzero_rows
+        return drives, nonzero_rows
 
     def finalize(
         self,

@@ -1,7 +1,9 @@
 """Work items: the one path of every parallel campaign chunk and exact sweep.
 
-A parallel run -- campaign blocks or exact shards, on a local process pool
-or on the service's fleet -- goes through the same four steps:
+Every exact sweep and every parallel campaign -- campaign blocks or exact
+shards, in-process, on a local process pool or on the service's fleet --
+goes through the same four steps (a campaign at one worker accumulates
+its chunks directly instead):
 
 * **items.**  A chunk's sampling blocks are cut into ``blocks`` items
   (:class:`BlockExecutor`) and an exact sweep's shard tasks become
@@ -19,9 +21,10 @@ or on the service's fleet -- goes through the same four steps:
   reruns only the items without a result, until every item has one
   (``False``) or ``should_stop`` ends the run (``True``).  ``shards(n)``
   says how many items to cut ``n`` blocks into; ``close()`` releases the
-  runner.  :class:`PoolRunner` is the local process pool;
-  :class:`repro.service.fleet.FleetRunner` runs items on leased fleet
-  workers.
+  runner.  :class:`PoolRunner` is the local process pool (in-process at
+  one worker); :class:`repro.service.fleet.FleetRunner` runs items on
+  leased fleet workers.  Campaigns and exact sweeps take a runner as
+  ``runner=`` and wrap it themselves.
 
 Results are **bit-identical** to the serial path for any runner, worker
 count or item boundaries: every block draws its stimulus from a private
@@ -59,28 +62,46 @@ def default_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def effective_workers(requested: int) -> int:
-    """Cap a requested worker count at the visible CPU count.
+def pool_workers(
+    requested: int, hook: Optional[Callable[[str, Dict], None]] = None
+) -> int:
+    """The local pool size of a run asking for ``requested`` workers.
 
     Oversubscribing a CPU-bound run is strictly counterproductive
     (``BENCH_parallel.json`` measured a 0.801x "speedup" for workers=2 on a
     single core: the pool pays pickling and merge overhead with no core to
-    run on), so campaigns and exact sweeps cap the pool size and warn
-    instead of silently running slower than serial.
+    run on), so campaigns and exact sweeps cap the pool at the visible CPU
+    count and warn instead of silently running slower than serial.  When
+    the cap leaves one worker of several requested, the run goes
+    in-process and ``hook`` hears so twice: ``degradation`` (kind
+    ``degraded_serial``), then ``degraded_serial``.
     """
     if requested < 1:
         raise SimulationError("workers must be at least 1")
     cpus = default_workers()
-    if requested > cpus:
-        warnings.warn(
-            f"requested {requested} workers but only {cpus} CPU(s) are "
-            f"visible; capping at {cpus} (oversubscription makes the "
-            "parallel path slower than serial)",
-            RuntimeWarning,
-            stacklevel=2,
+    if requested <= cpus:
+        return requested
+    warnings.warn(
+        f"requested {requested} workers but only {cpus} CPU(s) are "
+        f"visible; capping at {cpus} (oversubscription makes the "
+        "parallel path slower than serial)",
+        RuntimeWarning,
+        stacklevel=2,
+    )
+    if cpus == 1 and hook is not None:
+        hook(
+            "degradation",
+            {
+                "kind": "degraded_serial",
+                "detail": f"requested {requested} workers but only 1 is "
+                "effective on this host; running serially",
+            },
         )
-        return cpus
-    return requested
+        hook(
+            "degraded_serial",
+            {"requested_workers": requested, "effective_workers": 1},
+        )
+    return cpus
 
 
 def shard_blocks(blocks: Iterable[int], n_shards: int) -> List[List[int]]:
@@ -244,7 +265,8 @@ class BlockExecutor:
     result is checked as it arrives and the chunk merges only once every
     item has a checked result, so a bad result, a worker
     :class:`MemoryError` (which propagates, keeping the campaign's
-    split-and-retry) or a stop merges nothing.
+    split-and-retry), a stop or a runner that skipped an item merges
+    nothing.
     """
 
     def __init__(self, evaluator: LeakageEvaluator, runner):
@@ -294,6 +316,13 @@ class BlockExecutor:
             raise FleetInterrupted(
                 "stopped before every blocks item returned a result"
             )
+        missing = [i for i, state in enumerate(tables) if state is None]
+        if missing:
+            blocks = payloads[missing[0]]["blocks"]
+            raise WorkItemError(
+                f"the runner returned without a result for blocks item "
+                f"{blocks[0]}..{blocks[-1]}"
+            )
         for state in tables:
             acc.merge(state)
 
@@ -309,13 +338,16 @@ class BlockExecutor:
 
 
 def exact_dispatch(runner) -> Callable:
-    """A :meth:`ShardedExactAnalyzer.analyze` ``dispatch`` on ``runner``.
+    """Runs :class:`~repro.leakage.certify.ShardedExactAnalyzer` shard
+    tasks on ``runner``: ``dispatch(pending, merge, should_stop) ->
+    stopped``.
 
     Each pending ``(class_indices, shard, lane_bits)`` task becomes one
     ``exact_shard`` item -- one simulation counting every listed class --
-    and ``merge`` fires per class as each checked result arrives, in
-    completion order (sorted-union merging commutes, so the final
-    histograms match the serial sweep exactly).
+    and ``merge(class_index, shard_index, keys, rows, counts)`` fires per
+    class as each checked result arrives, in completion order
+    (sorted-union merging commutes, so the final histograms match the
+    single-shard enumeration exactly).
     """
 
     def dispatch(pending, merge, should_stop=None) -> bool:

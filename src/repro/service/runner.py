@@ -21,7 +21,7 @@ Execution contract:
   (the same path a SIGKILL takes, just without the lost in-flight chunk);
 * on success the serialized report is memoized in the content-addressed
   verdict store, making every future identical submission an O(1) lookup;
-* the telemetry hook threads through campaign *and* executor, so the event
+* the telemetry hook threads through campaign *and* runner, so the event
   log shows chunk throughput and pool behaviour per job.
 """
 
@@ -43,7 +43,6 @@ from repro.leakage import durable
 from repro.leakage.campaign import EvaluationCampaign
 from repro.leakage.evaluator import LeakageEvaluator
 from repro.leakage.model import ProbingModel
-from repro.leakage.parallel import BlockExecutor, exact_dispatch
 from repro.service.queue import JobQueue
 from repro.service.store import JobSpec, JobStore
 from repro.service.telemetry import Telemetry
@@ -159,8 +158,9 @@ def run_spec(
     code, whichever door it came in by.
 
     The keyword arguments are execution extras outside the spec.
-    ``runner`` (a :class:`~repro.service.fleet.FleetRunner`) executes
-    the campaign's blocks or the sweep's shards as work items.
+    ``runner`` (a :class:`~repro.service.fleet.FleetRunner`) goes to
+    either sweep unchanged and executes the campaign's blocks or the
+    sweep's shards as work items; the caller closes it.
     ``fault_plane``, ``default_chunking``, ``time_budget``,
     ``early_stop`` and ``stall_timeout`` apply to campaigns only.
 
@@ -184,7 +184,7 @@ def run_spec(
             resume=resume,
             hook=hook,
             should_stop=should_stop,
-            dispatch=None if runner is None else exact_dispatch(runner),
+            runner=runner,
             engine=spec.engine,
         )
         return report, None
@@ -202,7 +202,7 @@ def run_spec(
         hook=hook,
         should_stop=should_stop,
         fault_plane=fault_plane,
-        executor=None if runner is None else BlockExecutor(evaluator, runner),
+        runner=runner,
     )
     return campaign.run(resume=resume), campaign.progress
 

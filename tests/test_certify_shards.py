@@ -23,8 +23,9 @@ from repro.errors import (
     ExactAnalysisInfeasible,
     ServiceError,
     SimulationError,
+    WorkItemError,
 )
-from repro.leakage import exact, gtest, parallel
+from repro.leakage import certify, exact, gtest, parallel
 from repro.leakage.campaign import pack_checkpoint, unpack_checkpoint
 from repro.leakage.certify import (
     MIN_SHARD_LANE_BITS,
@@ -145,6 +146,67 @@ class TestHooksAndCancellation:
         )
         assert report.status == "truncated:cancelled"
         assert len(report.results) < len(subset)
+
+
+class TestOneRoute:
+    """Every shard task runs as a checked work item, also at one worker,
+    and only a stop while tasks remain truncates a sweep."""
+
+    def test_dropped_class_on_one_worker_is_an_error(
+        self, kronecker_full, monkeypatch
+    ):
+        """A shard counter that loses the last class of each multi-class
+        task fails the item check on the default in-process route."""
+        real = ExactAnalyzer.count_shard
+
+        def dropping(self, probe_classes, *args, **kwargs):
+            counts = real(self, probe_classes, *args, **kwargs)
+            return counts[:-1] if len(counts) > 1 else counts
+
+        monkeypatch.setattr(ExactAnalyzer, "count_shard", dropping)
+        with pytest.raises(WorkItemError, match="no shard counts"):
+            run_exact_analysis(kronecker_full.dut, max_enum_bits=24)
+
+    def test_stop_after_the_last_task_keeps_the_sweep_complete(
+        self, kronecker_eq6
+    ):
+        start, merges = {}, []
+
+        def hook(event, payload):
+            if event == "certify_start":
+                start.update(payload)
+            elif event == "shard_done":
+                merges.append(payload)
+
+        report = run_exact_analysis(
+            kronecker_eq6.dut,
+            max_enum_bits=12,
+            hook=hook,
+            should_stop=lambda: len(merges) == start["n_shards"],
+        )
+        assert len(merges) == start["n_shards"] == 82
+        assert report.status == "complete"
+        unstopped = run_exact_analysis(kronecker_eq6.dut, max_enum_bits=12)
+        assert report.to_json(top=None) == unstopped.to_json(top=None)
+
+    def test_campaign_stopped_after_its_last_chunk_is_complete(
+        self, kronecker_eq6
+    ):
+        from repro.leakage.campaign import CampaignConfig, EvaluationCampaign
+        from repro.leakage.evaluator import LeakageEvaluator
+
+        chunks = []
+        report = EvaluationCampaign(
+            LeakageEvaluator(kronecker_eq6.dut),
+            CampaignConfig(n_simulations=8_192, chunk_size=4_096),
+            hook=lambda event, payload: chunks.append(payload)
+            if event == "chunk_done"
+            else None,
+            should_stop=lambda: bool(chunks)
+            and chunks[-1]["blocks_done"] == chunks[-1]["blocks_total"],
+        ).run()
+        assert len(chunks) == 2
+        assert report.status == "complete"
 
 
 class TestCheckpointResume:
@@ -708,25 +770,22 @@ class TestGroupedCounting:
     def test_doubled_merge_from_an_executor_is_an_error(self):
         design, group = _eq6_group()
 
-        def doubling_dispatch(pending, merge, should_stop):
-            analyzer = sharded.analyzer
-            for class_indices, si, lane_bits in pending:
-                counts = analyzer.count_shard(
-                    [analyzer.probe_classes[ci] for ci in class_indices],
-                    si,
-                    lane_bits,
-                )
-                for ci, triple in zip(class_indices, counts):
-                    merge(ci, si, *triple)
-                    if si == 0:
-                        merge(ci, si, *triple)
-            return False
+        class DoublingRunner:
+            """Runs every item; hands each shard-0 result over twice."""
+
+            def run(self, payloads, on_result, should_stop=None):
+                for index, payload in enumerate(payloads):
+                    result = parallel.execute_item(sharded.analyzer, payload)
+                    on_result(index, result)
+                    if payload["shard_index"] == 0:
+                        on_result(index, result)
+                return False
 
         sharded = ShardedExactAnalyzer(
             design.dut, max_enum_bits=23, shard_lane_bits=7
         )
         with pytest.raises(SimulationError):
-            sharded.analyze(probe_classes=group, dispatch=doubling_dispatch)
+            sharded.analyze(probe_classes=group, runner=DoublingRunner())
 
 
 def _bincount_counts(keys, rows, width, u):
@@ -878,7 +937,9 @@ class _Killed(Exception):
 
 
 class TestGroupedCheckpoints:
-    def test_kill_between_two_classes_of_one_group(self, tmp_path):
+    def test_kill_between_two_classes_of_one_group(
+        self, tmp_path, monkeypatch
+    ):
         design, group = _eq6_group()
         path = str(tmp_path / "exact.ckpt")
         merged = []
@@ -889,13 +950,14 @@ class TestGroupedCheckpoints:
             if event == "checkpoint_saved":
                 raise _Killed()
 
+        monkeypatch.setattr(certify, "CHECKPOINT_EVERY", 1)
         with pytest.raises(_Killed):
             ShardedExactAnalyzer(
                 design.dut,
                 max_enum_bits=23,
                 shard_lane_bits=7,
-                checkpoint_every=1,
             ).analyze(probe_classes=group, checkpoint=path, hook=killing_hook)
+        monkeypatch.undo()
         # The only save landed after the first class of the first group
         # task: its siblings on that shard were not merged yet.
         assert len(merged) == 1

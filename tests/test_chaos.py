@@ -32,7 +32,7 @@ from repro.leakage.campaign import (
 from repro.leakage.evaluator import HistogramAccumulator, LeakageEvaluator
 from repro.leakage.model import ProbingModel
 from repro.leakage.certify import ShardedExactAnalyzer
-from repro.leakage.parallel import BlockExecutor, PoolRunner, exact_dispatch
+from repro.leakage.parallel import BlockExecutor, PoolRunner
 
 N_SIMS = 8_000
 
@@ -303,7 +303,7 @@ class TestWorkerDegradationLadder:
         with PoolRunner(
             sharded.analyzer, 2, hook=hook, **runner_kwargs
         ) as runner:
-            report = sharded.analyze(dispatch=exact_dispatch(runner))
+            report = sharded.analyze(runner=runner)
         serial = ShardedExactAnalyzer(design.dut, max_enum_bits=12).analyze()
         return events, report.to_json(top=None), serial.to_json(top=None)
 

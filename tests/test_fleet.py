@@ -24,7 +24,7 @@ import pytest
 from repro.errors import FleetInterrupted, ServiceError
 from repro.leakage.campaign import EvaluationCampaign
 from repro.leakage.evaluator import HistogramAccumulator
-from repro.leakage.parallel import BlockExecutor, exact_dispatch
+from repro.leakage.parallel import BlockExecutor
 from repro.service import EvaluationService, JobSpec
 from repro.service.fleet import (
     FleetCoordinator,
@@ -70,7 +70,7 @@ def _fleet_report_bytes(spec_dict, coordinator, job_id="job-under-test"):
     campaign = EvaluationCampaign(
         executor.evaluator,
         spec.campaign_config(default_chunking=True),
-        executor=executor,
+        runner=executor.runner,
     )
     try:
         return campaign.run().to_json(top=None)
@@ -414,7 +414,7 @@ class TestFleetBitIdentity:
             report = run_exact_analysis(
                 design.dut,
                 **kwargs,
-                dispatch=exact_dispatch(FleetRunner(coord, "jx")),
+                runner=FleetRunner(coord, "jx"),
             )
         finally:
             stop.set()

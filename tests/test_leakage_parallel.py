@@ -28,7 +28,6 @@ from repro.leakage.parallel import (
     BlockExecutor,
     PoolRunner,
     default_workers,
-    exact_dispatch,
     shard_blocks,
 )
 from repro.service.fleet import (
@@ -357,6 +356,22 @@ def _tampering_runner(kind, target, spec, tamper, monkeypatch):
         thread.join(timeout=5)
 
 
+class _SkippingRunner:
+    """Runs every item but the first in-process, then reports no stop."""
+
+    def __init__(self, target):
+        self.target = target
+
+    def shards(self, n_blocks):
+        return 2
+
+    def run(self, payloads, on_result, should_stop=None):
+        for index, payload in enumerate(payloads):
+            if index:
+                on_result(index, parallel.execute_item(self.target, payload))
+        return False
+
+
 class TestResultChecks:
     """Every runner's results pass the item check before anything merges:
     a result that lost, added, shortened or doubled evidence raises a
@@ -387,6 +402,26 @@ class TestResultChecks:
                 )
         assert acc.table_ids() == []
 
+    def test_runner_that_skipped_an_item_merges_nothing(self, kronecker_eq6):
+        """A runner returning without a stop while an item has no result
+        is a typed error, not a chunk short of that item's blocks."""
+        evaluator = _evaluator(kronecker_eq6)
+        acc = HistogramAccumulator()
+        with pytest.raises(WorkItemError, match="without a result"):
+            BlockExecutor(evaluator, _SkippingRunner(evaluator)).accumulate(
+                acc, 0, CHECK_LANES, 1, CHECK_BLOCKS, class_indices=[0, 1, 2]
+            )
+        assert acc.table_ids() == []
+
+    def test_exact_runner_that_skipped_an_item_is_an_error(
+        self, kronecker_full
+    ):
+        """An exact sweep that was not stopped gives no verdict while a
+        class lacks a shard, rather than leaving that class out."""
+        sharded = ShardedExactAnalyzer(kronecker_full.dut, max_enum_bits=24)
+        with pytest.raises(SimulationError, match="without being stopped"):
+            sharded.analyze(runner=_SkippingRunner(sharded.analyzer))
+
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),
         reason="the tampering is injected into forked pool workers",
@@ -402,7 +437,7 @@ class TestResultChecks:
         ) as items:
             with pytest.raises(WorkItemError, match="no shard counts"):
                 sharded.analyze(
-                    dispatch=exact_dispatch(items),
+                    runner=items,
                     hook=lambda event, payload: events.append(event),
                 )
         assert "shard_done" not in events
