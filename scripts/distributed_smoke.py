@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Distributed-fabric smoke test (CI, stdlib only): kill a worker, keep the bytes.
+"""Distributed-fabric smoke test (CI, stdlib only): kill a worker or the
+coordinator, keep the bytes.
 
 Boots a fleet coordinator (``repro.cli serve --fleet``) with **zero** local
 workers plus external ``repro.cli worker`` processes speaking the
@@ -16,7 +17,15 @@ claim end to end:
   mid-flight);
 * **exact leg** -- a ``mode="exact"`` certification job is distributed
   across two workers and its report compared byte-for-byte against the
-  in-process :func:`repro.leakage.certify.run_exact_analysis` sweep.
+  in-process :func:`repro.leakage.certify.run_exact_analysis` sweep;
+* **coordinator legs** -- the campaign again, on a fresh state dir, with
+  the coordinator stopped while a chunk is in flight: once by SIGINT
+  (a graceful stop: the job must be left ``queued`` with its
+  checkpoint) and once by SIGKILL (the job is left ``running``, and the
+  restart's recovery counts one restart).  Each time the coordinator
+  restarts on the same state dir with a fresh worker; the finished
+  report must be byte-identical to the serial run, resumed from a block
+  past 0.
 
 Run from the repository root::
 
@@ -28,6 +37,7 @@ Exits 0 on success, 1 on failure.
 import argparse
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -120,6 +130,95 @@ def fetch_report(address, job_id):
         return resp.read()
 
 
+def stop_processes(procs):
+    for proc in procs:
+        if proc.poll() is None:
+            proc.terminate()
+    for proc in procs:
+        proc.wait()
+
+
+def coordinator_leg(name, sig, campaign_spec, golden, options, env, deadline):
+    """Stop the coordinator by ``sig`` mid-chunk, restart it, compare.
+
+    The campaign runs on one worker until a chunk is done (so its
+    checkpoint is on disk) and the next chunk's item is on lease; then
+    the coordinator gets ``sig`` and the worker is killed.  The durable
+    job record must say what the signal promises: ``queued`` with a
+    checkpoint after a graceful SIGINT, ``running`` after a SIGKILL.
+    """
+    from repro.leakage import durable
+    from repro.service.store import JobStore
+
+    state_dir = tempfile.mkdtemp(prefix=f"distributed_smoke_{name}_")
+    procs = []
+    try:
+        coordinator, address = start_coordinator(
+            state_dir, options.lease_seconds, env
+        )
+        procs += [coordinator, start_worker(address, f"{name}-1", env)]
+        job_id = _post_json(f"{address}/v1/jobs", campaign_spec)["job_id"]
+        while True:
+            if time.monotonic() > deadline:
+                raise SystemExit(f"FAIL: {name}: no chunk finished in time")
+            record = _get_json(f"{address}/v1/jobs/{job_id}")
+            if record["state"] not in ("queued", "running"):
+                raise SystemExit(
+                    f"FAIL: {name}: job ended {record['state']!r} before "
+                    "the coordinator was stopped"
+                )
+            done = (record.get("progress") or {}).get("blocks_done") or 0
+            if done and _get_json(f"{address}/v1/fleet")["active_leases"]:
+                break
+            time.sleep(0.05)
+        coordinator.send_signal(sig)
+        try:
+            coordinator.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            raise SystemExit(f"FAIL: {name}: coordinator did not exit")
+        stop_processes(procs)
+        store = JobStore(state_dir)
+        left = store.get_job(job_id)["state"]
+        expected = "queued" if sig == signal.SIGINT else "running"
+        if left != expected:
+            raise SystemExit(
+                f"FAIL: {name}: the stopped coordinator left the job "
+                f"{left!r}, expected {expected!r}"
+            )
+        if not durable.checkpoint_exists(store.checkpoint_path(job_id)):
+            raise SystemExit(f"FAIL: {name}: the job lost its checkpoint")
+        print(f"  {name}: job left {left!r} with its checkpoint; restarting")
+
+        coordinator, address = start_coordinator(
+            state_dir, options.lease_seconds, env
+        )
+        procs = [coordinator, start_worker(address, f"{name}-2", env)]
+        record = wait_for_job(address, job_id, deadline)
+        if record["state"] != "done":
+            raise SystemExit(
+                f"FAIL: {name}: job ended {record['state']!r}: "
+                f"{record.get('error')}"
+            )
+        if fetch_report(address, job_id) != golden:
+            raise SystemExit(
+                f"FAIL: {name}: report after the coordinator restart is "
+                "not byte-identical to the serial reference"
+            )
+        resumed = record["progress"]["resumed_from_block"]
+        restarts = record.get("restarts") or 0
+        if resumed <= 0:
+            raise SystemExit(f"FAIL: {name}: the job restarted from block 0")
+        if restarts != (0 if sig == signal.SIGINT else 1):
+            raise SystemExit(
+                f"FAIL: {name}: recovery counted {restarts} restart(s)"
+            )
+        print(f"  {name}: report byte-identical; resumed from block "
+              f"{resumed}, {restarts} restart(s) counted")
+    finally:
+        stop_processes(procs)
+        shutil.rmtree(state_dir, ignore_errors=True)
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--simulations", type=int, default=150_000)
@@ -153,7 +252,7 @@ def main():
         "seed": 7,
     }
 
-    print("[1/6] computing in-process serial references")
+    print("[1/8] computing in-process serial references")
     spec = JobSpec.from_dict(dict(campaign_spec))
     golden_campaign = (
         EvaluationCampaign(
@@ -177,7 +276,7 @@ def main():
     workers = []
     deadline = time.monotonic() + DEADLINE_SECONDS
     try:
-        print(f"[2/6] coordinator at {address}; starting worker alpha")
+        print(f"[2/8] coordinator at {address}; starting worker alpha")
         workers.append(start_worker(address, "alpha", env))
         record = _post_json(f"{address}/v1/jobs", campaign_spec)
         job_id = record["job_id"]
@@ -186,7 +285,7 @@ def main():
         # completed (it is executing) and a lease is active right now.
         # alpha is the only worker, so every active lease is alpha's and
         # the SIGKILL must strand it past expiry.
-        print("[3/6] waiting for worker alpha to hold an active lease")
+        print("[3/8] waiting for worker alpha to hold an active lease")
         while True:
             if time.monotonic() > deadline:
                 raise SystemExit("FAIL: campaign never put alpha on lease")
@@ -199,7 +298,7 @@ def main():
             time.sleep(0.05)
         workers[0].send_signal(signal.SIGKILL)
         workers[0].wait()
-        print("[4/6] worker alpha SIGKILLed mid-lease; starting worker beta")
+        print("[4/8] worker alpha SIGKILLed mid-lease; starting worker beta")
         workers.append(start_worker(address, "beta", env))
 
         record = wait_for_job(address, job_id, deadline)
@@ -225,7 +324,7 @@ def main():
               f"{stats['counters']['leases_expired']} lease(s) expired "
               "and were reissued")
 
-        print("[5/6] exact certification across two workers")
+        print("[5/8] exact certification across two workers")
         workers.append(start_worker(address, "gamma", env))
         record = _post_json(f"{address}/v1/jobs", exact_spec)
         record = wait_for_job(address, record["job_id"], deadline)
@@ -243,17 +342,23 @@ def main():
         stats = _get_json(f"{address}/v1/fleet")
         print(f"  exact report byte-identical; fleet counters: "
               f"{stats['counters']}")
-        print("[6/6] PASS: coordinator/worker execution is byte-faithful "
-              "under worker death")
-        return 0
     finally:
-        for worker in workers:
-            if worker.poll() is None:
-                worker.terminate()
-        coordinator.terminate()
-        for worker in workers:
-            worker.wait()
-        coordinator.wait()
+        stop_processes(workers + [coordinator])
+        shutil.rmtree(state_dir, ignore_errors=True)
+
+    print("[6/8] coordinator SIGINTed mid-chunk, restarted on its state dir")
+    coordinator_leg(
+        "sigint", signal.SIGINT, campaign_spec, golden_campaign, options,
+        env, deadline,
+    )
+    print("[7/8] coordinator SIGKILLed mid-chunk, restarted on its state dir")
+    coordinator_leg(
+        "sigkill", signal.SIGKILL, campaign_spec, golden_campaign, options,
+        env, deadline,
+    )
+    print("[8/8] PASS: coordinator/worker execution is byte-faithful "
+          "under worker and coordinator death")
+    return 0
 
 
 if __name__ == "__main__":

@@ -95,11 +95,10 @@ class FleetInterrupted(ServiceError):
 
     Raised by :meth:`repro.service.fleet.FleetCoordinator.wait` when the
     caller's ``should_stop`` fires (cancellation, watchdog stall, service
-    shutdown) or when the owning job is released mid-wait, and by
-    :class:`repro.leakage.parallel.BlockExecutor` when such a stop leaves
-    a chunk's blocks without results.  The runner maps it onto the same
-    cancelled / restart / requeue ladder used for ``truncated:cancelled``
-    campaign reports.
+    shutdown) or when the owning job is released mid-wait.  It stays
+    inside the fleet: :class:`repro.service.fleet.FleetRunner` turns it
+    into the runner contract's stop, so a stopped campaign chunk ends the
+    campaign ``truncated:cancelled``, as a stopped exact sweep does.
     """
 
 

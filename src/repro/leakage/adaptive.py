@@ -47,7 +47,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.leakage.evaluator import HistogramAccumulator
+from repro.leakage.evaluator import (
+    HistogramAccumulator,
+    _distinct_offsets,
+    table_ids,
+)
 
 #: Probe decision states.
 UNDECIDED = "undecided"
@@ -129,9 +133,10 @@ class ProbeState:
 class AdaptiveScheduler:
     """Per-probe decision tracking over a campaign's chunk sequence.
 
-    The scheduler owns one :class:`ProbeState` per first-order probe class
-    (table id ``c<i>``, ``i`` indexing the evaluator's probe classes) and
-    per probe-pair table (``p<i>:<j>:<delta>``).  The campaign asks it
+    The scheduler owns one :class:`ProbeState` per table of its selection
+    (:func:`~repro.leakage.evaluator.table_ids`): per first-order probe
+    class, ``i`` in ``c<i>`` indexing the evaluator's probe classes, and
+    per probe-pair table.  The campaign asks it
     which class indices / pairs are still active before each chunk, feeds
     the accumulated tables back in at the chunk boundary via
     :meth:`observe`, and consults :meth:`all_decided` /
@@ -149,21 +154,18 @@ class AdaptiveScheduler:
         #: number of first-order probe classes tracked (0 in pairs mode).
         self.n_classes = n_classes
         self.pairs = [tuple(p) for p in pairs]
-        self.pair_offsets = sorted(set(pair_offsets))
+        self.pair_offsets = _distinct_offsets(pair_offsets)
         self.chunks_observed = 0
-        self._states: Dict[str, ProbeState] = {}
-        for index in range(self.n_classes):
-            self._add_state(f"c{index}")
-        for i, j in self.pairs:
-            for delta in self.pair_offsets:
-                self._add_state(f"p{i}:{j}:{delta}")
+        self._states: Dict[str, ProbeState] = {
+            table_id: ProbeState(table_id=table_id)
+            for table_id in table_ids(
+                range(n_classes), self.pairs, self.pair_offsets
+            )
+        }
         if not self._states:
             raise SimulationError(
                 "adaptive scheduling needs at least one probe table"
             )
-
-    def _add_state(self, table_id: str) -> None:
-        self._states[table_id] = ProbeState(table_id=table_id)
 
     # ------------------------------------------------------------ queries
 
@@ -171,8 +173,8 @@ class AdaptiveScheduler:
         """Original probe-class indices still accumulating."""
         return [
             index
-            for index in range(self.n_classes)
-            if not self._states[f"c{index}"].decided
+            for index, table_id in enumerate(table_ids(range(self.n_classes)))
+            if not self._states[table_id].decided
         ]
 
     def active_pairs(self) -> List[Tuple[int, int]]:
@@ -183,11 +185,11 @@ class AdaptiveScheduler:
         are shared across offsets anyway).
         """
         return [
-            (i, j)
-            for i, j in self.pairs
+            pair
+            for pair in self.pairs
             if any(
-                not self._states[f"p{i}:{j}:{delta}"].decided
-                for delta in self.pair_offsets
+                not self._states[table_id].decided
+                for table_id in table_ids((), [pair], self.pair_offsets)
             )
         ]
 

@@ -66,6 +66,7 @@ from repro.leakage.evaluator import (
     HistogramAccumulator,
     LeakageEvaluator,
     packed_totals,
+    table_ids,
 )
 from repro.leakage.gtest import DEFAULT_THRESHOLD
 from repro.leakage.parallel import BlockExecutor, PoolRunner, pool_workers
@@ -168,13 +169,14 @@ class EvaluationCampaign:
     and "campaign_end" (plus the pool events forwarded from
     :class:`~repro.leakage.parallel.PoolRunner`); it observes progress
     only and must not raise.  ``should_stop`` is an optional zero-argument
-    callable polled at chunk boundaries; once it returns true the campaign
-    stops cleanly with status ``truncated:cancelled`` -- this is how the
-    evaluation service implements job cancellation and graceful shutdown
-    without killing the process.  ``runner`` (the service's fleet, say)
-    runs every chunk's blocks as ``blocks`` work items through a
-    :class:`~repro.leakage.parallel.BlockExecutor`; the campaign does not
-    close it, and ``workers`` then sizes nothing.
+    callable polled at chunk boundaries, and by a runner between work
+    items; once it returns true the campaign stops cleanly with status
+    ``truncated:cancelled``, and a chunk it stopped merges nothing --
+    this is how the evaluation service implements job cancellation and
+    graceful shutdown without killing the process.  ``runner`` (the
+    service's fleet, say) runs every chunk's blocks as ``blocks`` work
+    items through a :class:`~repro.leakage.parallel.BlockExecutor`; the
+    campaign does not close it, and ``workers`` then sizes nothing.
     """
 
     def __init__(
@@ -447,7 +449,11 @@ class EvaluationCampaign:
                 stage_before = dict(
                     getattr(self.evaluator, "stage_seconds", {}) or {}
                 )
-                self._run_chunk_with_retry(next_block, end)
+                if self._run_chunk_with_retry(next_block, end):
+                    # Stopped inside the chunk: it merged nothing, just
+                    # as a stop at the chunk boundary would have.
+                    status = "truncated:cancelled"
+                    break
                 stage_after = getattr(
                     self.evaluator, "stage_seconds", {}
                 ) or {}
@@ -546,25 +552,45 @@ class EvaluationCampaign:
         )
         return self._report(status)
 
-    def _run_chunk_with_retry(self, start: int, end: int) -> None:
-        """Accumulate blocks ``[start, end)``, splitting on MemoryError.
+    def _run_chunk_with_retry(self, start: int, end: int) -> bool:
+        """Accumulate blocks ``[start, end)``; True when stopped.
 
-        The chunk lands in a scratch accumulator that is merged only on
-        success, so a failed attempt never double-counts blocks.
+        The chunk's tables merge into the campaign's only once every
+        block is counted (:meth:`_count_blocks`), so a failed attempt
+        never double-counts blocks and a stopped chunk merges nothing.
         """
-        if end - start <= 0:
-            return
+        tables = self._count_blocks(start, end)
+        if tables is None:
+            return True
+        self.accumulator.merge(tables)
+        return False
+
+    def _count_blocks(
+        self, start: int, end: int
+    ) -> Optional[HistogramAccumulator]:
+        """The tables of blocks ``[start, end)``; None when stopped.
+
+        A ``MemoryError`` splits the range in halves, whose tables
+        combine only once both are counted: a stop in the second half
+        drops the first half too.
+        """
+        tables = HistogramAccumulator()
         try:
-            scratch = HistogramAccumulator()
-            self._accumulate(scratch, range(start, end))
-            self.accumulator.merge(scratch)
+            stopped = self._accumulate(tables, range(start, end))
         except MemoryError:
             if end - start == 1:
                 raise
             self.progress.retries += 1
             middle = (start + end) // 2
-            self._run_chunk_with_retry(start, middle)
-            self._run_chunk_with_retry(middle, end)
+            first = self._count_blocks(start, middle)
+            second = None if first is None else self._count_blocks(
+                middle, end
+            )
+            if second is None:
+                return None
+            first.merge(second)
+            return first
+        return None if stopped else tables
 
     def _emit_slice_telemetry(self) -> None:
         """Report the sliced program the next chunk will simulate.
@@ -617,7 +643,9 @@ class EvaluationCampaign:
         extra -= base_blocks * block_lanes
         return self._n_lanes + max(0, extra)
 
-    def _accumulate(self, acc: HistogramAccumulator, blocks: range) -> None:
+    def _accumulate(self, acc: HistogramAccumulator, blocks: range) -> bool:
+        """Count ``blocks`` into ``acc``; True when a stop ended the chunk
+        on a runner (in-process chunks stop only at their boundary)."""
         cfg = self.config
         class_indices, pairs = self._active_selection()
         # Escalation blocks index lanes past the base budget, so they need
@@ -628,7 +656,7 @@ class EvaluationCampaign:
             else self._esc_lanes
         )
         if self._executor is not None:
-            self._executor.accumulate(
+            return self._executor.accumulate(
                 acc,
                 cfg.fixed_secret,
                 lanes_cap,
@@ -637,18 +665,19 @@ class EvaluationCampaign:
                 class_indices=class_indices,
                 pairs=pairs,
                 pair_offsets=cfg.pair_offsets,
+                should_stop=self.should_stop,
             )
-        else:
-            self.evaluator.accumulate(
-                acc,
-                cfg.fixed_secret,
-                lanes_cap,
-                cfg.n_windows,
-                class_indices=class_indices,
-                pairs=pairs,
-                pair_offsets=cfg.pair_offsets,
-                blocks=blocks,
-            )
+        self.evaluator.accumulate(
+            acc,
+            cfg.fixed_secret,
+            lanes_cap,
+            cfg.n_windows,
+            class_indices=class_indices,
+            pairs=pairs,
+            pair_offsets=cfg.pair_offsets,
+            blocks=blocks,
+        )
+        return False
 
     def _report(self, status: str) -> LeakageReport:
         """The report of the blocks done so far.
@@ -668,37 +697,17 @@ class EvaluationCampaign:
                 "their probes were sampled into; no verdict from missing "
                 "evidence"
             )
-        if cfg.mode == "pairs":
-            report = self.evaluator.pairs_report(
-                self.accumulator,
-                cfg.fixed_secret,
-                n_samples,
-                self._pairs,
-                cfg.pair_offsets,
-                cfg.threshold,
-                status=status,
-                expected=expected,
-            )
-        elif cfg.mode == "both":
-            report = self.evaluator.batched_report(
-                self.accumulator,
-                cfg.fixed_secret,
-                n_samples,
-                self._pairs,
-                cfg.pair_offsets,
-                cfg.threshold,
-                status=status,
-                expected=expected,
-            )
-        else:
-            report = self.evaluator.first_order_report(
-                self.accumulator,
-                cfg.fixed_secret,
-                n_samples,
-                cfg.threshold,
-                status=status,
-                expected=expected,
-            )
+        report = self.evaluator.report(
+            self.accumulator,
+            cfg.fixed_secret,
+            n_samples,
+            cfg.threshold,
+            classes=() if cfg.mode == "pairs" else None,
+            pairs=self._pairs,
+            pair_offsets=cfg.pair_offsets,
+            status=status,
+            expected=expected,
+        )
         if self.scheduler is not None:
             report.adaptive = self.scheduler.summary(
                 uniform_samples=self._n_lanes * cfg.n_windows
@@ -792,20 +801,15 @@ class EvaluationCampaign:
         if scheduler is None:
             cfg = self.config
             samples = self._lanes_done(next_block) * cfg.n_windows
-            class_indices, pairs = self._active_selection()
-            offsets = sorted(set(cfg.pair_offsets))
-            ids = [f"c{i}" for i in class_indices] + [
-                f"p{i}:{j}:{d}" for i, j in pairs for d in offsets
-            ]
+            ids = table_ids(*self._active_selection(), cfg.pair_offsets)
             return {table_id: samples for table_id in ids if samples}
         states = scheduler.states()
         expected = {
-            table_id: state.n_samples
-            for table_id, state in states.items()
-            if table_id.startswith("c")
+            table_id: states[table_id].n_samples
+            for table_id in table_ids(range(scheduler.n_classes))
         }
-        for i, j in scheduler.pairs:
-            ids = [f"p{i}:{j}:{d}" for d in scheduler.pair_offsets]
+        for pair in scheduler.pairs:
+            ids = table_ids((), [pair], scheduler.pair_offsets)
             samples = max(states[table_id].n_samples for table_id in ids)
             expected.update(dict.fromkeys(ids, samples))
         return {table_id: n for table_id, n in expected.items() if n}

@@ -56,10 +56,10 @@ from repro.leakage.sni import (
     SniResult,
 )
 from repro.netlist.core import netlist_content_hash
+from repro.netlist.slice import sequential_cone
 from repro.netlist.topo import (
     GadgetRegion,
     extract_subnetlist,
-    fanin_cells,
     gadget_regions,
     sequential_depth,
     transitive_input_support,
@@ -909,10 +909,14 @@ class CompositionalChecker:
         obstruction the other values are None.
         """
         netlist = self.dut.netlist
-        cells = fanin_cells(
+        cone = sequential_cone(
             netlist, [netlist.cells[i].output for i in region.cells]
         )
-        cells |= set(region.cells)
+        cells = {
+            driver.index
+            for driver in map(netlist.driver, cone)
+            if driver is not None
+        }
         sub, mapping = extract_subnetlist(
             netlist, cells, f"{netlist.name}.{region.name}.slice"
         )

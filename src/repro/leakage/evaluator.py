@@ -994,12 +994,44 @@ def _packed_tables(
     ]
 
 
-def _check_samples(table: str, outcome: GTestResult, samples: int) -> None:
-    """Raise unless a tested table holds ``samples`` per group.
+def _distinct_offsets(pair_offsets: Iterable[int]) -> List[int]:
+    """Pair offsets in the order a pair's tables take: each once, ascending."""
+    return sorted(set(pair_offsets))
 
-    ``outcome`` is the table's G-test, whose group totals come for free
-    with the statistic.  A table missing samples -- or missing entirely,
-    which tests as G = 0 -- would otherwise read as a pass.
+
+def table_ids(
+    class_indices: Iterable[int],
+    pairs: Iterable[Tuple[int, int]] = (),
+    pair_offsets: Iterable[int] = (0,),
+) -> List[str]:
+    """The table ids of a probe selection, in report order.
+
+    ``c<i>`` per class index, then ``p<i>:<j>:<delta>`` per pair and
+    distinct offset, the second probe of a pair ``delta`` cycles earlier.
+    Checkpoints, work-item results and adaptive state store these ids,
+    so they are a persisted format.
+    """
+    offsets = _distinct_offsets(pair_offsets)
+    return [f"c{i}" for i in class_indices] + [
+        f"p{i}:{j}:{delta}" for i, j in pairs for delta in offsets
+    ]
+
+
+def _checked_result(
+    table: str,
+    outcome: GTestResult,
+    samples: int,
+    threshold: float,
+    probe_names: str,
+    support_names: Tuple[str, ...] = (),
+) -> ProbeResult:
+    """One report row: a table's G-test, checked to hold ``samples``.
+
+    The only builder of sampled report rows.  ``outcome`` is the table's
+    G-test, whose group totals come for free with the statistic; unless
+    each group holds ``samples``, :class:`SimulationError` is raised.  A
+    table missing samples -- or missing entirely, which tests as G = 0
+    -- would otherwise read as a pass.
     """
     if outcome.n_fixed != samples or outcome.n_random != samples:
         raise SimulationError(
@@ -1007,6 +1039,15 @@ def _check_samples(table: str, outcome: GTestResult, samples: int) -> None:
             f"{outcome.n_random} random samples, but its probe received "
             f"{samples} per group; no verdict from missing evidence"
         )
+    return ProbeResult(
+        probe_names=probe_names,
+        support_names=support_names,
+        n_samples=outcome.n_fixed + outcome.n_random,
+        g_statistic=outcome.g_statistic,
+        dof=outcome.dof,
+        mlog10p=outcome.mlog10p,
+        leaking=outcome.is_leaking(threshold),
+    )
 
 
 def packed_totals(arrays: Dict[str, np.ndarray]) -> np.ndarray:
@@ -1338,11 +1379,10 @@ class LeakageEvaluator(engine_registry.EngineOwner):
     def accumulate(
         self,
         acc: HistogramAccumulator,
-        fixed_secret: int = 0,
-        n_lanes: Optional[int] = None,
+        fixed_secret: int,
+        n_lanes: int,
         n_windows: int = 1,
         *,
-        spec=None,
         classes: Optional[Sequence[ProbeClass]] = None,
         class_indices: Optional[Sequence[int]] = None,
         pairs: Sequence[Tuple[int, int]] = (),
@@ -1352,25 +1392,20 @@ class LeakageEvaluator(engine_registry.EngineOwner):
         """Accumulate observations for any probe selection into ``acc``.
 
         Per block both groups are simulated a single time
-        (:func:`_count_block`), and all first-order classes (table ids
-        ``c<i>``) plus all probe-pair tables (``p<i>:<j>:<delta>``,
-        indices into the evaluator's own probe classes) are evaluated
-        against the same recorded trace.  Dense first-order tables count
-        through one :class:`_CountPlan`, in numpy or in the in-kernel
-        pipeline, and dense pair tables through one :class:`_PairPlan`,
-        which builds each observed (class, offset) key once per trace
-        and counts the tables of many pairs per array pass.  Both count
+        (:func:`_count_block`), and all first-order classes plus all
+        probe-pair tables (pairs index the evaluator's own probe classes;
+        ids from :func:`table_ids`) are evaluated against the same
+        recorded trace.  Dense first-order tables count through one
+        :class:`_CountPlan`, in numpy or in the in-kernel pipeline, and
+        dense pair tables through one :class:`_PairPlan`, which builds
+        each observed (class, offset) key once per trace and counts the
+        tables of many pairs per array pass.  Both count
         into arrays folded into ``acc`` once per call; tables too wide
         for dense rows add their keys per block.  ``stage_seconds``
         books pair counting, like the wide tables, as ``extract``.
 
         Probe selection, in precedence order:
 
-        * ``spec`` -- an :class:`repro.spec.EvaluationSpec` (anything with
-          its sampling attributes); supplies ``fixed_secret``, ``n_lanes``
-          (from its ``n_simulations``/``n_windows``), ``pair_offsets``, and
-          -- for modes ``pairs``/``both`` -- the deterministic pair
-          selection, unless explicitly overridden.
         * ``class_indices`` -- indices into the evaluator's own probe
           classes; table ids keep those indices (``c<i>``), which is what
           lets the adaptive scheduler prune classes mid-campaign without
@@ -1387,20 +1422,6 @@ class LeakageEvaluator(engine_registry.EngineOwner):
         observation cycles relative to a dedicated margin-0 run (same
         distribution, different samples).
         """
-        if spec is not None:
-            fixed_secret = spec.fixed_secret
-            n_windows = spec.n_windows
-            if n_lanes is None:
-                n_lanes = self.n_lanes_for(spec.n_simulations, n_windows)
-            pair_offsets = tuple(spec.pair_offsets)
-            if spec.mode in ("pairs", "both") and not pairs:
-                pairs = self.select_pairs(spec.max_pairs, spec.pair_seed)
-            if spec.mode == "pairs" and classes is None:
-                classes = ()
-        if n_lanes is None:
-            raise SimulationError(
-                "accumulate() needs n_lanes (or a spec to derive it from)"
-            )
         if class_indices is not None:
             if classes is not None:
                 raise SimulationError(
@@ -1448,6 +1469,7 @@ class LeakageEvaluator(engine_registry.EngineOwner):
         _, class_specs, dense, wide, plan, pair_plan, pair_ids = (
             self._count_selection(classes, pairs, offsets, eval_cycles)
         )
+        class_ids = table_ids(class_indices)
         totals = np.zeros((2, plan.size), dtype=np.int64)
         pair_totals = np.zeros((2, pair_plan.size), dtype=np.int64)
         pipeline = (
@@ -1493,7 +1515,7 @@ class LeakageEvaluator(engine_registry.EngineOwner):
                 bit_cache: Dict[Tuple[int, int], np.ndarray] = {}
                 for k in wide:
                     acc.add(
-                        f"c{class_indices[k]}",
+                        class_ids[k],
                         _observe(trace, class_specs[k], bit_cache, hamming),
                         group,
                     )
@@ -1504,12 +1526,12 @@ class LeakageEvaluator(engine_registry.EngineOwner):
                     )
             stage["extract"] += perf_counter() - t0
         t0 = perf_counter()
-        for table_ids, bounds, rows in (
-            ((f"c{class_indices[k]}" for k in dense), plan.bounds, totals),
+        for ids, bounds, rows in (
+            ((class_ids[k] for k in dense), plan.bounds, totals),
             ((pair_ids[k] for k in pair_plan.dense), pair_plan.bounds,
              pair_totals),
         ):
-            for table_id, (start, stop) in zip(table_ids, bounds):
+            for table_id, (start, stop) in zip(ids, bounds):
                 # A table no lane reached stays absent, as with add().
                 if rows[:, start:stop].any():
                     acc._fold(table_id, None, rows[:, start:stop])
@@ -1566,7 +1588,7 @@ class LeakageEvaluator(engine_registry.EngineOwner):
             self.observation == "hamming",
             self._bucket_bits,
         )
-        pair_ids = [f"p{i}:{j}:{delta}" for i, j in pairs for delta in offsets]
+        pair_ids = table_ids((), pairs, offsets)
         dense = [
             k for k, spec in enumerate(class_specs)
             if spec.n_bins <= gtest.DENSE_KEY_LIMIT
@@ -1583,44 +1605,76 @@ class LeakageEvaluator(engine_registry.EngineOwner):
         )
         return self._selection
 
-    # ----------------------------------------------------------- first order
+    # --------------------------------------------------------------- reports
 
-    def first_order_report(
+    def report(
         self,
         acc: HistogramAccumulator,
         fixed_secret: int,
         n_samples: int,
         threshold: float = DEFAULT_THRESHOLD,
-        classes: Optional[List[ProbeClass]] = None,
+        classes: Optional[Sequence[ProbeClass]] = None,
+        pairs: Sequence[Tuple[int, int]] = (),
+        pair_offsets: Sequence[int] = (0,),
         status: str = "complete",
         expected: Optional[Dict[str, int]] = None,
     ) -> LeakageReport:
-        """G-test every accumulated probe-class table into a report.
+        """G-test the tables of a probe selection into a report.
 
-        ``expected`` maps table ids to the samples per group each table
-        must hold (absent ids: none); any other total raises
-        :class:`SimulationError` (:func:`_check_samples`).
+        The only builder of sampled reports.  Rows come in
+        :func:`table_ids` order: one per class of ``classes`` (table ids
+        by enumeration order, as in :meth:`accumulate`; ``None`` means
+        every probe class, ``()`` none), then one per pair and offset.
+        Every table must hold ``n_samples`` per group -- with
+        ``expected``, the samples it maps the table's id to (absent ids:
+        none) -- or :class:`SimulationError` is raised.
         """
-        classes = classes if classes is not None else self.probe_classes
         netlist = self.dut.netlist
-        report = self._new_report(fixed_secret, n_samples, threshold, status)
-        for index, probe_class in enumerate(classes):
-            table_id = f"c{index}"
-            outcome = acc.test(table_id)
-            if expected is not None:
-                _check_samples(table_id, outcome, expected.get(table_id, 0))
+        classes = self.probe_classes if classes is None else classes
+        names = [
+            (pc.member_names(netlist), tuple(pc.support_names(netlist)))
+            for pc in classes
+        ]
+        all_classes = self.probe_classes
+        offsets = _distinct_offsets(pair_offsets)
+        for i, j in pairs:
+            pair_name = (
+                all_classes[i].member_names(netlist, limit=1)
+                + " x "
+                + all_classes[j].member_names(netlist, limit=1)
+            )
+            for delta in offsets:
+                suffix = f" @-{delta}" if delta else ""
+                names.append((pair_name + suffix, ()))
+        report = LeakageReport(
+            design=self.dut.describe(),
+            model=self.model.description,
+            fixed_secret=fixed_secret,
+            n_simulations=n_samples,
+            threshold=threshold,
+            skipped_probes=[
+                pc.member_names(netlist) for pc in self.skipped_classes
+            ],
+            skipped_detail=self.skipped_detail(),
+            status=status,
+            degradations=list(self.degradations),
+        )
+        ids = table_ids(range(len(classes)), pairs, offsets)
+        for table_id, (probe_names, support_names) in zip(ids, names):
             report.results.append(
-                ProbeResult(
-                    probe_names=probe_class.member_names(netlist),
-                    support_names=tuple(probe_class.support_names(netlist)),
-                    n_samples=outcome.n_fixed + outcome.n_random,
-                    g_statistic=outcome.g_statistic,
-                    dof=outcome.dof,
-                    mlog10p=outcome.mlog10p,
-                    leaking=outcome.is_leaking(threshold),
+                _checked_result(
+                    table_id,
+                    acc.test(table_id),
+                    n_samples if expected is None
+                    else expected.get(table_id, 0),
+                    threshold,
+                    probe_names,
+                    support_names,
                 )
             )
         return report
+
+    # ----------------------------------------------------------- first order
 
     def evaluate(
         self,
@@ -1642,17 +1696,9 @@ class LeakageEvaluator(engine_registry.EngineOwner):
         self.accumulate(
             acc, fixed_secret, n_lanes, n_windows, classes=probe_classes
         )
-        n_samples = n_lanes * n_windows
-        n_classes = len(
-            self.probe_classes if probe_classes is None else probe_classes
-        )
-        return self.first_order_report(
-            acc,
-            fixed_secret,
-            n_samples,
-            threshold,
+        return self.report(
+            acc, fixed_secret, n_lanes * n_windows, threshold,
             classes=probe_classes,
-            expected={f"c{i}": n_samples for i in range(n_classes)},
         )
 
     # ---------------------------------------------------------- second order
@@ -1671,7 +1717,7 @@ class LeakageEvaluator(engine_registry.EngineOwner):
     def _pair_schedule(
         self, n_windows: int, pair_offsets: Sequence[int]
     ) -> Tuple[List[int], List[int], int, set]:
-        offsets = sorted(set(pair_offsets))
+        offsets = _distinct_offsets(pair_offsets)
         if offsets and min(offsets) < 0:
             raise SimulationError("pair offsets must be non-negative")
         eval_cycles, n_cycles = self._schedule(
@@ -1684,78 +1730,6 @@ class LeakageEvaluator(engine_registry.EngineOwner):
             )
         record_cycles |= self._record_cycles(eval_cycles)
         return offsets, eval_cycles, n_cycles, record_cycles
-
-    def accumulate_pairs(
-        self,
-        acc: HistogramAccumulator,
-        fixed_secret: int,
-        n_lanes: int,
-        n_windows: int,
-        pairs: Sequence[Tuple[int, int]],
-        pair_offsets: Sequence[int] = (0,),
-        blocks: Optional[Iterable[int]] = None,
-    ) -> None:
-        """Simulate blocks and fold joint pair observations into ``acc``.
-
-        Table ids are ``p<i>:<j>:<delta>``; the second probe of a pair is
-        placed ``delta`` cycles earlier than the first.
-        """
-        self.accumulate(
-            acc,
-            fixed_secret,
-            n_lanes,
-            n_windows,
-            classes=(),
-            pairs=pairs,
-            pair_offsets=pair_offsets,
-            blocks=blocks,
-        )
-
-    def pairs_report(
-        self,
-        acc: HistogramAccumulator,
-        fixed_secret: int,
-        n_samples: int,
-        pairs: Sequence[Tuple[int, int]],
-        pair_offsets: Sequence[int] = (0,),
-        threshold: float = DEFAULT_THRESHOLD,
-        status: str = "complete",
-        expected: Optional[Dict[str, int]] = None,
-    ) -> LeakageReport:
-        """G-test every accumulated pair table into a report.
-
-        ``expected`` is checked as in :meth:`first_order_report`.
-        """
-        offsets = sorted(set(pair_offsets))
-        classes = self.probe_classes
-        netlist = self.dut.netlist
-        report = self._new_report(fixed_secret, n_samples, threshold, status)
-        for i, j in pairs:
-            for delta in offsets:
-                table_id = f"p{i}:{j}:{delta}"
-                outcome = acc.test(table_id)
-                if expected is not None:
-                    _check_samples(
-                        table_id, outcome, expected.get(table_id, 0)
-                    )
-                suffix = f" @-{delta}" if delta else ""
-                report.results.append(
-                    ProbeResult(
-                        probe_names=(
-                            classes[i].member_names(netlist, limit=1)
-                            + " x "
-                            + classes[j].member_names(netlist, limit=1)
-                            + suffix
-                        ),
-                        support_names=(),
-                        n_samples=outcome.n_fixed + outcome.n_random,
-                        g_statistic=outcome.g_statistic,
-                        dof=outcome.dof,
-                        mlog10p=outcome.mlog10p,
-                        leaking=outcome.is_leaking(threshold),
-                    )
-                )
-        return report
 
     def evaluate_pairs(
         self,
@@ -1780,71 +1754,16 @@ class LeakageEvaluator(engine_registry.EngineOwner):
         n_lanes = self.n_lanes_for(n_simulations, n_windows)
         pairs = self.select_pairs(max_pairs, pair_seed)
         acc = HistogramAccumulator()
-        self.accumulate_pairs(
-            acc, fixed_secret, n_lanes, n_windows, pairs, pair_offsets
+        self.accumulate(
+            acc, fixed_secret, n_lanes, n_windows,
+            classes=(), pairs=pairs, pair_offsets=pair_offsets,
         )
-        n_samples = n_lanes * n_windows
-        return self.pairs_report(
-            acc,
-            fixed_secret,
-            n_samples,
-            pairs,
-            pair_offsets,
-            threshold,
-            expected={
-                f"p{i}:{j}:{delta}": n_samples
-                for i, j in pairs
-                for delta in set(pair_offsets)
-            },
+        return self.report(
+            acc, fixed_secret, n_lanes * n_windows, threshold,
+            classes=(), pairs=pairs, pair_offsets=pair_offsets,
         )
-
-    def batched_report(
-        self,
-        acc: HistogramAccumulator,
-        fixed_secret: int,
-        n_samples: int,
-        pairs: Sequence[Tuple[int, int]],
-        pair_offsets: Sequence[int] = (0,),
-        threshold: float = DEFAULT_THRESHOLD,
-        status: str = "complete",
-        classes: Optional[List[ProbeClass]] = None,
-        expected: Optional[Dict[str, int]] = None,
-    ) -> LeakageReport:
-        """Report over a batched accumulation: first-order then pair rows."""
-        report = self.first_order_report(
-            acc, fixed_secret, n_samples, threshold, classes=classes,
-            status=status, expected=expected,
-        )
-        pair_report = self.pairs_report(
-            acc, fixed_secret, n_samples, pairs, pair_offsets, threshold,
-            status=status, expected=expected,
-        )
-        report.results.extend(pair_report.results)
-        return report
 
     # -------------------------------------------------------------- helpers
-
-    def _new_report(
-        self,
-        fixed_secret: int,
-        n_samples: int,
-        threshold: float,
-        status: str = "complete",
-    ) -> LeakageReport:
-        netlist = self.dut.netlist
-        return LeakageReport(
-            design=self.dut.describe(),
-            model=self.model.description,
-            fixed_secret=fixed_secret,
-            n_simulations=n_samples,
-            threshold=threshold,
-            skipped_probes=[
-                pc.member_names(netlist) for pc in self.skipped_classes
-            ],
-            skipped_detail=self.skipped_detail(),
-            status=status,
-            degradations=list(self.degradations),
-        )
 
     def skipped_detail(self) -> List[Dict]:
         """Budget detail for every probe class excluded from evaluation.

@@ -46,11 +46,12 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import FleetInterrupted, SimulationError, WorkItemError
+from repro.errors import SimulationError, WorkItemError
 from repro.leakage.evaluator import (
     HistogramAccumulator,
     LeakageEvaluator,
     packed_totals,
+    table_ids,
 )
 
 #: Per-class arrays of an ``exact_shard`` result, named ``<name>_<class>``.
@@ -179,8 +180,8 @@ def checked_tables(
     """The tables of a ``blocks`` result, checked against its item.
 
     Raises :class:`WorkItemError` unless the result holds exactly the
-    tables the item asked for (``c<i>`` per class index,
-    ``p<i>:<j>:<delta>`` per pair and offset) in the packed layout of
+    tables the item asked for (:func:`table_ids` of its class indices,
+    pairs and offsets) in the packed layout of
     :meth:`HistogramAccumulator.state_arrays`, each counting every lane
     (``block_lanes`` per block, the last block possibly partial) and
     window of the item's blocks once per group.  A short, doubled or
@@ -197,10 +198,10 @@ def checked_tables(
 
     arrays = result["arrays"]
     ids = list(result["meta"].get("table_ids", []))
-    offsets = sorted(set(payload["pair_offsets"]))
     requested = sorted(
-        [f"c{i}" for i in payload["class_indices"]]
-        + [f"p{i}:{j}:{d}" for i, j in payload["pairs"] for d in offsets]
+        table_ids(
+            payload["class_indices"], payload["pairs"], payload["pair_offsets"]
+        )
     )
     if sorted(ids) != requested:
         missing = sorted(set(requested) - set(ids))
@@ -265,7 +266,8 @@ class BlockExecutor:
     result is checked as it arrives and the chunk merges only once every
     item has a checked result, so a bad result, a worker
     :class:`MemoryError` (which propagates, keeping the campaign's
-    split-and-retry), a stop or a runner that skipped an item merges
+    split-and-retry), a stop (returned, as the campaign's
+    ``truncated:cancelled``) or a runner that skipped an item merges
     nothing.
     """
 
@@ -283,11 +285,16 @@ class BlockExecutor:
         class_indices: Optional[Sequence[int]] = None,
         pairs: Sequence[Tuple[int, int]] = (),
         pair_offsets: Sequence[int] = (0,),
-    ) -> None:
-        """Accumulate ``blocks`` into ``acc`` through the runner."""
+        should_stop: Optional[Callable[[], bool]] = None,
+    ) -> bool:
+        """Accumulate ``blocks`` into ``acc`` through the runner.
+
+        ``should_stop`` goes to ``runner.run``; True when it (or the
+        runner's own stop) ended the run, and then nothing merged.
+        """
         block_list = [int(b) for b in blocks]
         if not block_list:
-            return
+            return False
         if class_indices is None:
             class_indices = range(len(self.evaluator.probe_classes))
         item = {
@@ -312,10 +319,8 @@ class BlockExecutor:
                 payloads[index], result, self.evaluator.block_lanes
             )
 
-        if self.runner.run(payloads, check):
-            raise FleetInterrupted(
-                "stopped before every blocks item returned a result"
-            )
+        if self.runner.run(payloads, check, should_stop):
+            return True
         missing = [i for i, state in enumerate(tables) if state is None]
         if missing:
             blocks = payloads[missing[0]]["blocks"]
@@ -325,6 +330,7 @@ class BlockExecutor:
             )
         for state in tables:
             acc.merge(state)
+        return False
 
     def close(self) -> None:
         """Release the runner (idempotent)."""

@@ -31,7 +31,7 @@ from repro.errors import SimulationError
 from repro.leakage.evaluator import (
     _STAGES,
     _check_hash_bits,
-    _check_samples,
+    _checked_result,
     _count_block,
     _count_spec,
     _CountPlan,
@@ -45,7 +45,7 @@ from repro.leakage.gtest import (
 )
 from repro.leakage.model import ProbingModel
 from repro.leakage.probes import extract_probe_classes
-from repro.leakage.report import LeakageReport, ProbeResult
+from repro.leakage.report import LeakageReport
 from repro.netlist.core import Netlist
 from repro.netlist.simulate import Trace
 from repro.netlist.slice import ControlSchedule
@@ -249,18 +249,14 @@ class PeriodicLeakageEvaluator(engine_registry.EngineOwner):
             probe_names = (
                 probe_class.member_names(self.netlist) + f" @phase{phase}"
             )
-            _check_samples(probe_names, outcome, n_lanes * n_periods)
             report.results.append(
-                ProbeResult(
-                    probe_names=probe_names,
-                    support_names=tuple(
-                        probe_class.support_names(self.netlist)
-                    ),
-                    n_samples=outcome.n_fixed + outcome.n_random,
-                    g_statistic=outcome.g_statistic,
-                    dof=outcome.dof,
-                    mlog10p=outcome.mlog10p,
-                    leaking=outcome.is_leaking(threshold),
+                _checked_result(
+                    probe_names,
+                    outcome,
+                    n_lanes * n_periods,
+                    threshold,
+                    probe_names,
+                    tuple(probe_class.support_names(self.netlist)),
                 )
             )
         report.degradations = list(self.degradations)

@@ -388,28 +388,6 @@ def gadget_regions(netlist: Netlist) -> List[GadgetRegion]:
     return regions
 
 
-def fanin_cells(netlist: Netlist, nets: Iterable[int]) -> Set[int]:
-    """Indices of every cell in the transitive fan-in of ``nets``.
-
-    The closure crosses registers (unlike :func:`combinational_cone`), so
-    the result is the full logic slice feeding the given nets.
-    """
-    seen: Set[int] = set()
-    found: Set[int] = set()
-    stack = list(nets)
-    while stack:
-        net = stack.pop()
-        if net in seen:
-            continue
-        seen.add(net)
-        driver = netlist.driver(net)
-        if driver is None:
-            continue
-        found.add(driver.index)
-        stack.extend(driver.inputs)
-    return found
-
-
 def extract_subnetlist(
     netlist: Netlist,
     cell_indices: Iterable[int],

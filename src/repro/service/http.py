@@ -215,17 +215,12 @@ class EvaluationService:
             thread.start()
             self._worker_threads.append(thread)
 
-    def start(self) -> int:
-        """Recover interrupted jobs, start workers, serve in a thread."""
+    def _boot(self) -> int:
+        """Recover interrupted jobs and start the runner and local
+        workers; returns the number of jobs recovered."""
         recovered = self.runner.recover()
         self.runner.start()
         self._start_local_workers()
-        self._serve_thread = threading.Thread(
-            target=self.httpd.serve_forever,
-            name="repro-service-http",
-            daemon=True,
-        )
-        self._serve_thread.start()
         self.telemetry.emit(
             "service_started",
             address=self.address,
@@ -234,24 +229,32 @@ class EvaluationService:
         )
         return recovered
 
+    def start(self) -> int:
+        """Recover interrupted jobs, start workers, serve in a thread."""
+        recovered = self._boot()
+        self._serve_thread = threading.Thread(
+            target=self.httpd.serve_forever,
+            name="repro-service-http",
+            daemon=True,
+        )
+        self._serve_thread.start()
+        return recovered
+
     def serve_forever(self) -> None:
         """Blocking variant of :meth:`start` for the CLI."""
-        recovered = self.runner.recover()
-        self.runner.start()
-        self._start_local_workers()
-        self.telemetry.emit(
-            "service_started",
-            address=self.address,
-            recovered_jobs=recovered,
-            runner_threads=self.runner.n_threads,
-        )
+        self._boot()
         try:
             self.httpd.serve_forever()
         finally:
             self.stop()
 
     def stop(self) -> None:
-        """Graceful shutdown: running jobs return to the durable queue."""
+        """Graceful shutdown: running jobs return to the durable queue.
+
+        Running jobs hear the stop first; only then does the HTTP server
+        wait out its poll, so no job finishes in that wait.
+        """
+        self.runner.shutdown(wait=False)
         self.httpd.shutdown()
         self.httpd.server_close()
         self.runner.shutdown(wait=True)

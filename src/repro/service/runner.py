@@ -38,7 +38,7 @@ from repro.core.optimizations import (
     RandomnessScheme,
     SecondOrderScheme,
 )
-from repro.errors import FleetInterrupted, ReproError, ServiceError
+from repro.errors import ReproError, ServiceError
 from repro.leakage import durable
 from repro.leakage.campaign import EvaluationCampaign
 from repro.leakage.evaluator import LeakageEvaluator
@@ -356,16 +356,18 @@ class JobRunner:
     def shutdown(self, wait: bool = True) -> None:
         """Stop draining the queue and stop running campaigns cleanly.
 
-        Running jobs stop at their next chunk boundary and return to state
-        ``queued`` with their checkpoint on disk -- the durable image a
-        restarted service recovers from.
+        Running jobs stop at their next chunk boundary (or, on a runner,
+        their next work item) and return to state ``queued`` with their
+        checkpoint on disk -- the durable image a restarted service
+        recovers from.  ``wait=False`` only signals; a later call with
+        ``wait=True`` joins the worker threads.
         """
         self._shutdown.set()
         self.queue.close()
         if wait:
             for thread in self._threads:
                 thread.join(timeout=60)
-        self._threads = []
+            self._threads = []
 
     def recover(self) -> int:
         """Re-enqueue jobs a previous process left ``queued``/``running``.
@@ -572,18 +574,6 @@ class JobRunner:
                 )
                 return
             self._finish(job_id, cache_key, checkpoint, report, progress)
-        except FleetInterrupted:
-            # A distributed wait aborted mid-chunk/shard.  Completed chunks
-            # are in the checkpoint; the in-flight one is lost -- the same
-            # durability contract as a SIGKILL -- so the job takes the same
-            # ladder as a ``truncated:cancelled`` report.
-            self._stopped(
-                job_id,
-                checkpoint,
-                cancel_event,
-                stall_event,
-                stall_reason="fleet execution interrupted by the watchdog",
-            )
         except ReproError as exc:
             self.store.update_job(
                 job_id,
@@ -621,7 +611,6 @@ class JobRunner:
         cancel_event: threading.Event,
         stall_event: threading.Event,
         progress=None,
-        stall_reason: Optional[str] = None,
     ) -> None:
         """Settle a job that stopped on request before its verdict.
 
@@ -629,7 +618,9 @@ class JobRunner:
         checkpoint.  A watchdog stall restarts it from its checkpoint, or
         dead-letters it.  A service shutdown returns it to the durable
         queue image the next boot resumes.  ``progress`` is the stopped
-        campaign's (``None`` for an exact sweep or an aborted fleet wait).
+        campaign's (``None`` for an exact sweep).  A stop inside a chunk
+        or shard on a runner lands here too: the unfinished work merged
+        nothing, and the checkpoint holds everything before it.
         """
         if cancel_event.is_set():
             durable.discard_checkpoint(checkpoint)  # before it shows cancelled
@@ -640,13 +631,12 @@ class JobRunner:
         elif stall_event.is_set():
             # The watchdog reaped this run; its checkpoint is the durable
             # image the restart resumes from.
-            if stall_reason is None:
-                unit = "shard" if progress is None else "chunk"
-                stall_reason = (
-                    f"no {unit} progress within {self.stall_timeout:g}s "
-                    "(watchdog)"
-                )
-            self._restart_or_dead_letter(job_id, stall_reason)
+            unit = "shard" if progress is None else "chunk"
+            self._restart_or_dead_letter(
+                job_id,
+                f"no {unit} progress within {self.stall_timeout:g}s "
+                "(watchdog)",
+            )
         else:
             self.store.update_job(job_id, state="queued")
             blocks = {}

@@ -340,8 +340,8 @@ class TestHammingReportPin:
         evaluator.accumulate(
             acc, 0, n_lanes, 2, pairs=pairs, pair_offsets=(0, 1)
         )
-        report = evaluator.batched_report(
-            acc, 0, n_lanes * 2, pairs, (0, 1)
+        report = evaluator.report(
+            acc, 0, n_lanes * 2, pairs=pairs, pair_offsets=(0, 1)
         )
         assert _digest(report) == digest
 
@@ -389,8 +389,38 @@ class TestPairBranchPins:
         )
         keyed = {acc._tables[t][0] is not None for t in acc.table_ids()}
         assert keyed == {observation == "hamming"}
-        report = evaluator.pairs_report(acc, 0, n_lanes * 2, pairs, (0, 1))
+        report = evaluator.report(
+            acc, 0, n_lanes * 2, classes=(), pairs=pairs, pair_offsets=(0, 1)
+        )
         assert _digest(report) == digest
+
+
+class TestReportPathPins:
+    """Byte pins (kronecker/eq6, seed 3) of the one-shot report paths the
+    pins above leave out: a class subset, whose table ids and rows follow
+    the subset's order, and pair tables at two offsets given unsorted."""
+
+    def test_class_subset_bytes(self, kronecker_eq6):
+        evaluator = LeakageEvaluator(kronecker_eq6.dut, seed=3)
+        report = evaluator.evaluate(
+            n_simulations=8_000, probe_classes=evaluator.probe_classes[1::3]
+        )
+        assert len(report.results) == 31
+        assert _digest(report) == (
+            "7587900a246a9d30deeb5d3cbd1a12e5757e3df5258e9fcb3009a8b377ae63fb"
+        )
+
+    def test_pairs_at_two_offsets_bytes(self, kronecker_eq6):
+        report = LeakageEvaluator(
+            kronecker_eq6.dut, ProbingModel.GLITCH_TRANSITION, seed=3
+        ).evaluate_pairs(
+            n_simulations=6_000, n_windows=2, max_pairs=10,
+            pair_offsets=(2, 0),
+        )
+        assert len(report.results) == 20
+        assert _digest(report) == (
+            "3e1b28382d2ba5bb0a80fc29aa40f3d1accebd3e2c3dd92078f4306f4f2b090a"
+        )
 
 
 # ------------------------------------------------------ batched executor

@@ -673,6 +673,23 @@ class TestApiVersioning:
 
 
 class TestRestartResume:
+    def test_stop_tells_running_jobs_before_the_http_wait(self, tmp_path):
+        """``httpd.shutdown`` waits out the server's poll; running jobs
+        must already have heard the stop, or a short one finishes in
+        that wait instead of returning to the queue."""
+        svc = EvaluationService(str(tmp_path / "state"), port=0)
+        svc.start()
+        seen = []
+        shutdown = svc.httpd.shutdown
+
+        def recording_shutdown():
+            seen.append(svc.runner._shutdown.is_set())
+            shutdown()
+
+        svc.httpd.shutdown = recording_shutdown
+        svc.stop()
+        assert seen == [True]
+
     def test_graceful_shutdown_returns_job_to_queue_and_resumes(
         self, tmp_path
     ):
