@@ -79,9 +79,13 @@ DEFAULT_SHARD_LANE_BITS = 16
 #: shard boundaries never split a lane word.
 MIN_SHARD_LANE_BITS = 6
 
-#: Class-shard merges between two checkpoint saves of an exact sweep (it
-#: also saves once at the end).
-CHECKPOINT_EVERY = 8
+#: Merged class-lanes (the lanes of each merged class shard) between two
+#: checkpoint saves of an exact sweep; it also saves on a stop and once at
+#: the end.  Counting work, not merges or seconds, gives every host the
+#: same generations and bounds what a kill loses.  At 2^22 the Kronecker
+#: eq6 sweep writes two generations before half of its work, which the
+#: torn-checkpoint drill of ``scripts/kill_resume_smoke.py`` needs.
+CHECKPOINT_LANES = 1 << 22
 
 
 # --------------------------------------------------------------- shard plan
@@ -388,10 +392,12 @@ class ShardedExactAnalyzer:
     ) -> ExactReport:
         """Run the sharded exact sweep.
 
-        ``checkpoint`` names a container file written every
-        :data:`CHECKPOINT_EVERY` class-shard merges and at the end; with
-        ``resume=True`` a matching checkpoint's completed class shards are
-        not recomputed.  A shard task is ``(class_indices, shard_index,
+        ``checkpoint`` names a container file written once the class
+        shards merged since the last save hold :data:`CHECKPOINT_LANES`
+        lanes, on a stop and at the end, so a kill loses at most about
+        that much enumeration; with ``resume=True`` a matching
+        checkpoint's completed class shards are not recomputed.  A shard
+        task is ``(class_indices, shard_index,
         lane_bits)``: the not-yet-done classes of one enumeration setup,
         counted from one simulation of one shard, sent as one
         ``exact_shard`` item to ``runner`` (the service's fleet, say),
@@ -486,16 +492,16 @@ class ShardedExactAnalyzer:
         )
 
         stopped = False
-        merges_since_save = 0
+        lanes_since_save = 0
 
         def merge(ci: int, si: int, keys, rows, counts) -> None:
-            nonlocal merges_since_save
+            nonlocal lanes_since_save
             entry = state[ci]
             entry["keys"], entry["histogram"] = merge_shard_counts(
                 entry["keys"], entry["histogram"], keys, rows, counts
             )
             entry["done"].add(si)
-            merges_since_save += 1
+            lanes_since_save += plans[ci].lanes_per_shard
             self._emit(
                 hook,
                 "shard_done",
@@ -506,9 +512,9 @@ class ShardedExactAnalyzer:
                     "total": plans[ci].n_shards,
                 },
             )
-            if checkpoint and merges_since_save >= CHECKPOINT_EVERY:
+            if checkpoint and lanes_since_save >= CHECKPOINT_LANES:
                 self._save_checkpoint(checkpoint, state, fingerprint, hook)
-                merges_since_save = 0
+                lanes_since_save = 0
 
         if tasks:
             pool = None
@@ -545,7 +551,7 @@ class ShardedExactAnalyzer:
 
         if stopped:
             report.status = "truncated:cancelled"
-        if checkpoint and (stopped or merges_since_save):
+        if checkpoint and (stopped or lanes_since_save):
             self._save_checkpoint(checkpoint, state, fingerprint, hook)
 
         self._emit(

@@ -469,6 +469,15 @@ class ExactAnalyzer(engine_registry.EngineOwner):
         self._drive_tables: Dict[Tuple, Tuple[List, List[List[int]]]] = {}
         #: per ``(probe class, observed cycle)``: its :func:`_count_spec`.
         self._specs: Dict[Tuple[ProbeClass, int], object] = {}
+        #: the last shard simulator and its ``(engine, n_lanes, record
+        #: nets)`` key: a sweep's tasks arrive setup by setup, so one entry
+        #: serves every shard of a setup; never pickled.
+        self._simulator: Optional[Tuple[Tuple, object]] = None
+
+    def __getstate__(self) -> Dict:
+        state = self.__dict__.copy()
+        state["_simulator"] = None
+        return state
 
     # -------------------------------------------------------- var collection
 
@@ -612,11 +621,15 @@ class ExactAnalyzer(engine_registry.EngineOwner):
         record_nets = sorted(
             {net for probe_class in probe_classes for net in probe_class.support}
         )
-        simulator, _ = engine_registry.build_simulator(
-            self.engine, self.dut.netlist, n_lanes,
-            record_nets=record_nets,
-            on_degrade=self._on_degrade,
-        )
+        key = (self.engine, n_lanes, tuple(record_nets))
+        if self._simulator is None or self._simulator[0] != key:
+            simulator, _ = engine_registry.build_simulator(
+                self.engine, self.dut.netlist, n_lanes,
+                record_nets=record_nets,
+                on_degrade=self._on_degrade,
+            )
+            self._simulator = key, simulator
+        simulator = self._simulator[1]
         trace = simulator.run(
             stimulus,
             observe_cycle + 1,

@@ -8,6 +8,7 @@ import io
 import json
 import multiprocessing
 import os
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro import engines
 from repro.core.kronecker import build_kronecker_delta
 from repro.core.optimizations import RandomnessScheme
 from repro.core.sbox import build_masked_sbox
@@ -35,10 +37,14 @@ from repro.leakage.certify import (
 )
 from repro.leakage.exact import ExactAnalyzer
 from repro.leakage.model import ProbingModel
-from repro.netlist.native import CountSpec
+from repro.netlist.native import CountSpec, native_available
 from repro.netlist.simulate import Trace, unpack_lanes
 
 from tests.strategies import masked_circuits
+
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="no C toolchain for the native engine"
+)
 
 
 def _eq6_subset(min_bits=8, max_bits=14, limit=6):
@@ -261,10 +267,15 @@ class TestCheckpointResume:
         assert "checkpoint_corrupt" in events
         assert os.path.exists(path + ".corrupt")
 
-    def test_torn_current_falls_back_to_prev_generation(self, tmp_path):
+    def test_torn_current_falls_back_to_prev_generation(
+        self, tmp_path, monkeypatch
+    ):
         """A torn current generation is quarantined and the sweep resumes
         from ``.prev``, as campaigns do, to the bytes of a fresh sweep."""
         design, subset = _eq6_subset()
+        # Eight 128-lane class shards per generation: saves at merges 8,
+        # 16 and 20.
+        monkeypatch.setattr(certify, "CHECKPOINT_LANES", 8 * 128)
         path = str(tmp_path / "exact.ckpt")
         merges, saves = [], []
 
@@ -336,8 +347,9 @@ class TestCheckpointResume:
 
 #: sha256 of the checkpoint file a ``_eq6_subset`` sweep at
 #: ``shard_lane_bits=7`` leaves when stopped after 20 class-shard merges
-#: (saves at merges 8, 16 and 20).  Recorded with ``np.savez`` writing
-#: the NPZ; the bytes must not change.
+#: (the stop save; a generation holds the same bytes whatever cadence
+#: wrote it).  Recorded with ``np.savez`` writing the NPZ; the bytes must
+#: not change.
 EXACT_CHECKPOINT_DIGEST = (
     "d8ea537e20b48ab3c1765d9454d120f937bd9a3e2295452cfbf41b66a013e2f0"
 )
@@ -426,10 +438,14 @@ class TestExactCheckpointEvents:
     """An exact sweep's checkpoint writes and reads reach its hook, as a
     sampled campaign's do."""
 
-    def test_every_generation_emits_checkpoint_saved(self, tmp_path):
-        """Stopped after 20 merges, the sweep writes generations at
-        merges 8, 16 and 20: the last one, after the task loop, too."""
+    def test_every_generation_emits_checkpoint_saved(
+        self, tmp_path, monkeypatch
+    ):
+        """Stopped after 20 merges of 128-lane class shards, a sweep saving
+        every 8 * 128 class-lanes writes generations at merges 8, 16 and
+        20: the last one, after the task loop, too."""
         design, subset = _eq6_subset()
+        monkeypatch.setattr(certify, "CHECKPOINT_LANES", 8 * 128)
         path = str(tmp_path / "exact.ckpt")
         merges, saves = [], []
 
@@ -497,6 +513,106 @@ class TestExactCheckpointEvents:
             [("io_retry", "checkpoint.read")] * (DEFAULT_RETRY.attempts - 1)
             + [("checkpoint_corrupt", None)]
         )
+
+
+def _feasible_lanes(sharded):
+    """``{class index: lanes per shard}`` of every feasible class, and the
+    class-lanes a whole sweep merges."""
+    lanes, total = {}, 0
+    for ci, probe_class in enumerate(sharded.analyzer.probe_classes):
+        try:
+            plan = sharded.shard_plan(probe_class)
+        except ExactAnalysisInfeasible:
+            continue
+        lanes[ci] = plan.lanes_per_shard
+        total += plan.n_shards * plan.lanes_per_shard
+    return lanes, total
+
+
+class TestCheckpointCadence:
+    """An exact sweep saves once the class shards merged since its last
+    save hold ``CHECKPOINT_LANES`` lanes, on a stop and at the end."""
+
+    @pytest.mark.parametrize("scheme, saves", [("eq6", 5), ("eq9", 18)])
+    def test_kronecker_sweep_generations(
+        self, request, tmp_path, scheme, saves
+    ):
+        """18.9M class-lanes for eq6 and 75.5M for eq9 at a 24-bit budget:
+        a save each time 2^22 more have merged (4 for eq6, 18 for eq9),
+        then an end save if lanes merged after the last one (eq6 only:
+        eq9's 18th save lands on its final merge)."""
+        design = request.getfixturevalue(f"kronecker_{scheme}")
+        events = []
+        report = run_exact_analysis(
+            design.dut,
+            max_enum_bits=24,
+            shard_lane_bits=16,
+            checkpoint=str(tmp_path / "exact.ckpt"),
+            hook=lambda event, payload: events.append(event),
+        )
+        assert report.status == "complete"
+        assert events.count("checkpoint_saved") == saves
+
+    @pytest.mark.parametrize("lanes", [1, 1000, 1 << 22])
+    def test_stopped_and_resumed_sweep_matches_an_uninterrupted_one(
+        self, tmp_path, monkeypatch, lanes
+    ):
+        monkeypatch.setattr(certify, "CHECKPOINT_LANES", lanes)
+        design, subset = _eq6_subset()
+
+        def sweep(name, **kwargs):
+            path = str(tmp_path / name)
+            report = ShardedExactAnalyzer(
+                design.dut, max_enum_bits=23, shard_lane_bits=7
+            ).analyze(probe_classes=subset, checkpoint=path, **kwargs)
+            with open(path, "rb") as handle:
+                return report, handle.read()
+
+        merges, events = [], []
+        stopped, _ = sweep(
+            "stopped.ckpt",
+            hook=lambda event, payload: merges.append(event)
+            if event == "shard_done"
+            else None,
+            should_stop=lambda: len(merges) >= 13,
+        )
+        assert stopped.status == "truncated:cancelled"
+        resumed, resumed_bytes = sweep(
+            "stopped.ckpt",
+            resume=True,
+            hook=lambda event, payload: events.append((event, payload)),
+        )
+        [start] = [p for event, p in events if event == "certify_start"]
+        assert start["resumed_shards"] == len(merges)
+        whole, whole_bytes = sweep("whole.ckpt")
+        assert resumed.to_json(top=None) == whole.to_json(top=None)
+        assert resumed_bytes == whole_bytes
+
+    def test_torn_drill_sees_two_generations_before_half_the_work(
+        self, kronecker_eq6, tmp_path
+    ):
+        """``kill_resume_smoke.py --torn-checkpoint`` kills its exact
+        victim (eq6 at ``--shard-lane-bits 10``) once ``.prev`` exists.
+        Two generations written before half of the sweep's class-lanes
+        keep that drill from finding the sweep finished first."""
+        sharded = ShardedExactAnalyzer(
+            kronecker_eq6.dut, max_enum_bits=24, shard_lane_bits=10
+        )
+        lanes, total = _feasible_lanes(sharded)
+        merged, saved_at = [0], []
+
+        def hook(event, payload):
+            if event == "shard_done":
+                merged[0] += lanes[payload["probe_class"]]
+            elif event == "checkpoint_saved":
+                saved_at.append(merged[0])
+
+        sharded.analyze(
+            checkpoint=str(tmp_path / "exact.ckpt"),
+            hook=hook,
+            should_stop=lambda: 2 * merged[0] >= total,
+        )
+        assert len([at for at in saved_at if 2 * at < total]) >= 2
 
 
 class TestRandomNetlistProperties:
@@ -788,6 +904,52 @@ class TestGroupedCounting:
             sharded.analyze(probe_classes=group, runner=DoublingRunner())
 
 
+class TestSimulatorReuse:
+    """A sweep's tasks arrive setup by setup, so the exact analyzer keeps
+    its last shard simulator instead of building one per task."""
+
+    @pytest.mark.parametrize(
+        "engine", ["compiled", pytest.param("native", marks=needs_native)]
+    )
+    def test_one_build_per_setup_and_record_set(
+        self, kronecker_eq6, monkeypatch, engine
+    ):
+        builds = []
+        real = engines.build_simulator
+
+        def counting(name, netlist, n_lanes, **kwargs):
+            builds.append((n_lanes, tuple(kwargs["record_nets"])))
+            return real(name, netlist, n_lanes, **kwargs)
+
+        monkeypatch.setattr(engines, "build_simulator", counting)
+        sharded = ShardedExactAnalyzer(
+            kronecker_eq6.dut, max_enum_bits=14, shard_lane_bits=7,
+            engine=engine,
+        )
+        serial = sharded.analyze()
+        monkeypatch.undo()
+        lanes, _ = _feasible_lanes(sharded)
+        classes = sharded.analyzer.probe_classes
+        groups = _setup_groups(sharded.analyzer, [classes[ci] for ci in lanes])
+        assert any(
+            sharded.shard_plan(group[0]).n_shards > 1 for group in groups
+        )
+        assert builds == [
+            (
+                sharded.shard_plan(group[0]).lanes_per_shard,
+                tuple(sorted({net for pc in group for net in pc.support})),
+            )
+            for group in groups
+        ]
+        # The cached simulator (a compiled C kernel under native) stays
+        # behind when the analyzer ships to pool workers.
+        assert sharded.analyzer._simulator is not None
+        restored = pickle.loads(pickle.dumps(sharded.analyzer))
+        assert restored._simulator is None
+        parallel_report = sharded.analyze(workers=2)
+        assert parallel_report.to_json(top=None) == serial.to_json(top=None)
+
+
 def _bincount_counts(keys, rows, width, u):
     """The dense ``(keys, rows, counts)`` triple by one ``np.bincount``."""
     cells = np.bincount(
@@ -950,7 +1112,7 @@ class TestGroupedCheckpoints:
             if event == "checkpoint_saved":
                 raise _Killed()
 
-        monkeypatch.setattr(certify, "CHECKPOINT_EVERY", 1)
+        monkeypatch.setattr(certify, "CHECKPOINT_LANES", 1)
         with pytest.raises(_Killed):
             ShardedExactAnalyzer(
                 design.dut,
