@@ -33,7 +33,7 @@ the single-shot histogram bit for bit.  :class:`ShardedExactAnalyzer` in
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -50,7 +50,7 @@ from repro.leakage.evaluator import (
 )
 from repro.leakage.model import ProbingModel
 from repro.leakage.probes import ProbeClass, extract_probe_classes
-from repro.leakage.report import SCHEMA_VERSION
+from repro.leakage.report import SCHEMA_VERSION, _result_row
 from repro.netlist.simulate import Trace, unpack_lanes
 from repro.netlist.topo import transitive_input_support
 
@@ -348,7 +348,7 @@ class ExactReport:
             "n_probe_classes": len(self.results),
             "n_skipped": len(self.infeasible),
             "skipped": list(self.infeasible),
-            "results": [asdict(r) for r in ranked],
+            "results": [_result_row(r) for r in ranked],
         }
 
     def to_json(self, top: Optional[int] = None, indent: int = 2) -> str:

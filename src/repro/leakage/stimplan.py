@@ -17,7 +17,10 @@ The same program can be executed two ways with bit-identical results:
 
 * the plan itself is a callable ``stimulus(cycle) -> {net: words}``,
   interpreted in numpy against the live ``rng`` -- a drop-in replacement
-  for the closures it supersedes, usable by every engine;
+  for the closures it supersedes, usable by every engine.  Each step is
+  a few whole-array operations: a region's draws land in one batched
+  call, a non-zero byte is one ``(8, n_words)`` array copied into its
+  eight rows at once;
 * the native engine reads the flat op/schedule arrays plus the PCG64
   state snapshot (:meth:`rng_state`) and runs the whole program inside
   the C kernel (``repro.netlist.native``), never touching Python per
@@ -25,12 +28,13 @@ The same program can be executed two ways with bit-identical results:
 
 Bit-compatibility contract: ``DRAW`` consumes the stream exactly as
 :func:`repro.leakage.traces.random_word_rows` does (full-range uint64
-draws are stream-transparent, so batching is free), and ``NZ8`` follows
+draws are stream-transparent, so batching is free; on PCG64 they are the
+generator's raw 64-bit outputs, one per word), and ``NZ8`` follows
 :func:`repro.leakage.traces.random_nonzero_byte` word for word,
-including the draw-then-merge retry order and the give-up-after-64
-rounds error.  A plan therefore produces the same words no matter which
-executor runs it -- checkpoints, resumes, and verdicts stay
-byte-identical across engines.
+including the draw-then-merge retry order, the number of rounds, and the
+give-up-after-64 rounds error.  A plan therefore produces the same words
+no matter which executor runs it -- checkpoints, resumes, and verdicts
+stay byte-identical across engines.
 
 A plan must have a single consumer: interleaving Python interpretation
 with native execution of the same plan would consume the stream twice.
@@ -227,9 +231,7 @@ class StimulusPlan:
         rows = np.empty((max(self.n_rows, 1), self.n_words), dtype=np.uint64)
         for seg in self._segments:
             if isinstance(seg, int):
-                planes = random_nonzero_byte(self.rng, self.n_words)
-                for i in range(8):
-                    rows[seg + i] = planes[i]
+                rows[seg:seg + 8] = random_nonzero_byte(self.rng, self.n_words)
                 continue
             if len(seg.draw_dsts):
                 rows[seg.draw_dsts] = random_word_rows(
@@ -244,7 +246,9 @@ class StimulusPlan:
                     rows[g.dst] = rows[g.a] ^ rows[g.b]
                 elif g.code == OP_XORC:
                     rows[g.dst] = rows[g.a] ^ self._broadcast(g.b, step)
-        return {net: rows[row] for row, net in self._bound}
+        values = dict(zip(self.row_nets, rows))
+        values.pop(-1, None)  # every scratch row carries net -1
+        return values
 
 
 class StimulusPlanBuilder:

@@ -34,7 +34,17 @@ def random_word_rows(
     batched ``(n_rows, n_words)`` draw is *bit-identical* to ``n_rows``
     sequential :func:`random_words` calls -- callers can batch hot loops
     without perturbing any seeded evaluation verdict.
+
+    On a PCG64 generator the words come straight from
+    ``bit_generator.random_raw``: a full-range ``integers`` draw returns
+    each raw 64-bit output unchanged, so both give the same words and
+    leave the same generator state, and the raw call skips the bounded
+    sampler's per-call overhead.  Any other generator, or an object with
+    only ``integers``, draws through ``integers``.
     """
+    bit_gen = getattr(rng, "bit_generator", None)
+    if isinstance(bit_gen, np.random.PCG64):
+        return bit_gen.random_raw(n_rows * n_words).reshape(n_rows, n_words)
     return rng.integers(0, 1 << 64, size=(n_rows, n_words), dtype=np.uint64)
 
 
@@ -46,23 +56,26 @@ def constant_words(bit: int, n_words: int) -> np.ndarray:
 
 def random_nonzero_byte(
     rng: np.random.Generator, n_words: int
-) -> "list[np.ndarray]":
+) -> np.ndarray:
     """Eight bit-planes of a per-lane uniform byte conditioned non-zero.
 
+    Returns one ``(8, n_words)`` array, plane ``i`` holding bit ``i``.
     Rejection-samples the all-zero lanes (probability 1/256 per round), so a
-    couple of rounds suffice.
+    couple of rounds suffice.  Each round draws eight fresh rows and merges
+    them into the lanes that are still zero; every bit of every word takes
+    part, pad lanes included.  The draws and rounds are the stream contract
+    that ``NZ8`` in :mod:`repro.leakage.stimplan` and the native
+    ``repro_stimgen`` follow word for word.  Gives up with
+    :class:`SimulationError` after 64 rounds.
     """
-    planes = list(random_word_rows(rng, 8, n_words))
+    planes = random_word_rows(rng, 8, n_words)
     for _ in range(64):
-        zero_mask = ~(
-            planes[0] | planes[1] | planes[2] | planes[3]
-            | planes[4] | planes[5] | planes[6] | planes[7]
-        )
-        if not np.any(zero_mask):
+        zero = ~np.bitwise_or.reduce(planes, axis=0)
+        if not zero.any():
             return planes
         retry = random_word_rows(rng, 8, n_words)
-        for i in range(8):
-            planes[i] = planes[i] | (retry[i] & zero_mask)
+        retry &= zero
+        planes |= retry
     raise SimulationError("non-zero byte rejection sampling did not converge")
 
 

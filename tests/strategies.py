@@ -1,4 +1,5 @@
-"""Shared hypothesis strategies: random netlists for differential testing."""
+"""Shared hypothesis strategies for differential testing: random netlists
+and random stimulus programs."""
 
 from hypothesis import strategies as st
 
@@ -90,3 +91,87 @@ def input_sequences(draw, n_inputs, n_cycles_range=(1, 6)):
         [draw(st.integers(0, 1)) for _ in range(n_inputs)]
         for _ in range(n_cycles)
     ]
+
+
+@st.composite
+def plan_programs(draw, n_words=st.integers(1, 3)):
+    """A random stimulus program as plain data, buildable many times.
+
+    Covers every opcode: DRAW/CONST/COPY/XOR/XORC in random dependency
+    order and zero to three NZ8 ops anywhere among them (their
+    rejection-sampling retry path fires often at 64+ lanes; later ops
+    may read their rows).  Some non-NZ8 rows are scratch (bound to no
+    net), as the fixed group's secret rows and partial sums are in real
+    plans.  Each op is ``(kind, operands, bound)``; see :func:`build_plan`.
+    """
+    n_words = draw(n_words)
+    period = draw(st.integers(1, 4))
+    cols = [
+        [draw(st.integers(0, 1)) for _ in range(period)]
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    n_simple = draw(st.integers(1, 10))
+    nz8_at = [
+        draw(st.integers(0, n_simple))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    ops = []
+    n_rows = 0
+    for index in range(n_simple + 1):
+        for _ in range(nz8_at.count(index)):
+            ops.append(("nz8", (), True))
+            n_rows += 8
+        if index == n_simple:
+            break
+        kinds = ["draw", "const"]
+        if n_rows:
+            kinds += ["copy", "xor", "xorc"]
+        kind = draw(st.sampled_from(kinds))
+        row = lambda: draw(st.integers(0, n_rows - 1))
+        col = lambda: draw(st.integers(0, len(cols) - 1))
+        if kind == "draw":
+            operands = ()
+        elif kind == "const":
+            operands = (col(),)
+        elif kind == "copy":
+            operands = (row(),)
+        elif kind == "xor":
+            operands = (row(), row())
+        else:
+            operands = (row(), col())
+        ops.append((kind, operands, draw(st.booleans())))
+        n_rows += 1
+    return n_words, period, cols, ops
+
+
+def build_plan(spec, rng):
+    """Materialize a :func:`plan_programs` spec drawing from ``rng``.
+
+    Bound rows drive nets 0, 1, 2, ... in row order.  Identical specs
+    and seeds draw the same stream no matter which executor later runs
+    the plan.
+    """
+    from repro.leakage.stimplan import StimulusPlanBuilder
+
+    n_words, period, cols, ops = spec
+    builder = StimulusPlanBuilder(n_words, period=period)
+    col_ids = [builder.column(bits) for bits in cols]
+    net = 0
+    for kind, operands, bound in ops:
+        if kind == "nz8":
+            builder.nonzero8(list(range(net, net + 8)))
+            net += 8
+            continue
+        target = net if bound else None
+        net += bound
+        if kind == "draw":
+            builder.draw(net=target)
+        elif kind == "const":
+            builder.const(col_ids[operands[0]], net=target)
+        elif kind == "copy":
+            builder.copy(operands[0], net=target)
+        elif kind == "xor":
+            builder.xor(operands[0], operands[1], net=target)
+        else:
+            builder.xor_const(operands[0], col_ids[operands[1]], net=target)
+    return builder.build(rng)

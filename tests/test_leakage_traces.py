@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.kronecker import build_kronecker_delta
 from repro.core.optimizations import RandomnessScheme
 from repro.core.sbox import build_masked_sbox
+from repro.errors import SimulationError
+from repro.leakage.stimplan import OP_CONST, OP_COPY, OP_XOR, OP_XORC
 from repro.leakage.traces import (
     StimulusGenerator,
     constant_words,
@@ -13,6 +17,7 @@ from repro.leakage.traces import (
     random_words,
 )
 from repro.netlist.simulate import unpack_lanes
+from tests.strategies import build_plan, plan_programs
 
 N_LANES = 512
 N_WORDS = N_LANES // 64
@@ -53,6 +58,110 @@ class TestPrimitives:
 
         with pytest.raises(SimulationError):
             random_nonzero_byte(AllZeroRng(), N_WORDS)
+
+
+def _reference_word_rows(rng, n_rows, n_words):
+    return rng.integers(0, 1 << 64, size=(n_rows, n_words), dtype=np.uint64)
+
+
+def _reference_nonzero_byte(rng, n_words):
+    """The per-plane rejection loop the whole-array sampler replaced."""
+    planes = list(_reference_word_rows(rng, 8, n_words))
+    for _ in range(64):
+        zero_mask = ~(
+            planes[0] | planes[1] | planes[2] | planes[3]
+            | planes[4] | planes[5] | planes[6] | planes[7]
+        )
+        if not np.any(zero_mask):
+            return planes
+        retry = _reference_word_rows(rng, 8, n_words)
+        for i in range(8):
+            planes[i] = planes[i] | (retry[i] & zero_mask)
+    raise SimulationError("non-zero byte rejection sampling did not converge")
+
+
+def _reference_call(plan, cycle):
+    """The plan interpreter's row-by-row loop, kept as the reference."""
+    step = cycle % plan.period
+    rows = np.empty((max(plan.n_rows, 1), plan.n_words), dtype=np.uint64)
+    for seg in plan._segments:
+        if isinstance(seg, int):
+            planes = _reference_nonzero_byte(plan.rng, plan.n_words)
+            for i in range(8):
+                rows[seg + i] = planes[i]
+            continue
+        if len(seg.draw_dsts):
+            rows[seg.draw_dsts] = _reference_word_rows(
+                plan.rng, len(seg.draw_dsts), plan.n_words
+            )
+        for g in seg.groups:
+            if g.code == OP_CONST:
+                rows[g.dst] = plan._broadcast(g.a, step)
+            elif g.code == OP_COPY:
+                rows[g.dst] = rows[g.a]
+            elif g.code == OP_XOR:
+                rows[g.dst] = rows[g.a] ^ rows[g.b]
+            elif g.code == OP_XORC:
+                rows[g.dst] = rows[g.a] ^ plan._broadcast(g.b, step)
+    return {net: rows[row] for row, net in plan._bound}
+
+
+_BIT_GENERATORS = pytest.mark.parametrize(
+    "bit_generator", [np.random.PCG64, np.random.MT19937]
+)
+
+
+class TestWholeArrayInterpreter:
+    """Raw PCG64 words, (8, n_words) non-zero bytes and the plan executor
+    give the reference loop's words and leave its generator state; the
+    MT19937 case runs the ``integers`` branch."""
+
+    @_BIT_GENERATORS
+    @settings(deadline=None, max_examples=30)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_words=st.sampled_from([1, 2, 3, 94]),
+    )
+    def test_nonzero_byte_matches_reference(
+        self, bit_generator, seed, n_words
+    ):
+        rng = np.random.Generator(bit_generator(seed))
+        reference = np.random.Generator(bit_generator(seed))
+        for _ in range(3):
+            planes = random_nonzero_byte(rng, n_words)
+            assert planes.shape == (8, n_words)
+            assert planes.dtype == np.uint64
+            np.testing.assert_array_equal(
+                planes, _reference_nonzero_byte(reference, n_words)
+            )
+            np.testing.assert_equal(
+                rng.bit_generator.state, reference.bit_generator.state
+            )
+
+    @_BIT_GENERATORS
+    @settings(deadline=None, max_examples=40)
+    @given(
+        spec=plan_programs(n_words=st.sampled_from([1, 2, 3, 94])),
+        seed=st.integers(0, 2**32 - 1),
+        n_cycles=st.integers(1, 6),
+    )
+    def test_plan_matches_reference_loop(
+        self, bit_generator, spec, seed, n_cycles
+    ):
+        plan = build_plan(spec, np.random.Generator(bit_generator(seed)))
+        reference = build_plan(
+            spec, np.random.Generator(bit_generator(seed))
+        )
+        for cycle in range(n_cycles):
+            values = plan(cycle)
+            expected = _reference_call(reference, cycle)
+            assert list(values) == list(expected)
+            for net, words in expected.items():
+                np.testing.assert_array_equal(values[net], words)
+            np.testing.assert_equal(
+                plan.rng.bit_generator.state,
+                reference.rng.bit_generator.state,
+            )
 
 
 class TestStimulus:

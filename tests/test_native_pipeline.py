@@ -43,7 +43,7 @@ from repro.netlist.native import (
     pipeline_available,
     _stimgen_dense,
 )
-from tests.strategies import random_circuits
+from tests.strategies import build_plan, plan_programs, random_circuits
 
 needs_pipeline = pytest.mark.skipif(
     not pipeline_available(),
@@ -116,80 +116,6 @@ def _assert_identical_reports(report_a, report_b):
 # ------------------------------------------------- in-kernel stimulus
 
 
-@st.composite
-def plan_programs(draw):
-    """A random stimulus program as plain data, buildable many times.
-
-    Covers every opcode: DRAW/CONST/COPY/XOR/XORC in random dependency
-    order plus an optional NZ8 (whose rejection-sampling retry path
-    fires often at 64+ lanes).
-    """
-    n_words = draw(st.integers(1, 3))
-    period = draw(st.integers(1, 4))
-    cols = [
-        [draw(st.integers(0, 1)) for _ in range(period)]
-        for _ in range(draw(st.integers(1, 3)))
-    ]
-    ops = []
-    n_rows = 0
-    for _ in range(draw(st.integers(1, 10))):
-        kinds = ["draw", "const"]
-        if n_rows:
-            kinds += ["copy", "xor", "xorc"]
-        kind = draw(st.sampled_from(kinds))
-        if kind == "draw":
-            ops.append(("draw",))
-        elif kind == "const":
-            ops.append(("const", draw(st.integers(0, len(cols) - 1))))
-        elif kind == "copy":
-            ops.append(("copy", draw(st.integers(0, n_rows - 1))))
-        elif kind == "xor":
-            ops.append((
-                "xor",
-                draw(st.integers(0, n_rows - 1)),
-                draw(st.integers(0, n_rows - 1)),
-            ))
-        else:
-            ops.append((
-                "xorc",
-                draw(st.integers(0, n_rows - 1)),
-                draw(st.integers(0, len(cols) - 1)),
-            ))
-        n_rows += 1
-    if draw(st.booleans()):
-        ops.append(("nz8",))
-    return n_words, period, cols, ops
-
-
-def _build_plan(spec, seed):
-    """Materialize a plan program; identical specs+seeds draw the same
-    stream no matter which executor later runs the plan."""
-    n_words, period, cols, ops = spec
-    builder = StimulusPlanBuilder(n_words, period=period)
-    col_ids = [builder.column(bits) for bits in cols]
-    net = 0
-    for op in ops:
-        if op[0] == "draw":
-            builder.draw(net=net)
-            net += 1
-        elif op[0] == "const":
-            builder.const(col_ids[op[1]], net=net)
-            net += 1
-        elif op[0] == "copy":
-            builder.copy(op[1], net=net)
-            net += 1
-        elif op[0] == "xor":
-            builder.xor(op[1], op[2], net=net)
-            net += 1
-        elif op[0] == "xorc":
-            builder.xor_const(op[1], col_ids[op[2]], net=net)
-            net += 1
-        else:
-            builder.nonzero8(list(range(net, net + 8)))
-            net += 8
-    return builder.build(np.random.default_rng(seed))
-
-
 @needs_pipeline
 class TestInKernelStimulus:
     @settings(deadline=None, max_examples=40)
@@ -200,8 +126,8 @@ class TestInKernelStimulus:
     )
     def test_stimgen_matches_python_interpreter(self, spec, seed, n_cycles):
         kernel = build_pipeline_kernel()
-        native_plan = _build_plan(spec, seed)
-        python_plan = _build_plan(spec, seed)
+        native_plan = build_plan(spec, np.random.default_rng(seed))
+        python_plan = build_plan(spec, np.random.default_rng(seed))
         nets = native_plan.nets
         slot_of_net = {net: slot for slot, net in enumerate(nets)}
         dense = _stimgen_dense(
@@ -216,7 +142,9 @@ class TestInKernelStimulus:
                 ), f"cycle {cycle} net {net}"
 
     def test_plan_has_a_single_executor(self):
-        plan = _build_plan((1, 1, [[1]], [("draw",)]), seed=3)
+        plan = build_plan(
+            (1, 1, [[1]], [("draw", (), True)]), np.random.default_rng(3)
+        )
         plan(0)  # python interpretation consumes the stream
         with pytest.raises(SimulationError, match="already interpreted"):
             plan.rng_state()
