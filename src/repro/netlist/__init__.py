@@ -22,7 +22,6 @@ from repro.netlist.compile import (
     GateProgram,
     compile_netlist,
     program_cache_info,
-    set_program_cache_capacity,
 )
 from repro.netlist.native import (
     NativeSimulator,
@@ -70,7 +69,6 @@ __all__ = [
     "compile_netlist",
     "netlist_content_hash",
     "program_cache_info",
-    "set_program_cache_capacity",
     "ControlSchedule",
     "ScheduledSimulator",
     "SliceStats",

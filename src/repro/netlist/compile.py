@@ -12,11 +12,11 @@ gather/scatter over a ``(n_nets, n_words)`` state matrix.
 Programs are cached by a content hash of the netlist structure (cell types,
 connectivity, primary inputs -- names are irrelevant to execution), so
 repeated simulator construction, e.g. one per sampling block or per worker
-process, compiles at most once per process.  The cache is a bounded LRU
-(:func:`set_program_cache_capacity`) shared by full programs and cone
-slices (:mod:`repro.netlist.slice`); hit/miss/eviction counts are exposed
-through :func:`program_cache_info` and the evaluation service's
-``/metrics`` endpoint.
+process, compiles at most once per process.  The cache is a bounded
+:class:`~repro.memo.Memo` shared by full programs and cone slices
+(:mod:`repro.netlist.slice`); hit/miss/eviction counts are exposed through
+:func:`program_cache_info` and the evaluation service's ``/metrics``
+endpoint.
 
 :class:`CompiledSimulator` is a drop-in replacement for
 :class:`~repro.netlist.simulate.BitslicedSimulator`: same ``run`` signature,
@@ -29,13 +29,13 @@ every live net still computes the exact same words.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.memo import Memo, MemoInfo
 from repro.netlist.cells import CellType
 from repro.netlist.core import Netlist, netlist_content_hash  # noqa: F401
 from repro.netlist.simulate import Stimulus, Trace, words_for_lanes
@@ -43,79 +43,18 @@ from repro.netlist.topo import levelize
 
 #: Compiled programs kept per process, keyed by netlist content hash (full
 #: programs) or by slice key (cone slices; see :mod:`repro.netlist.slice`).
-_PROGRAM_CACHE: "OrderedDict[str, GateProgram]" = OrderedDict()
-
-#: Cache capacity; evaluation flows touch a handful of netlists per process.
-_PROGRAM_CACHE_SIZE = 64
-
-#: Lifetime lookup statistics of the program cache.
-_CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
-
-
-class ProgramCacheInfo(NamedTuple):
-    """Snapshot of the per-process program cache."""
-
-    entries: int
-    capacity: int
-    hits: int
-    misses: int
-    evictions: int
-
-
-def program_cache_get(key: str) -> Optional["GateProgram"]:
-    """LRU lookup with hit/miss accounting (shared with the slicer)."""
-    cached = _PROGRAM_CACHE.get(key)
-    if cached is not None:
-        _PROGRAM_CACHE.move_to_end(key)
-        _CACHE_STATS["hits"] += 1
-        return cached
-    _CACHE_STATS["misses"] += 1
-    return None
-
-
-def program_cache_put(key: str, program: "GateProgram") -> None:
-    """Insert a program, evicting least-recently-used entries past capacity."""
-    _PROGRAM_CACHE[key] = program
-    while len(_PROGRAM_CACHE) > _PROGRAM_CACHE_SIZE:
-        _PROGRAM_CACHE.popitem(last=False)
-        _CACHE_STATS["evictions"] += 1
+#: Evaluation flows touch a handful of netlists per process.
+_PROGRAM_CACHE = Memo(64)
 
 
 def clear_program_cache() -> None:
     """Drop every cached program and reset statistics (test isolation)."""
     _PROGRAM_CACHE.clear()
-    _CACHE_STATS.update(hits=0, misses=0, evictions=0)
 
 
-def program_cache_info() -> ProgramCacheInfo:
+def program_cache_info() -> MemoInfo:
     """Entries, capacity and lifetime hit/miss/eviction counts."""
-    return ProgramCacheInfo(
-        entries=len(_PROGRAM_CACHE),
-        capacity=_PROGRAM_CACHE_SIZE,
-        hits=_CACHE_STATS["hits"],
-        misses=_CACHE_STATS["misses"],
-        evictions=_CACHE_STATS["evictions"],
-    )
-
-
-def set_program_cache_capacity(capacity: int) -> int:
-    """Re-bound the program cache; returns the previous capacity.
-
-    Shrinking below the current population evicts least-recently-used
-    entries immediately.  Evaluation flows touch a handful of programs per
-    process, so the default of 64 never evicts in practice; long-lived
-    services slicing many distinct probe selections can lower (or raise)
-    the bound to match their working set.
-    """
-    global _PROGRAM_CACHE_SIZE
-    if capacity < 1:
-        raise SimulationError("program cache capacity must be positive")
-    previous = _PROGRAM_CACHE_SIZE
-    _PROGRAM_CACHE_SIZE = capacity
-    while len(_PROGRAM_CACHE) > _PROGRAM_CACHE_SIZE:
-        _PROGRAM_CACHE.popitem(last=False)
-        _CACHE_STATS["evictions"] += 1
-    return previous
+    return _PROGRAM_CACHE.info()
 
 
 @dataclass(frozen=True)
@@ -210,13 +149,12 @@ def _index_array(values: Iterable[int]) -> np.ndarray:
     return np.asarray(list(values), dtype=np.intp)
 
 
-def compile_netlist(netlist: Netlist, use_cache: bool = True) -> GateProgram:
+def compile_netlist(netlist: Netlist) -> GateProgram:
     """Compile (or fetch from the per-process cache) a netlist's program."""
     key = netlist_content_hash(netlist)
-    if use_cache:
-        cached = program_cache_get(key)
-        if cached is not None:
-            return cached
+    cached = _PROGRAM_CACHE.get(key)
+    if cached is not None:
+        return cached
 
     order = levelize(netlist)
     level: Dict[int, int] = {net: 0 for net in netlist.inputs}
@@ -273,12 +211,44 @@ def compile_netlist(netlist: Netlist, use_cache: bool = True) -> GateProgram:
         dff_q=_index_array(c.output for c in dffs),
         n_levels=max_level,
     )
-    if use_cache:
-        program_cache_put(key, program)
+    _PROGRAM_CACHE.put(key, program)
     return program
 
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+def execute_ops(ops: Sequence[GateOp], state: np.ndarray) -> None:
+    """Evaluate ``ops`` in order on a ``(rows, n_words)`` state matrix.
+
+    The one gate dispatch of the compiled and scheduled simulators: each
+    op writes its output rows from its input rows in place.
+    """
+    for op in ops:
+        kind = op.cell_type
+        if kind is CellType.BUF:
+            state[op.out] = state[op.in0]
+        elif kind is CellType.NOT:
+            state[op.out] = ~state[op.in0]
+        elif kind is CellType.AND:
+            state[op.out] = state[op.in0] & state[op.in1]
+        elif kind is CellType.NAND:
+            state[op.out] = ~(state[op.in0] & state[op.in1])
+        elif kind is CellType.OR:
+            state[op.out] = state[op.in0] | state[op.in1]
+        elif kind is CellType.NOR:
+            state[op.out] = ~(state[op.in0] | state[op.in1])
+        elif kind is CellType.XOR:
+            state[op.out] = state[op.in0] ^ state[op.in1]
+        elif kind is CellType.XNOR:
+            state[op.out] = ~(state[op.in0] ^ state[op.in1])
+        elif kind is CellType.MUX:
+            select = state[op.in0]
+            state[op.out] = (state[op.in1] & ~select) | (
+                state[op.in2] & select
+            )
+        else:  # pragma: no cover - constants/DFFs are not in ops
+            raise SimulationError(f"unexpected cell type {kind}")
 
 
 class CompiledSimulator:
@@ -367,7 +337,7 @@ class CompiledSimulator:
                 state[row] = words
             if program.dff_q.size:
                 state[program.dff_q] = reg_state
-            self._execute(state)
+            execute_ops(program.ops, state)
             if cycle_filter is None or cycle in cycle_filter:
                 trace.values.append(
                     {
@@ -380,30 +350,3 @@ class CompiledSimulator:
             if program.dff_d.size:
                 reg_state = state[program.dff_d].copy()
         return trace
-
-    def _execute(self, state: np.ndarray) -> None:
-        for op in self.program.ops:
-            kind = op.cell_type
-            if kind is CellType.BUF:
-                state[op.out] = state[op.in0]
-            elif kind is CellType.NOT:
-                state[op.out] = ~state[op.in0]
-            elif kind is CellType.AND:
-                state[op.out] = state[op.in0] & state[op.in1]
-            elif kind is CellType.NAND:
-                state[op.out] = ~(state[op.in0] & state[op.in1])
-            elif kind is CellType.OR:
-                state[op.out] = state[op.in0] | state[op.in1]
-            elif kind is CellType.NOR:
-                state[op.out] = ~(state[op.in0] | state[op.in1])
-            elif kind is CellType.XOR:
-                state[op.out] = state[op.in0] ^ state[op.in1]
-            elif kind is CellType.XNOR:
-                state[op.out] = ~(state[op.in0] ^ state[op.in1])
-            elif kind is CellType.MUX:
-                select = state[op.in0]
-                state[op.out] = (state[op.in1] & ~select) | (
-                    state[op.in2] & select
-                )
-            else:  # pragma: no cover - constants/DFFs are not in ops
-                raise SimulationError(f"unexpected cell type {kind}")

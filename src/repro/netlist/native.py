@@ -22,8 +22,9 @@ Build products are cached twice: compiled ``.so`` files on disk keyed by
 a content digest of the generated source (itself derived from the
 program's content hash, so the existing program cache keying carries
 over -- full programs by netlist hash, cone slices by slice key), and
-``dlopen`` handles in a bounded per-process LRU exposed through
-:func:`native_kernel_cache_info` and the service ``/metrics`` endpoint.
+``dlopen`` handles in a bounded per-process :class:`~repro.memo.Memo`
+exposed through :func:`native_kernel_cache_info` and the service
+``/metrics`` endpoint.
 
 :class:`NativeSimulator` is a drop-in replacement for
 :class:`CompiledSimulator` -- same constructor shape (including
@@ -45,13 +46,13 @@ import shutil
 import subprocess
 import tempfile
 import threading
-from collections import OrderedDict
 from time import perf_counter
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.memo import Memo
 from repro.netlist.cells import CellType
 from repro.netlist.compile import GateProgram, compile_netlist
 from repro.netlist.core import Netlist
@@ -210,8 +211,8 @@ class RowPlan(NamedTuple):
     orders: tuple
 
 
-_ROW_PLANS: "OrderedDict[tuple, RowPlan]" = OrderedDict()
-_ROW_PLAN_CAP = 32
+#: Row plans, keyed by (program content hash, pin-set digest).
+_ROW_PLANS = Memo(32)
 
 
 def _compute_row_plan(
@@ -348,16 +349,10 @@ def _row_plan(
         arr = np.unique(np.asarray(list(pinned_rows), dtype=np.int64))
         pin_key = hashlib.sha256(arr.tobytes()).hexdigest()[:16]
     key = (program.content_hash, pin_key)
-    with _KERNEL_LOCK:
-        plan = _ROW_PLANS.get(key)
-        if plan is not None:
-            _ROW_PLANS.move_to_end(key)
-            return plan
-    plan = _compute_row_plan(program, arr)
-    with _KERNEL_LOCK:
-        _ROW_PLANS[key] = plan
-        while len(_ROW_PLANS) > _ROW_PLAN_CAP:
-            _ROW_PLANS.popitem(last=False)
+    plan = _ROW_PLANS.get(key)
+    if plan is None:
+        plan = _compute_row_plan(program, arr)
+        _ROW_PLANS.put(key, plan)
     return plan
 
 
@@ -619,30 +614,35 @@ class _LoadedKernel(NamedTuple):
 #: dlopen'ed kernels, keyed by source digest.  Evicted entries are only
 #: dereferenced (never dlclosed): a live simulator may still hold the
 #: lib, and the handle count is bounded by the cache capacity anyway.
-_KERNEL_CACHE: "OrderedDict[str, _LoadedKernel]" = OrderedDict()
-_KERNEL_CACHE_SIZE = 32
-_KERNEL_STATS = {"hits": 0, "misses": 0, "builds": 0}
+_KERNEL_CACHE = Memo(32)
+
+#: Serializes compiler runs and dlopen calls: a build writes files named
+#: by digest and process id, which two threads must not share.
 _KERNEL_LOCK = threading.Lock()
+
+#: Compiler runs since the last clear; changed only under _KERNEL_LOCK.
+_CC_BUILDS = 0
 _FFI = None
 
 
 def native_kernel_cache_info() -> NativeKernelCacheInfo:
     """Entries, capacity and lifetime hit/miss/build counts."""
-    with _KERNEL_LOCK:
-        return NativeKernelCacheInfo(
-            entries=len(_KERNEL_CACHE),
-            capacity=_KERNEL_CACHE_SIZE,
-            hits=_KERNEL_STATS["hits"],
-            misses=_KERNEL_STATS["misses"],
-            builds=_KERNEL_STATS["builds"],
-        )
+    memo = _KERNEL_CACHE.info()
+    return NativeKernelCacheInfo(
+        entries=memo.entries,
+        capacity=memo.capacity,
+        hits=memo.hits,
+        misses=memo.misses,
+        builds=_CC_BUILDS,
+    )
 
 
 def clear_native_kernel_cache() -> None:
     """Drop loaded-kernel references and reset statistics (tests)."""
+    global _CC_BUILDS
+    _KERNEL_CACHE.clear()
     with _KERNEL_LOCK:
-        _KERNEL_CACHE.clear()
-        _KERNEL_STATS.update(hits=0, misses=0, builds=0)
+        _CC_BUILDS = 0
 
 
 def _ffi():
@@ -712,8 +712,9 @@ def _compile_source(source: str, digest: str, cc: str,
     The on-disk artifact is keyed by the source+flags digest so
     concurrent worker processes share builds; writes go to a temp name
     and move into place atomically, so a racing builder at worst
-    compiles twice.
+    compiles twice.  Callers hold ``_KERNEL_LOCK``.
     """
+    global _CC_BUILDS
     directory = _cache_dir()
     so_path = os.path.join(directory, f"k_{digest}.so")
     if os.path.exists(so_path):
@@ -737,7 +738,7 @@ def _compile_source(source: str, digest: str, cc: str,
             f"native kernel build failed (exit {result.returncode}): {tail}"
         )
     os.replace(tmp_so, so_path)
-    _KERNEL_STATS["builds"] += 1
+    _CC_BUILDS += 1
     return so_path
 
 
@@ -761,13 +762,10 @@ def build_kernel(
     digest = hashlib.sha256(
         (source + "\0" + " ".join(flags)).encode()
     ).hexdigest()[:20]
+    kernel = _KERNEL_CACHE.get(digest)
+    if kernel is not None:
+        return kernel
     with _KERNEL_LOCK:
-        cached = _KERNEL_CACHE.get(digest)
-        if cached is not None:
-            _KERNEL_CACHE.move_to_end(digest)
-            _KERNEL_STATS["hits"] += 1
-            return cached
-        _KERNEL_STATS["misses"] += 1
         so_path = _compile_source(source, digest, cc, flags)
         try:
             lib = _ffi().dlopen(so_path)
@@ -775,11 +773,9 @@ def build_kernel(
             raise SimulationError(
                 f"native kernel dlopen failed for {so_path}: {exc}"
             ) from exc
-        kernel = _LoadedKernel(lib=lib, so_path=so_path, digest=digest)
-        _KERNEL_CACHE[digest] = kernel
-        while len(_KERNEL_CACHE) > _KERNEL_CACHE_SIZE:
-            _KERNEL_CACHE.popitem(last=False)
-        return kernel
+    kernel = _LoadedKernel(lib=lib, so_path=so_path, digest=digest)
+    _KERNEL_CACHE.put(digest, kernel)
+    return kernel
 
 
 # ------------------------------------------------------ pipeline kernel
@@ -1385,7 +1381,6 @@ int repro_sched_run(const uint64_t *stim, uint64_t *rec,
 _PIPE_FFI = None
 _PIPELINE_KERNEL: Optional[_LoadedKernel] = None
 _PIPELINE_REASON: Optional[str] = None
-_PIPELINE_TRIED = False
 
 
 def _pipe_ffi():
@@ -1408,41 +1403,39 @@ def build_pipeline_kernel() -> _LoadedKernel:
     compile fails (e.g. no ``__uint128_t``); the failure reason is
     memoized and surfaced via :func:`pipeline_unavailable_reason`.
     """
-    global _PIPELINE_KERNEL, _PIPELINE_REASON, _PIPELINE_TRIED
+    global _PIPELINE_KERNEL, _PIPELINE_REASON
     reason = native_unavailable_reason()
     if reason is not None:
         raise SimulationError(f"native engine unavailable: {reason}")
     with _KERNEL_LOCK:
         if _PIPELINE_KERNEL is not None:
             return _PIPELINE_KERNEL
-        if _PIPELINE_TRIED and _PIPELINE_REASON is not None:
+        if _PIPELINE_REASON is not None:
             raise SimulationError(
                 f"native pipeline unavailable: {_PIPELINE_REASON}"
             )
-    cc = _find_cc()
-    if cc is None:  # pragma: no cover - covered by the reason check
-        raise SimulationError("native pipeline build failed: no C compiler")
-    flags = _cc_flags(cc)
-    source = _pipeline_source()
-    digest = hashlib.sha256(
-        (source + "\0" + " ".join(flags)).encode()
-    ).hexdigest()[:20]
-    try:
-        so_path = _compile_source(source, digest, cc, flags)
-        lib = _pipe_ffi().dlopen(so_path)
-    except (SimulationError, OSError) as exc:
-        with _KERNEL_LOCK:
-            _PIPELINE_TRIED = True
+        cc = _find_cc()
+        if cc is None:  # pragma: no cover - covered by the reason check
+            raise SimulationError(
+                "native pipeline build failed: no C compiler"
+            )
+        flags = _cc_flags(cc)
+        source = _pipeline_source()
+        digest = hashlib.sha256(
+            (source + "\0" + " ".join(flags)).encode()
+        ).hexdigest()[:20]
+        try:
+            so_path = _compile_source(source, digest, cc, flags)
+            lib = _pipe_ffi().dlopen(so_path)
+        except (SimulationError, OSError) as exc:
             _PIPELINE_REASON = str(exc)
-        raise SimulationError(
-            f"native pipeline unavailable: {exc}"
-        ) from exc
-    kernel = _LoadedKernel(lib=lib, so_path=so_path, digest=digest)
-    with _KERNEL_LOCK:
-        _PIPELINE_TRIED = True
-        _PIPELINE_REASON = None
-        _PIPELINE_KERNEL = kernel
-    return kernel
+            raise SimulationError(
+                f"native pipeline unavailable: {exc}"
+            ) from exc
+        _PIPELINE_KERNEL = _LoadedKernel(
+            lib=lib, so_path=so_path, digest=digest
+        )
+        return _PIPELINE_KERNEL
 
 
 def pipeline_unavailable_reason() -> Optional[str]:

@@ -27,7 +27,6 @@ relevant part of the design.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
     Dict,
@@ -44,30 +43,26 @@ from typing import (
 import numpy as np
 
 from repro.errors import NetlistError, SimulationError
+from repro.memo import Memo
 from repro.netlist.cells import CellType
 from repro.netlist.compile import (
+    _PROGRAM_CACHE,
     GateOp,
     GateProgram,
     compile_netlist,
+    execute_ops,
     netlist_content_hash,
-    program_cache_get,
-    program_cache_put,
 )
 from repro.netlist.core import Netlist
 
 #: Memoized cones, keyed by (netlist content hash, root-set digest).
-_CONE_MEMO: "OrderedDict[Tuple[str, str], FrozenSet[int]]" = OrderedDict()
-_CONE_MEMO_SIZE = 64
+_CONE_MEMO = Memo(64)
 
 #: Memoized per-cycle cones, keyed by (netlist hash, parameter digest).
-_SCHEDULED_MEMO: (
-    "OrderedDict[Tuple[str, str], Tuple[FrozenSet[int], ...]]"
-) = OrderedDict()
-_SCHEDULED_MEMO_SIZE = 16
+_SCHEDULED_MEMO = Memo(16)
 
 #: Memoized flat driver tables, keyed by netlist content hash.
-_ARRAYS_MEMO: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
-_ARRAYS_MEMO_SIZE = 8
+_ARRAYS_MEMO = Memo(8)
 
 #: Net-kind codes used by the vectorized traversals.
 _KIND_INPUT = 0
@@ -98,7 +93,6 @@ def _driver_arrays(netlist: Netlist) -> Dict[str, object]:
     key = netlist_content_hash(netlist)
     cached = _ARRAYS_MEMO.get(key)
     if cached is not None:
-        _ARRAYS_MEMO.move_to_end(key)
         return cached
     from repro.netlist.topo import levelize
 
@@ -160,9 +154,7 @@ def _driver_arrays(netlist: Netlist) -> Dict[str, object]:
         "n_dffs": n_dffs,
         "n_comb_cells": len(order),
     }
-    _ARRAYS_MEMO[key] = arrays
-    while len(_ARRAYS_MEMO) > _ARRAYS_MEMO_SIZE:
-        _ARRAYS_MEMO.popitem(last=False)
+    _ARRAYS_MEMO.put(key, arrays)
     return arrays
 
 
@@ -205,7 +197,6 @@ def sequential_cone(netlist: Netlist, nets: Iterable[int]) -> FrozenSet[int]:
     key = (netlist_content_hash(netlist), _digest_nets(roots))
     cached = _CONE_MEMO.get(key)
     if cached is not None:
-        _CONE_MEMO.move_to_end(key)
         return cached
     cone = set()
     stack = roots
@@ -219,9 +210,7 @@ def sequential_cone(netlist: Netlist, nets: Iterable[int]) -> FrozenSet[int]:
             continue
         stack.extend(driver.inputs)
     result = frozenset(cone)
-    _CONE_MEMO[key] = result
-    while len(_CONE_MEMO) > _CONE_MEMO_SIZE:
-        _CONE_MEMO.popitem(last=False)
+    _CONE_MEMO.put(key, result)
     return result
 
 
@@ -307,7 +296,6 @@ def scheduled_cone(
     key = (netlist_content_hash(netlist), digest.hexdigest())
     cached = _SCHEDULED_MEMO.get(key)
     if cached is not None:
-        _SCHEDULED_MEMO.move_to_end(key)
         return cached
 
     # Frontier-vectorized traversal: registers are the only edges that
@@ -364,9 +352,7 @@ def scheduled_cone(
         frozenset(map(int, np.flatnonzero(needed_mask[t])))
         for t in range(n_cycles)
     )
-    _SCHEDULED_MEMO[key] = result
-    while len(_SCHEDULED_MEMO) > _SCHEDULED_MEMO_SIZE:
-        _SCHEDULED_MEMO.popitem(last=False)
+    _SCHEDULED_MEMO.put(key, result)
     return result
 
 
@@ -443,11 +429,7 @@ def slice_stats(netlist: Netlist, nets: Iterable[int]) -> SliceStats:
     )
 
 
-def slice_program(
-    netlist: Netlist,
-    keep_nets: Iterable[int],
-    use_cache: bool = True,
-) -> GateProgram:
+def slice_program(netlist: Netlist, keep_nets: Iterable[int]) -> GateProgram:
     """Slice the netlist's compiled program to the cone of ``keep_nets``.
 
     The returned program executes only the cells whose outputs lie in
@@ -459,12 +441,11 @@ def slice_program(
     keep_list = list(keep_nets)
     cone = sequential_cone(netlist, keep_list)
     key = f"{netlist_content_hash(netlist)}:slice:{_digest_nets(cone)}"
-    if use_cache:
-        cached = program_cache_get(key)
-        if cached is not None:
-            return cached
+    cached = _PROGRAM_CACHE.get(key)
+    if cached is not None:
+        return cached
 
-    full = compile_netlist(netlist, use_cache=use_cache)
+    full = compile_netlist(netlist)
     live = np.fromiter(sorted(cone), dtype=np.intp, count=len(cone))
     net_map = np.full(full.n_nets, -1, dtype=np.intp)
     net_map[live] = np.arange(live.size, dtype=np.intp)
@@ -499,8 +480,7 @@ def slice_program(
         n_state=int(live.size),
         net_map=net_map,
     )
-    if use_cache:
-        program_cache_put(key, program)
+    _PROGRAM_CACHE.put(key, program)
     return program
 
 
@@ -787,7 +767,7 @@ class ScheduledSimulator:
             read_q, read_reg = self._cycle_reads[cycle]
             if read_q.size:
                 state[read_q] = reg_state[read_reg]
-            self._execute(cycle, state)
+            execute_ops(self._cycle_ops[cycle], state)
             if cycle in record_set:
                 trace.values.append(
                     {net: state[net].copy() for net in record_list}
@@ -798,30 +778,3 @@ class ScheduledSimulator:
             if cap_d.size:
                 reg_state[cap_reg] = state[cap_d]
         return trace
-
-    def _execute(self, cycle: int, state: np.ndarray) -> None:
-        for op in self._cycle_ops[cycle]:
-            kind = op.cell_type
-            if kind is CellType.BUF:
-                state[op.out] = state[op.in0]
-            elif kind is CellType.NOT:
-                state[op.out] = ~state[op.in0]
-            elif kind is CellType.AND:
-                state[op.out] = state[op.in0] & state[op.in1]
-            elif kind is CellType.NAND:
-                state[op.out] = ~(state[op.in0] & state[op.in1])
-            elif kind is CellType.OR:
-                state[op.out] = state[op.in0] | state[op.in1]
-            elif kind is CellType.NOR:
-                state[op.out] = ~(state[op.in0] | state[op.in1])
-            elif kind is CellType.XOR:
-                state[op.out] = state[op.in0] ^ state[op.in1]
-            elif kind is CellType.XNOR:
-                state[op.out] = ~(state[op.in0] ^ state[op.in1])
-            elif kind is CellType.MUX:
-                select = state[op.in0]
-                state[op.out] = (state[op.in1] & ~select) | (
-                    state[op.in2] & select
-                )
-            else:  # pragma: no cover - consts/DFFs are not dispatched
-                raise SimulationError(f"unexpected cell type {kind}")

@@ -18,54 +18,24 @@ safely: cells are re-resolved through the queried instance.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import NetlistError
+from repro.memo import Memo
 from repro.netlist.core import Cell, Netlist, netlist_content_hash
 
-#: Entries kept per memo table; evaluation flows touch a handful of netlist
-#: structures per process, so a small LRU never evicts in practice.
-_MEMO_SIZE = 64
+# Evaluation flows touch a handful of netlist structures per process, so
+# these tables of 64 entries never evict in practice.
 
 #: content hash -> tuple of cell indices in levelized order.
-_LEVELIZE_MEMO: "OrderedDict[str, Tuple[int, ...]]" = OrderedDict()
+_LEVELIZE_MEMO = Memo(64)
 
 #: content hash -> {net: stable support} for every net.
-_SUPPORTS_MEMO: "OrderedDict[str, Dict[int, FrozenSet[int]]]" = OrderedDict()
+_SUPPORTS_MEMO = Memo(64)
 
 #: (content hash, net) -> combinational cone of that net.
-_CONE_MEMO: "OrderedDict[Tuple[str, int], FrozenSet[int]]" = OrderedDict()
-
-
-def _memo_get(memo: OrderedDict, key):
-    value = memo.get(key)
-    if value is not None:
-        memo.move_to_end(key)
-    return value
-
-
-def _memo_put(memo: OrderedDict, key, value) -> None:
-    memo[key] = value
-    while len(memo) > _MEMO_SIZE:
-        memo.popitem(last=False)
-
-
-def clear_topo_memo() -> None:
-    """Drop every memoized levelization/cone result (test isolation)."""
-    _LEVELIZE_MEMO.clear()
-    _SUPPORTS_MEMO.clear()
-    _CONE_MEMO.clear()
-
-
-def topo_memo_info() -> Dict[str, int]:
-    """Entry counts of the per-process topology memo tables."""
-    return {
-        "levelize": len(_LEVELIZE_MEMO),
-        "supports": len(_SUPPORTS_MEMO),
-        "cones": len(_CONE_MEMO),
-    }
+_CONE_MEMO = Memo(64)
 
 
 def levelize(netlist: Netlist) -> List[Cell]:
@@ -77,7 +47,7 @@ def levelize(netlist: Netlist) -> List[Cell]:
     queried instance).
     """
     key = netlist_content_hash(netlist)
-    cached = _memo_get(_LEVELIZE_MEMO, key)
+    cached = _LEVELIZE_MEMO.get(key)
     if cached is not None:
         cells = netlist.cells
         return [cells[i] for i in cached]
@@ -112,7 +82,7 @@ def levelize(netlist: Netlist) -> List[Cell]:
         raise NetlistError(
             f"combinational loop or floating net involving cells: {stuck[:5]}"
         )
-    _memo_put(_LEVELIZE_MEMO, key, tuple(c.index for c in order))
+    _LEVELIZE_MEMO.put(key, tuple(c.index for c in order))
     return order
 
 
@@ -123,7 +93,7 @@ def combinational_cone(netlist: Netlist, net: int) -> Set[int]:
     are included in the result.  Memoized per (netlist content hash, net).
     """
     key = (netlist_content_hash(netlist), net)
-    cached = _memo_get(_CONE_MEMO, key)
+    cached = _CONE_MEMO.get(key)
     if cached is not None:
         return set(cached)
     stable = _stable_set(netlist)
@@ -140,7 +110,7 @@ def combinational_cone(netlist: Netlist, net: int) -> Set[int]:
         if driver is None:
             continue
         stack.extend(driver.inputs)
-    _memo_put(_CONE_MEMO, key, frozenset(cone))
+    _CONE_MEMO.put(key, frozenset(cone))
     return cone
 
 
@@ -163,7 +133,7 @@ def all_stable_supports(netlist: Netlist) -> Dict[int, FrozenSet[int]]:
     result holds only net indices, so equal-structure instances share it).
     """
     key = netlist_content_hash(netlist)
-    cached = _memo_get(_SUPPORTS_MEMO, key)
+    cached = _SUPPORTS_MEMO.get(key)
     if cached is not None:
         return dict(cached)
     stable = _stable_set(netlist)
@@ -178,7 +148,7 @@ def all_stable_supports(netlist: Netlist) -> Dict[int, FrozenSet[int]]:
         for inp in cell.inputs:
             merged.update(supports[inp])
         supports[cell.output] = frozenset(merged)
-    _memo_put(_SUPPORTS_MEMO, key, dict(supports))
+    _SUPPORTS_MEMO.put(key, dict(supports))
     return supports
 
 

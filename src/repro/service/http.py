@@ -198,13 +198,20 @@ class EvaluationService:
         """Spawn the embedded fleet workers (idempotent, fleet only)."""
         if self.fleet is None or self._worker_threads:
             return
-        from repro.service.worker import FleetWorker, LocalTransport
+        from repro.service.worker import (
+            BUILD_CACHE_SIZE,
+            FleetWorker,
+            LocalTransport,
+        )
 
         for index in range(self.local_workers):
+            # Each runner thread runs one job whose items any local worker
+            # may lease, so every worker keeps an evaluator per thread.
             worker = FleetWorker(
                 LocalTransport(self.fleet),
                 worker_id=f"local-{index}",
                 poll_interval=0.05,
+                cache_size=max(BUILD_CACHE_SIZE, self.runner.n_threads),
             )
             thread = threading.Thread(
                 target=worker.run,

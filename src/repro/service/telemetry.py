@@ -126,11 +126,6 @@ class Telemetry:
             except (OSError, ValueError):
                 self._counters["telemetry_write_errors"] += 1
 
-    def incr(self, name: str, by: int = 1) -> None:
-        """Bump a bare counter without writing an event line."""
-        with self._lock:
-            self._counters[name] += by
-
     def counters(self) -> Dict[str, int]:
         """Snapshot of every counter (for ``/metrics``)."""
         with self._lock:

@@ -31,17 +31,27 @@ import threading
 import urllib.error
 import urllib.request
 import uuid
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.chaos import DEFAULT_RETRY, RetryPolicy, retry_io
 from repro.errors import ReproError, ServiceError
 from repro.leakage.parallel import execute_item
+from repro.memo import Memo
 from repro.service.store import JobSpec
 from repro.spec import EvaluationSpec
 
 #: Heartbeats per lease lifetime; 3 renewals before expiry rides out a
 #: couple of dropped heartbeat round-trips.
 HEARTBEATS_PER_LEASE = 3.0
+
+#: Evaluators (and analyzers) a worker keeps unless told otherwise.  A
+#: worker needs one per job whose items it is running: a coordinator
+#: queues every running job's items in one FIFO, so with more jobs running
+#: at once than this bound the jobs' items interleave and each change of
+#: job rebuilds an evaluator.  The service sizes its embedded workers
+#: from its runner threads (one job each); a remote ``repro worker`` keeps
+#: this default.
+BUILD_CACHE_SIZE = 8
 
 
 class LocalTransport:
@@ -147,7 +157,9 @@ class FleetWorker:
 
     Caches built evaluators and exact analyzers across items keyed by the
     spec fields that shape them, so a thousand-block campaign compiles its
-    engine once per worker, not once per lease.
+    engine once per worker, not once per lease.  Both caches keep the
+    ``cache_size`` most recently used entries, which should cover the
+    jobs the coordinator runs at once (see :data:`BUILD_CACHE_SIZE`).
     """
 
     def __init__(
@@ -155,12 +167,13 @@ class FleetWorker:
         transport,
         worker_id: Optional[str] = None,
         poll_interval: float = 0.5,
+        cache_size: int = BUILD_CACHE_SIZE,
     ):
         self.transport = transport
         self.worker_id = worker_id or f"worker-{uuid.uuid4().hex[:8]}"
         self.poll_interval = poll_interval
-        self._evaluators: Dict[Tuple, object] = {}
-        self._analyzers: Dict[Tuple, object] = {}
+        self._evaluators = Memo(cache_size)
+        self._analyzers = Memo(cache_size)
         self.items_done = 0
         self.items_failed = 0
 
@@ -177,9 +190,11 @@ class FleetWorker:
             spec.engine,
             spec.slice,
         )
-        if key not in self._evaluators:
-            self._evaluators[key] = evaluator_for(spec)
-        return self._evaluators[key]
+        evaluator = self._evaluators.get(key)
+        if evaluator is None:
+            evaluator = evaluator_for(spec)
+            self._evaluators.put(key, evaluator)
+        return evaluator
 
     def _analyzer_for(self, spec: EvaluationSpec):
         from repro.leakage.exact import ExactAnalyzer
@@ -189,14 +204,16 @@ class FleetWorker:
             spec.design, spec.scheme, spec.model, spec.max_enum_bits,
             spec.engine,
         )
-        if key not in self._analyzers:
-            self._analyzers[key] = ExactAnalyzer(
+        analyzer = self._analyzers.get(key)
+        if analyzer is None:
+            analyzer = ExactAnalyzer(
                 build_design(spec.design, spec.scheme).dut,
                 probing_model(spec),
                 max_enum_bits=spec.max_enum_bits,
                 engine=spec.engine,
             )
-        return self._analyzers[key]
+            self._analyzers.put(key, analyzer)
+        return analyzer
 
     # -------------------------------------------------------------- execution
 

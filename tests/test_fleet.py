@@ -14,10 +14,12 @@ The load-bearing claims under test:
 """
 
 import base64
+import gc
 import json
 import threading
 import time
 import urllib.request
+import weakref
 
 import pytest
 
@@ -33,7 +35,12 @@ from repro.service.fleet import (
     encode_arrays,
 )
 from repro.service.runner import evaluator_for
-from repro.service.worker import FleetWorker, HttpTransport, LocalTransport
+from repro.service.worker import (
+    BUILD_CACHE_SIZE,
+    FleetWorker,
+    HttpTransport,
+    LocalTransport,
+)
 
 import numpy as np
 
@@ -355,6 +362,96 @@ class TestBlocksResultValidation:
 
         with pytest.raises(ServiceError, match="packed layout"):
             self._accumulate(version_1)
+
+
+class TestWorkerBuildCache:
+    def test_evaluators_are_bounded_and_rebuilt_alike(self, monkeypatch):
+        """A long-lived worker keeps at most ``BUILD_CACHE_SIZE``
+        evaluators however many seeds it serves, and an evicted one is
+        rebuilt into the same arrays."""
+        from repro.service import runner
+
+        built = []
+        real_evaluator_for = runner.evaluator_for
+
+        def recording(spec):
+            evaluator = real_evaluator_for(spec)
+            built.append(weakref.ref(evaluator))
+            return evaluator
+
+        monkeypatch.setattr(runner, "evaluator_for", recording)
+        worker = FleetWorker(LocalTransport(FleetCoordinator()))
+
+        def run_block(seed):
+            spec = JobSpec.from_dict(dict(SMALL_SPEC, seed=seed))
+            body = worker.execute_item({
+                "spec": spec.to_dict(),
+                "work": {
+                    "kind": "blocks", "fixed_secret": 0, "n_lanes": 6_000,
+                    "n_windows": 1, "class_indices": [0, 1, 2],
+                    "blocks": [1],
+                },
+            })
+            return body["meta"], decode_arrays(body["npz"])
+
+        first_meta, first_arrays = run_block(0)
+        for seed in range(1, 21):
+            run_block(seed)
+        gc.collect()
+        assert sum(ref() is not None for ref in built) <= BUILD_CACHE_SIZE
+        meta, arrays = run_block(0)
+        assert len(built) == 22  # seed 0's evaluator was evicted, rebuilt
+        assert meta == first_meta
+        assert arrays.keys() == first_arrays.keys()
+        for name, array in first_arrays.items():
+            np.testing.assert_array_equal(arrays[name], array)
+
+    def test_service_workers_keep_an_evaluator_per_runner_thread(
+        self, tmp_path, monkeypatch
+    ):
+        """A service running more jobs at once than ``BUILD_CACHE_SIZE``
+        sizes its embedded workers' tables from its runner threads, so
+        items of that many jobs, leased round-robin as their interleaved
+        chunks come off the queue, build each evaluator once."""
+        from repro.service import runner, worker as worker_module
+
+        workers = []
+
+        class Recording(worker_module.FleetWorker):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                workers.append(self)
+
+        monkeypatch.setattr(worker_module, "FleetWorker", Recording)
+        n_jobs = BUILD_CACHE_SIZE + 2
+        service = EvaluationService(
+            str(tmp_path / "state"),
+            port=0,
+            runner_threads=n_jobs,
+            fleet=True,
+            local_workers=2,
+        )
+        service.start()
+        service.stop()
+        assert len(workers) == 2
+        for worker in workers:
+            assert worker._evaluators.info().capacity == n_jobs
+            assert worker._analyzers.info().capacity == n_jobs
+
+        built = []
+        real_evaluator_for = runner.evaluator_for
+
+        def recording(spec):
+            built.append(spec.seed)
+            return real_evaluator_for(spec)
+
+        monkeypatch.setattr(runner, "evaluator_for", recording)
+        for _ in range(3):
+            for seed in range(n_jobs):
+                workers[0]._evaluator_for(
+                    JobSpec.from_dict(dict(SMALL_SPEC, seed=seed))
+                )
+        assert built == list(range(n_jobs))
 
 
 class TestFleetBitIdentity:

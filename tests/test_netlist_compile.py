@@ -74,7 +74,7 @@ class TestContentHash:
 class TestGateProgram:
     def test_program_covers_every_combinational_cell(self):
         nl = _adder_bit()
-        program = compile_netlist(nl, use_cache=False)
+        program = compile_netlist(nl)
         n_dffs = sum(
             1 for c in nl.cells if c.cell_type is CellType.DFF
         )
@@ -86,7 +86,7 @@ class TestGateProgram:
 
     def test_ops_are_level_ordered(self):
         nl = _adder_bit()
-        program = compile_netlist(nl, use_cache=False)
+        program = compile_netlist(nl)
         # Every op input must be a primary input, register output,
         # constant, or the output of an earlier op: executable in order.
         ready = set(program.input_nets)
@@ -106,7 +106,7 @@ class TestGateProgram:
         one = b.constant(1)
         b.output(b.and_(x, one), "a")
         b.output(b.or_(x, zero), "b")
-        program = compile_netlist(b.build(), use_cache=False)
+        program = compile_netlist(b.build())
         assert program.const0.size == 1
         assert program.const1.size == 1
         assert all(
@@ -132,20 +132,11 @@ class TestProgramCache:
         clear_program_cache()
         assert compile_netlist(_adder_bit()) is compile_netlist(_adder_bit())
 
-    def test_use_cache_false_bypasses(self):
-        clear_program_cache()
-        nl = _adder_bit()
-        cached = compile_netlist(nl)
-        fresh = compile_netlist(nl, use_cache=False)
-        assert fresh is not cached
-        assert fresh.content_hash == cached.content_hash
-
-    def test_cache_evicts_oldest(self):
+    def test_cache_evicts_oldest(self, monkeypatch):
         from repro.netlist import compile as compile_mod
 
         clear_program_cache()
-        old_size = compile_mod._PROGRAM_CACHE_SIZE
-        compile_mod._PROGRAM_CACHE_SIZE = 2
+        monkeypatch.setattr(compile_mod._PROGRAM_CACHE, "capacity", 2)
         try:
             def chain(n):
                 b = CircuitBuilder("t")
@@ -162,7 +153,6 @@ class TestProgramCache:
             # The first program was evicted: recompilation yields a new one.
             assert compile_netlist(chain(1)) is not programs[0]
         finally:
-            compile_mod._PROGRAM_CACHE_SIZE = old_size
             clear_program_cache()
 
 

@@ -29,7 +29,6 @@ from repro.netlist.compile import (
     clear_program_cache,
     compile_netlist,
     program_cache_info,
-    set_program_cache_capacity,
 )
 from repro.netlist.simulate import BitslicedSimulator
 from repro.netlist.slice import (
@@ -120,8 +119,8 @@ class TestSequentialCone:
 class TestSliceProgram:
     def test_dead_rows_compacted_and_rejected(self):
         nl, probe, cone, dead = _pipeline()
-        full = compile_netlist(nl, use_cache=False)
-        sliced = slice_program(nl, [probe], use_cache=False)
+        full = compile_netlist(nl)
+        sliced = slice_program(nl, [probe])
         assert sliced.is_sliced and not full.is_sliced
         assert sliced.n_state_rows == len(cone) < full.n_state_rows
         assert sliced.is_live(probe) and not sliced.is_live(dead)
@@ -165,9 +164,11 @@ class TestSliceProgram:
 
 
 class TestProgramCacheBounds:
-    def test_capacity_evicts_and_counts(self):
+    def test_capacity_evicts_and_counts(self, monkeypatch):
+        from repro.netlist import compile as compile_mod
+
         clear_program_cache()
-        previous = set_program_cache_capacity(2)
+        monkeypatch.setattr(compile_mod._PROGRAM_CACHE, "capacity", 2)
         try:
             def chain(n):
                 b = CircuitBuilder("t")
@@ -187,26 +188,7 @@ class TestProgramCacheBounds:
             compile_netlist(chain(3))
             assert program_cache_info().hits == 1
         finally:
-            set_program_cache_capacity(previous)
             clear_program_cache()
-
-    def test_shrinking_capacity_evicts_immediately(self):
-        clear_program_cache()
-        previous = set_program_cache_capacity(8)
-        try:
-            nl, probe, _, _ = _pipeline()
-            compile_netlist(nl)
-            slice_program(nl, [probe])
-            assert program_cache_info().entries == 2
-            set_program_cache_capacity(1)
-            assert program_cache_info().entries == 1
-        finally:
-            set_program_cache_capacity(previous)
-            clear_program_cache()
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(SimulationError):
-            set_program_cache_capacity(0)
 
 
 class TestSlicedBitIdentity:
